@@ -18,7 +18,7 @@ from itertools import combinations
 from pathlib import Path
 
 from . import serialize
-from .demo import GROUP_SIZES, demo_report
+from .demo import demo_report
 from .errors import ProcfairError
 from .fairness import check_pairwise_fairness, expected_contingency, justice_metrics
 from .population import GUILTY, INNOCENT, AttributeEquals, load_population, merit_counts

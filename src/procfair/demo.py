@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+import numpy as np
+
 from .fairness import (
     ContingencyTable,
     FairnessVerdict,
@@ -25,7 +27,14 @@ from .fairness import (
     expected_contingency,
     justice_metrics,
 )
-from .population import GUILTY, INNOCENT, AttributeEquals, Individual, Population
+from .population import (
+    GUILTY,
+    INNOCENT,
+    MISSING,
+    AttributeColumn,
+    AttributeEquals,
+    Population,
+)
 from .procedure import ConditionalRates, RandomizedProcedure, exact_rates, global_procedure, make_group_fair
 from .roc import ProcedureClass, RocPoint, classify
 
@@ -47,16 +56,21 @@ POPULATION_NOTE = (
 
 def demo_population() -> Population:
     """The 10000-member population, grouped by sex with fixed guilt counts."""
-    members = []
-    for value, by_merit in GROUP_SIZES.items():
+    ids, merit, sex = [], [], []
+    for code, (value, by_merit) in enumerate(GROUP_SIZES.items()):
         serial = 0
-        for merit in (GUILTY, INNOCENT):
-            for _ in range(by_merit[merit]):
+        for label in (GUILTY, INNOCENT):
+            for _ in range(by_merit[label]):
                 serial += 1
-                members.append(
-                    Individual(f"{value.lower()}{serial:04d}", merit, attributes={SEX: value})
-                )
-    return Population(members)
+                ids.append(f"{value.lower()}{serial:04d}")
+                merit.append(label)
+                sex.append(code)
+    return Population._from_columns(
+        {ident: i for i, ident in enumerate(ids)},
+        np.array(merit, dtype=np.int8),
+        np.full(len(ids), MISSING, dtype=np.int8),
+        {SEX: AttributeColumn(tuple(GROUP_SIZES), np.array(sex, dtype=np.int32))},
+    )
 
 
 def demo_global_procedure() -> RandomizedProcedure:

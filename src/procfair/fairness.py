@@ -17,10 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import SizeLimitError
 from .population import (
     GUILTY,
     INNOCENT,
+    MISSING,
     ExplicitIdSet,
     GroupSpec,
     Individual,
@@ -32,6 +35,7 @@ from .procedure import (
     Procedure,
     as_rational,
     conviction_probability,
+    conviction_sums,
 )
 
 __all__ = [
@@ -272,20 +276,25 @@ def expected_contingency(pop: Population, proc: Procedure, attribute: str) -> Co
     convictions + acquittals = count, and group cells sum to the totals.
     Raises if any member lacks the attribute or an applicable rate.
     """
-    cells: dict[str, dict[int, list]] = {}
-    for ind in pop:
-        value = ind.attributes.get(attribute)
-        if value is None:
-            raise ValueError(f"individual {ind.id!r} has no value for attribute {attribute!r}")
-        bucket = cells.setdefault(value, {GUILTY: [0, Fraction(0)], INNOCENT: [0, Fraction(0)]})
-        entry = bucket[ind.merit]
-        entry[0] += 1
-        entry[1] += conviction_probability(proc, ind)
+    column = pop.attributes.get(attribute)
+    codes = np.full(len(pop), MISSING) if column is None else column.codes
+    missing = np.flatnonzero(codes == MISSING)
+    if missing.size:
+        first = int(missing[0])
+        before = np.zeros(len(pop), dtype=np.int8)
+        before[first:] = -1
+        conviction_sums(proc, pop, before)  # raises for an earlier member without a rate
+        raise ValueError(
+            f"individual {pop.ids()[first]!r} has no value for attribute {attribute!r}"
+        )
+    if column is None:  # an empty population
+        return ContingencyTable(attribute, {})
+    sums = conviction_sums(proc, pop, codes, len(column.values))
     return ContingencyTable(
         attribute,
         {
-            value: {merit: ContingencyCell(entry[0], entry[1]) for merit, entry in bucket.items()}
-            for value, bucket in cells.items()
+            value: {GUILTY: ContingencyCell(*guilty), INNOCENT: ContingencyCell(*innocent)}
+            for value, (guilty, innocent) in zip(column.values, sums)
         },
     )
 

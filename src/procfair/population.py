@@ -4,8 +4,25 @@ A population is an ordered, immutable collection of individuals. Each
 individual carries a binary merit label (does this person deserve the
 favorable outcome?), an optional binary criterion label (the fact pattern a
 deterministic procedure reads), and named categorical attributes such as
-``sex=M``. Everything downstream treats these values as read-only, so every
-operation here is a pure function and safe under concurrent use.
+``sex=M``.
+
+A :class:`Population` keeps its data as columns, one entry per member in
+population order:
+
+- ``ids()``, the member ids;
+- ``merit``, an ``int8`` array of merit labels;
+- ``criterion``, an ``int8`` array of criterion labels, ``-1`` where missing;
+- ``attributes``, one :class:`AttributeColumn` per attribute name: the
+  distinct values in first-appearance order and an ``int32`` code per member
+  indexing them, ``-1`` where the member has no value.
+
+:func:`load_population` fills these columns directly. ``Population(members)``
+builds them from :class:`Individual` objects on first use, and the member
+view (``members``, ``by_id``, iteration) of a loaded population is built only
+when something asks for it. Every exact aggregate downstream is a count per
+(cell, merit class, code) from :func:`cell_counts`. Everything here is
+read-only, so every operation is a pure function and safe under concurrent
+use.
 """
 
 from __future__ import annotations
@@ -14,7 +31,9 @@ import csv
 import io
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Iterable, Iterator, Mapping, Union
+from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
+
+import numpy as np
 
 from .errors import PopulationParseError, UnknownIdError
 
@@ -25,6 +44,7 @@ INNOCENT = 1
 MERIT_VALUES = (GUILTY, INNOCENT)
 
 CSV_HEADER = ("id", "J", "X", "attrs")
+MISSING = -1  # criterion or attribute code of a member without a value
 
 
 @dataclass(frozen=True)
@@ -59,44 +79,150 @@ class Individual:
         object.__setattr__(self, "attributes", dict(self.attributes))
 
 
-@dataclass(frozen=True)
-class Population:
-    """An ordered collection of individuals with unique ids."""
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
-    members: tuple[Individual, ...]
+
+class AttributeColumn:
+    """One dictionary-encoded attribute: distinct ``values`` in first-appearance
+    order and one ``codes`` entry per member indexing them (-1 when absent)."""
+
+    __slots__ = ("values", "codes")
+
+    def __init__(self, values: tuple[str, ...], codes: np.ndarray):
+        self.values = values
+        self.codes = _frozen(codes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AttributeColumn):
+            return NotImplemented
+        return self.values == other.values and np.array_equal(self.codes, other.codes)
+
+    __hash__ = None
+
+
+def _encode_attributes(
+    dicts: Sequence[Mapping[str, str]], rows: np.ndarray | None = None
+) -> dict[str, AttributeColumn]:
+    """Dictionary-encode attribute mappings, one column per name.
+
+    Member ``i`` carries ``dicts[rows[i]]``, or ``dicts[i]`` without ``rows``.
+    With ``rows``, ``dicts`` must be listed in the order of their first use, so
+    that values still come out in first-appearance order.
+    """
+    encoded: dict[str, tuple[dict[str, int], list[int]]] = {}
+    for i, attrs in enumerate(dicts):
+        for name, value in attrs.items():
+            entry = encoded.get(name)
+            if entry is None:
+                entry = encoded[name] = ({}, [MISSING] * len(dicts))
+            values, codes = entry
+            codes[i] = values.setdefault(value, len(values))
+    columns = {}
+    for name, (values, codes) in encoded.items():
+        array = np.array(codes, dtype=np.int32)
+        columns[name] = AttributeColumn(tuple(values), array if rows is None else array[rows])
+    return columns
+
+
+class Population:
+    """An ordered collection of individuals with unique ids, stored as columns."""
 
     def __init__(self, members: Iterable[Individual]):
-        object.__setattr__(self, "members", tuple(members))
-        seen: set[str] = set()
-        for ind in self.members:
-            if ind.id in seen:
+        members = tuple(members)
+        index: dict[str, int] = {}
+        for ind in members:
+            if ind.id in index:
                 raise ValueError(f"duplicate individual id {ind.id!r}")
-            seen.add(ind.id)
+            index[ind.id] = len(index)
+        self.__dict__.update(members=members, _index=index)
+
+    @classmethod
+    def _from_columns(
+        cls,
+        index: dict[str, int],
+        merit: np.ndarray,
+        criterion: np.ndarray,
+        attributes: dict[str, AttributeColumn],
+    ) -> Population:
+        """A population over already validated columns; ``index`` maps id to position."""
+        pop = cls.__new__(cls)
+        pop.__dict__.update(
+            _index=index, merit=_frozen(merit), criterion=_frozen(criterion), attributes=attributes
+        )
+        return pop
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Population):
+            return NotImplemented
+        return (
+            self.ids() == other.ids()
+            and np.array_equal(self.merit, other.merit)
+            and np.array_equal(self.criterion, other.criterion)
+            and self.attributes == other.attributes
+        )
+
+    __hash__ = None
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._index)
 
     def __iter__(self) -> Iterator[Individual]:
         return iter(self.members)
 
     def __repr__(self) -> str:
-        return f"Population({len(self.members)} members)"
+        return f"Population({len(self)} members)"
+
+    @cached_property
+    def _ids(self) -> tuple[str, ...]:
+        return tuple(self._index)
+
+    def ids(self) -> tuple[str, ...]:
+        return self._ids
+
+    @cached_property
+    def merit(self) -> np.ndarray:
+        return _frozen(np.fromiter((ind.merit for ind in self.members), np.int8, len(self)))
+
+    @cached_property
+    def criterion(self) -> np.ndarray:
+        labels = (MISSING if ind.criterion is None else ind.criterion for ind in self.members)
+        return _frozen(np.fromiter(labels, np.int8, len(self)))
+
+    @cached_property
+    def attributes(self) -> Mapping[str, AttributeColumn]:
+        return _encode_attributes([ind.attributes for ind in self.members])
+
+    def _member(self, i: int) -> Individual:
+        """Member ``i``, built from the columns unless the member view exists."""
+        if "members" in self.__dict__:
+            return self.members[i]
+        attrs = {}
+        for name, column in self.attributes.items():
+            code = int(column.codes[i])
+            if code != MISSING:
+                attrs[name] = column.values[code]
+        criterion = int(self.criterion[i])
+        return Individual(
+            self._ids[i], int(self.merit[i]), None if criterion == MISSING else criterion, attrs
+        )
+
+    @cached_property
+    def members(self) -> tuple[Individual, ...]:
+        return tuple(self._member(i) for i in range(len(self)))
 
     @cached_property
     def by_id(self) -> Mapping[str, Individual]:
         return {ind.id: ind for ind in self.members}
 
-    def ids(self) -> tuple[str, ...]:
-        return tuple(ind.id for ind in self.members)
-
     def attribute_values(self, name: str) -> tuple[str, ...]:
         """Distinct values of an attribute, in first-appearance order."""
-        seen: dict[str, None] = {}
-        for ind in self.members:
-            value = ind.attributes.get(name)
-            if value is not None:
-                seen.setdefault(value)
-        return tuple(seen)
+        column = self.attributes.get(name)
+        return () if column is None else column.values
 
 
 # --- group specs -----------------------------------------------------------
@@ -165,27 +291,73 @@ class Singleton:
 GroupSpec = Union[AttributeEquals, CriterionEquals, ExplicitIdSet, Singleton]
 
 
-def group_members(pop: Population, g: GroupSpec | None) -> tuple[Individual, ...]:
-    """Members satisfying ``g``, in population order. ``None`` selects everyone."""
+def group_cells(pop: Population, g: GroupSpec | None) -> np.ndarray | None:
+    """Cell 0 for members of ``g`` and -1 for the rest, the ``cells`` argument of
+    :func:`cell_counts`; ``None`` when ``g`` selects everyone."""
     if g is None:
-        return pop.members
-    if isinstance(g, ExplicitIdSet):
-        unknown = g.ids - set(pop.by_id)
+        return None
+    if isinstance(g, AttributeEquals):
+        column = pop.attributes.get(g.name)
+        if column is None or g.value not in column.values:
+            mask = np.zeros(len(pop), dtype=bool)
+        else:
+            mask = column.codes == column.values.index(g.value)
+    elif isinstance(g, CriterionEquals):
+        mask = pop.criterion == g.value
+    else:
+        ids = g.ids if isinstance(g, ExplicitIdSet) else {g.id}
+        unknown = ids - pop._index.keys()
+        if unknown and isinstance(g, Singleton):
+            raise UnknownIdError(f"unknown id in group: {g.id!r}")
         if unknown:
             raise UnknownIdError(f"unknown ids in group: {sorted(unknown)}")
-    elif isinstance(g, Singleton) and g.id not in pop.by_id:
-        raise UnknownIdError(f"unknown id in group: {g.id!r}")
-    return tuple(ind for ind in pop.members if g.matches(ind))
+        mask = np.zeros(len(pop), dtype=bool)
+        mask[[pop._index[ident] for ident in ids]] = True
+    return mask.view(np.int8) - 1
+
+
+def group_members(pop: Population, g: GroupSpec | None) -> tuple[Individual, ...]:
+    """Members satisfying ``g``, in population order. ``None`` selects everyone."""
+    cells = group_cells(pop, g)
+    if cells is None:
+        return pop.members
+    return tuple(pop._member(i) for i in np.flatnonzero(cells == 0).tolist())
+
+
+def cell_counts(
+    pop: Population,
+    codes: np.ndarray | None = None,
+    n_codes: int = 1,
+    cells: np.ndarray | None = None,
+    n_cells: int = 1,
+) -> np.ndarray:
+    """Member counts per (cell, merit class, code), shape ``(n_cells, 2, n_codes)``.
+
+    ``codes`` (all 0 when omitted) must lie in ``[0, n_codes)`` for every
+    counted member; members whose entry in ``cells`` is negative are not
+    counted, and ``cells=None`` puts everyone in cell 0. One ``np.bincount``
+    does the counting.
+    """
+    key = pop.merit.astype(np.intp)
+    if codes is not None:
+        key = key * n_codes + codes
+    if cells is not None:
+        counted = cells >= 0
+        key = cells[counted].astype(np.intp) * (2 * n_codes) + key[counted]
+    counts = np.bincount(key, minlength=n_cells * 2 * n_codes)
+    return counts.reshape(n_cells, 2, n_codes)
 
 
 def merit_counts(pop: Population, g: GroupSpec | None = None) -> tuple[int, int]:
     """(number guilty, number innocent) within the group. Empty group gives (0, 0)."""
-    members = group_members(pop, g)
-    n_guilty = sum(1 for ind in members if ind.merit == GUILTY)
-    return n_guilty, len(members) - n_guilty
+    n_guilty, n_innocent = cell_counts(pop, cells=group_cells(pop, g))[0, :, 0].tolist()
+    return n_guilty, n_innocent
 
 
 # --- CSV ingestion ---------------------------------------------------------
+
+_BINARY = {"0": 0, "1": 1}
+_NO_CRITERION = 255  # MISSING as an unsigned byte, read back through int8
 
 
 def _parse_binary(text: str, column: str, line: int, optional: bool = False) -> int | None:
@@ -220,16 +392,23 @@ def load_population(source: str | IO[str]) -> Population:
     """Parse the population CSV format (header ``id,J,X,attrs``).
 
     ``X`` may be empty; ``attrs`` is a semicolon-separated list of
-    ``name=value`` pairs and may be empty. CRLF input is tolerated. Raises
-    :class:`PopulationParseError` naming the offending line on any malformed
-    row, duplicate id, or out-of-range label.
+    ``name=value`` pairs and may be empty. CRLF input and one leading UTF-8
+    byte-order mark are tolerated. Raises :class:`PopulationParseError`
+    naming the offending line on any malformed row, duplicate id, or
+    out-of-range label.
     """
-    stream = io.StringIO(source) if isinstance(source, str) else source
-    reader = csv.reader(stream)
-    members: list[Individual] = []
-    seen: set[str] = set()
+    text = source if isinstance(source, str) else source.read()
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    index: dict[str, int] = {}
+    merit = bytearray()
+    criterion = bytearray()
+    # Each distinct attrs string is parsed once; rows point at its parse.
+    attr_rows: list[int] = []
+    attr_codes: dict[str, int] = {}
+    attr_dicts: list[dict[str, str]] = []
     header_seen = False
-    for line, row in enumerate(reader, start=1):
+    for line, row in enumerate(csv.reader(io.StringIO(text)), start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue  # blank line
         if not header_seen:
@@ -241,22 +420,32 @@ def load_population(source: str | IO[str]) -> Population:
             continue
         if len(row) != 4:
             raise PopulationParseError(f"expected 4 columns, got {len(row)}", line)
-        ident = row[0].strip()
+        ident, j, x, attrs = row
+        ident = ident.strip()
         if not ident:
             raise PopulationParseError("empty id", line)
-        if ident in seen:
+        if ident in index:
             raise PopulationParseError(f"duplicate id {ident!r}", line)
-        seen.add(ident)
-        merit = _parse_binary(row[1], "J", line)
-        criterion = _parse_binary(row[2], "X", line, optional=True)
-        attrs = _parse_attrs(row[3], line)
-        try:
-            members.append(Individual(ident, merit, criterion, attrs))
-        except ValueError as exc:
-            raise PopulationParseError(str(exc), line) from exc
+        index[ident] = len(index)
+        label = _BINARY.get(j)
+        merit.append(_parse_binary(j, "J", line) if label is None else label)
+        label = _BINARY.get(x)
+        if label is None:
+            label = _parse_binary(x, "X", line, optional=True)
+        criterion.append(_NO_CRITERION if label is None else label)
+        code = attr_codes.get(attrs)
+        if code is None:
+            code = attr_codes[attrs] = len(attr_dicts)
+            attr_dicts.append(_parse_attrs(attrs, line))
+        attr_rows.append(code)
     if not header_seen:
         raise PopulationParseError("empty input: missing header", 1)
-    return Population(members)
+    return Population._from_columns(
+        index,
+        np.frombuffer(merit, dtype=np.int8).copy(),
+        np.frombuffer(criterion, dtype=np.int8).copy(),
+        _encode_attributes(attr_dicts, np.array(attr_rows, dtype=np.intp)),
+    )
 
 
 def dump_population(pop: Population) -> str:

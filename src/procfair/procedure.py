@@ -30,7 +30,15 @@ from .errors import (
     MissingRateError,
     ProcedureSpecError,
 )
-from .population import GUILTY, INNOCENT, GroupSpec, Individual, Population, group_members
+from .population import (
+    GUILTY,
+    MISSING,
+    GroupSpec,
+    Individual,
+    Population,
+    cell_counts,
+    group_cells,
+)
 
 # Outcome labels: 1 = acquitted (favorable), 0 = convicted (unfavorable).
 CONVICTED = 0
@@ -49,18 +57,19 @@ def as_rational(value: int | float | str | Fraction | Decimal) -> Fraction:
         raise ValueError(f"cannot interpret {value!r} as a rational")
     if isinstance(value, numbers.Integral):
         return Fraction(int(value))
-    if isinstance(value, numbers.Real):  # floats, including numpy scalars
-        return Fraction(Decimal(repr(float(value))))
     if isinstance(value, Decimal):
         return Fraction(value)
-    if isinstance(value, str):
-        text = value.strip()
-        try:
+    try:
+        if isinstance(value, numbers.Real):  # floats, including numpy scalars
+            return Fraction(Decimal(repr(float(value))))
+        if isinstance(value, str):
+            text = value.strip()
             if "/" in text:
                 return Fraction(text)
             return Fraction(Decimal(text))
-        except (ValueError, ZeroDivisionError, InvalidOperation) as exc:
-            raise ValueError(f"cannot interpret {value!r} as a rational") from exc
+    # infinities overflow, NaN is a ValueError
+    except (ValueError, ZeroDivisionError, InvalidOperation, OverflowError) as exc:
+        raise ValueError(f"cannot interpret {value!r} as a rational") from exc
     raise ValueError(f"cannot interpret {value!r} as a rational")
 
 
@@ -174,6 +183,69 @@ def conviction_probability(proc: Procedure, ind: Individual) -> Fraction:
     return h if ind.merit == GUILTY else k
 
 
+# Deterministic probability code 1 - X, indexed by the criterion column (-1 is MISSING).
+_DETERMINISTIC_CODES = np.array([1, 0, MISSING])
+
+
+def _probability_codes(
+    proc: Procedure, pop: Population, scope: np.ndarray | None = None
+) -> tuple[np.ndarray, tuple[Fraction, ...]]:
+    """Every member's conviction probability as a code into a tuple of distinct
+    exact probabilities.
+
+    Deterministic: code ``1 - X`` into ``(0, 1)``. Randomized: code
+    ``2 * pair + merit`` into the flattened distinct ``(h, k)`` pairs (a global
+    procedure has one pair), so attribute values sharing a pair share codes.
+    Raises the error of :func:`conviction_probability` for the first member in
+    ``scope`` (a boolean mask; ``None`` is everyone) that has no probability.
+    """
+    if isinstance(proc, DeterministicProcedure):
+        codes = _DETERMINISTIC_CODES[pop.criterion]
+        probs = (Fraction(0), Fraction(1))
+    else:
+        rates = proc.rates
+        if isinstance(rates, GlobalRates):
+            return pop.merit, (rates.h, rates.k)
+        pairs = {pair: i for i, pair in enumerate(dict.fromkeys(rates.table.values()))}
+        column = pop.attributes.get(rates.attribute)
+        if column is None:
+            pair_codes = np.full(len(pop), MISSING)
+        else:
+            # -2 marks a value without configured rates; the trailing entry maps
+            # the code MISSING of a member without a value to MISSING
+            lookup = [2 * pairs[rates.table[v]] if v in rates.table else -2 for v in column.values]
+            pair_codes = np.array(lookup + [MISSING], dtype=np.intp)[column.codes]
+        codes = pair_codes + (pair_codes >= 0) * pop.merit
+        probs = tuple(rate for pair in pairs for rate in pair)
+    invalid = np.flatnonzero(codes < 0 if scope is None else (codes < 0) & scope)
+    if invalid.size:
+        conviction_probability(proc, pop._member(int(invalid[0])))
+    return codes, probs
+
+
+def conviction_sums(
+    proc: Procedure, pop: Population, cells: np.ndarray | None = None, n_cells: int = 1
+) -> list[tuple[tuple[int, Fraction], tuple[int, Fraction]]]:
+    """``(count, exact sum of conviction probabilities)`` per cell and merit class.
+
+    ``cells`` assigns each member a cell in ``[0, n_cells)``; members with a
+    negative cell are left out, and ``None`` puts everyone in cell 0. Members
+    are counted per (cell, merit, probability code) in one pass, and each
+    count is multiplied by its exact probability only at the end. Raises for
+    the first member in a cell that has no conviction probability.
+    """
+    scope = None if cells is None else cells >= 0
+    codes, probs = _probability_codes(proc, pop, scope)
+    counts = cell_counts(pop, codes, len(probs), cells, n_cells).tolist()
+    return [
+        tuple(
+            (sum(row), sum((n * p for n, p in zip(row, probs) if n), Fraction(0)))
+            for row in by_merit
+        )
+        for by_merit in counts
+    ]
+
+
 # --- outcomes --------------------------------------------------------------
 
 
@@ -229,15 +301,8 @@ class OutcomeAssignment(MappingABC):
 
 def apply_deterministic(proc: DeterministicProcedure, pop: Population) -> OutcomeAssignment:
     """Evaluate U = X over the whole population."""
-    values = []
-    for ind in pop:
-        if ind.criterion is None:
-            raise MissingCriterionError(
-                f"individual {ind.id!r} has no criterion label; "
-                "deterministic procedures require X"
-            )
-        values.append(ind.criterion)
-    return OutcomeAssignment(pop.ids(), values, Provenance("deterministic"))
+    _probability_codes(proc, pop)  # raises for the first member without X
+    return OutcomeAssignment(pop.ids(), pop.criterion, Provenance("deterministic"))
 
 
 def simulate(
@@ -252,7 +317,8 @@ def simulate(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    probs = np.array([float(conviction_probability(proc, ind)) for ind in pop])
+    codes, exact = _probability_codes(proc, pop)
+    probs = np.array([float(p) for p in exact])[codes]
     rng = np.random.default_rng(seed)
     draws = rng.random((trials, len(pop)))
     outcomes = np.where(draws < probs, CONVICTED, ACQUITTED).astype(np.uint8)
@@ -305,36 +371,25 @@ def exact_rates(
     :class:`AmbiguousRateError`. A merit class with no members yields ``None``
     for its rate.
     """
-    members = group_members(pop, g)
-    guilty = [ind for ind in members if ind.merit == GUILTY]
-    innocent = [ind for ind in members if ind.merit == INNOCENT]
-    support = (len(guilty), len(innocent))
-
-    if isinstance(proc, DeterministicProcedure):
-        for ind in members:
-            if ind.criterion is None:
-                raise MissingCriterionError(
-                    f"individual {ind.id!r} has no criterion label; "
-                    "deterministic procedures require X"
-                )
-        h = Fraction(sum(1 for i in guilty if i.criterion == 0), len(guilty)) if guilty else None
-        k = (
-            Fraction(sum(1 for i in innocent if i.criterion == 0), len(innocent))
-            if innocent
-            else None
-        )
-        return ConditionalRates(h, k, support)
-
-    pairs = {applicable_rates(proc, ind) for ind in members}
-    if len(pairs) > 1:
-        raise AmbiguousRateError(
-            "group spans members with different configured rates: "
-            + ", ".join(f"({h}, {k})" for h, k in sorted(pairs))
-        )
-    if not pairs:
-        return ConditionalRates(None, None, (0, 0))
-    (h, k), = pairs
-    return ConditionalRates(h if guilty else None, k if innocent else None, support)
+    cells = group_cells(pop, g)
+    ((n_guilty, sum_guilty), (n_innocent, sum_innocent)), = conviction_sums(proc, pop, cells)
+    if isinstance(proc, RandomizedProcedure) and isinstance(proc.rates, PerGroupRates):
+        in_group = None if cells is None else cells == 0
+        codes, probs = _probability_codes(proc, pop, in_group)
+        if in_group is not None:
+            codes = codes[in_group]
+        present = np.flatnonzero(np.bincount(codes // 2)).tolist()
+        pairs = {probs[2 * pair : 2 * pair + 2] for pair in present}
+        if len(pairs) > 1:
+            raise AmbiguousRateError(
+                "group spans members with different configured rates: "
+                + ", ".join(f"({h}, {k})" for h, k in sorted(pairs))
+            )
+    return ConditionalRates(
+        sum_guilty / n_guilty if n_guilty else None,
+        sum_innocent / n_innocent if n_innocent else None,
+        (n_guilty, n_innocent),
+    )
 
 
 def empirical_rates(
@@ -350,22 +405,21 @@ def empirical_rates(
     """
     if not assignments:
         raise ValueError("empirical_rates requires at least one assignment")
-    members = group_members(pop, g)
-    positions = {ident: i for i, ident in enumerate(pop.ids())}
-    idx_guilty = [positions[i.id] for i in members if i.merit == GUILTY]
-    idx_innocent = [positions[i.id] for i in members if i.merit == INNOCENT]
-    support = (len(idx_guilty), len(idx_innocent))
+    cells = group_cells(pop, g)
+    convicted = np.zeros(len(pop), dtype=np.intp)
+    for a in assignments:
+        convicted += a.values_array == CONVICTED
+    # each member's conviction count is its code
     trials = len(assignments)
-
-    def rate(indices: list[int]) -> Fraction | None:
-        if not indices:
-            return None
-        convicted = sum(
-            int(np.count_nonzero(a.values_array[indices] == CONVICTED)) for a in assignments
-        )
-        return Fraction(convicted, len(indices) * trials)
-
-    return ConditionalRates(rate(idx_guilty), rate(idx_innocent), support)
+    counts = cell_counts(pop, convicted, trials + 1, cells)[0].tolist()
+    (n_guilty, conv_guilty), (n_innocent, conv_innocent) = (
+        (sum(row), sum(c * n for c, n in enumerate(row) if n)) for row in counts
+    )
+    return ConditionalRates(
+        Fraction(conv_guilty, n_guilty * trials) if n_guilty else None,
+        Fraction(conv_innocent, n_innocent * trials) if n_innocent else None,
+        (n_guilty, n_innocent),
+    )
 
 
 # --- procedure description files -------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import MissingCriterionError, SizeLimitError
+from .errors import SizeLimitError
 from .population import (
     GUILTY,
     INNOCENT,
@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 DEFAULT_MAX_N = 15
+# Ceiling on any exhaustive search: 2^19 - 1 (about 5 * 10^5) bipartitions.
+MAX_SEARCH_N = 20
 
 
 @dataclass(frozen=True)
@@ -81,22 +83,14 @@ def construct_witness(pop: Population) -> WitnessReport:
     """
     if not len(pop):
         raise ValueError("cannot construct a witness for an empty population")
-    present: dict[tuple[int, int], bool] = {}
-    for ind in pop:
-        if ind.criterion is None:
-            raise MissingCriterionError(
-                f"individual {ind.id!r} has no criterion label; "
-                "deterministic procedures require X"
-            )
-        present[(ind.merit, ind.criterion)] = True
-
-    violated = tuple(
-        j for j in (GUILTY, INNOCENT) if present.get((j, 0)) and present.get((j, 1))
-    )
-    class_probabilities = {j: (Fraction(1), Fraction(0)) for j in violated}
-    perfect = all(ind.criterion == ind.merit for ind in pop)
-
+    # Under U = X a merit class's conviction rate is its share of members at
+    # X=0, so the class straddles the split iff the rate lies strictly inside (0, 1).
     rates = exact_rates(DeterministicProcedure(), pop)
+    by_class = ((GUILTY, rates.h), (INNOCENT, rates.k))
+    violated = tuple(j for j, rate in by_class if rate is not None and 0 < rate < 1)
+    class_probabilities = {j: (Fraction(1), Fraction(0)) for j in violated}
+    perfect = rates.h in (None, 1) and rates.k in (None, 0)
+
     procedure_class = (
         classify(RocPoint(rates.h, rates.k))
         if rates.h is not None and rates.k is not None
@@ -136,8 +130,13 @@ def exhaustive_search(
     bipartition is reported once, ordered by the canonical (bitmask over
     population order) encoding of the side that excludes the first member.
     ``proc`` defaults to the deterministic procedure, which requires
-    criterion labels on every member.
+    criterion labels on every member. ``max_n`` may not exceed
+    :data:`MAX_SEARCH_N`.
     """
+    if max_n > MAX_SEARCH_N:
+        raise SizeLimitError(
+            f"search limit {max_n} exceeds the exhaustive-search ceiling {MAX_SEARCH_N}"
+        )
     n = len(pop)
     if n > max_n:
         raise SizeLimitError(f"population of {n} exceeds exhaustive-search limit {max_n}")

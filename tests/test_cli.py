@@ -295,3 +295,65 @@ def test_bad_population_csv_reports_line(capsys, tmp_path):
     code, _, err = run(capsys, "witness", "--population", str(pop_file))
     assert code == 1
     assert "line 2" in err
+
+
+# --- malformed numbers, search ceiling, byte-order mark ------------------------
+
+
+def single_error_line(err: str) -> bool:
+    lines = err.strip().splitlines()
+    return len(lines) == 1 and lines[0].startswith("error:") and "Traceback" not in err
+
+
+def test_audit_infinite_tolerance_is_an_error(capsys, tmp_path):
+    pop_file = tmp_path / "population.csv"
+    pop_file.write_text("id,J,X,attrs\na,1,1,sex=M\nb,0,0,sex=F\n", encoding="utf-8")
+    proc_file = tmp_path / "procedure.json"
+    proc_file.write_text('{"type": "deterministic"}', encoding="utf-8")
+    code, out, err = run(
+        capsys, "audit", "--population", str(pop_file), "--procedure", str(proc_file),
+        "--attribute", "sex", "--tolerance", "inf",
+    )
+    assert code == 1 and out == ""
+    assert single_error_line(err)
+
+
+def test_classify_infinite_eps_is_an_error(capsys):
+    code, out, err = run(capsys, "classify", "--h", "0.75", "--k", "0.1", "--eps", "inf")
+    assert code == 1 and out == ""
+    assert single_error_line(err)
+
+
+def test_procedure_overflowing_rate_is_an_error(capsys, tmp_path):
+    pop_file = tmp_path / "population.csv"
+    pop_file.write_text("id,J,X,attrs\na,1,,\nb,0,,\n", encoding="utf-8")
+    proc_file = tmp_path / "procedure.json"
+    proc_file.write_text('{"type": "randomized", "rates": {"global": [1e400, 0.1]}}')
+    code, out, err = run(
+        capsys, "simulate", "--population", str(pop_file), "--procedure", str(proc_file)
+    )
+    assert code == 1 and out == ""
+    assert single_error_line(err)
+
+
+def test_witness_max_n_above_ceiling_is_refused(capsys, tmp_path, monkeypatch):
+    import procfair.theorem as theorem
+
+    def no_search(*args):
+        raise AssertionError("the bipartition loop started")
+
+    monkeypatch.setattr(theorem, "conviction_probability", no_search)
+    pop_file = tmp_path / "imperfect.csv"
+    pop_file.write_text(IMPERFECT_CSV, encoding="utf-8")
+    code, out, err = run(capsys, "witness", "--population", str(pop_file), "--max-n", "40")
+    assert code == 1 and out == ""
+    assert single_error_line(err)
+    assert "ceiling 20" in err
+
+
+def test_witness_reads_population_with_byte_order_mark(capsys, tmp_path):
+    pop_file = tmp_path / "bom.csv"
+    pop_file.write_text("\ufeffid,J,X,attrs\na,1,1,sex=M\n", encoding="utf-8")
+    code, out, err = run(capsys, "witness", "--population", str(pop_file))
+    assert code == 0 and err == ""
+    assert "no violation" in out

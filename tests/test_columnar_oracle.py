@@ -1,0 +1,265 @@
+"""The columnar aggregates against per-member Fraction sums written out here.
+
+Every exact quantity (rates, contingency cells, empirical rates, merit counts,
+attribute values and the criterion-split witness) is recomputed member by
+member with :class:`fractions.Fraction`, including which error is raised and
+its message, and compared with the library on the same population built two
+ways: from :class:`Individual` objects and loaded from CSV.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from procfair.errors import AmbiguousRateError, MissingCriterionError, MissingRateError
+from procfair.fairness import expected_contingency
+from procfair.population import (
+    AttributeEquals,
+    CriterionEquals,
+    ExplicitIdSet,
+    Individual,
+    Population,
+    Singleton,
+    dump_population,
+    load_population,
+    merit_counts,
+)
+from procfair.procedure import (
+    DeterministicProcedure,
+    GlobalRates,
+    OutcomeAssignment,
+    Provenance,
+    empirical_rates,
+    exact_rates,
+    global_procedure,
+    per_group_procedure,
+)
+from procfair.roc import RocPoint, classify
+from procfair.theorem import construct_witness
+
+NAMES = ("sex", "region", "town")
+VALUES = ("a", "b", "c")
+RATES = st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)])
+
+
+@st.composite
+def populations(draw):
+    members = []
+    for i in range(draw(st.integers(0, 9))):
+        attrs = draw(st.dictionaries(st.sampled_from(NAMES), st.sampled_from(VALUES), max_size=3))
+        members.append(
+            Individual(
+                f"m{i}",
+                merit=draw(st.integers(0, 1)),
+                criterion=draw(st.sampled_from([None, 0, 1])),
+                attributes=attrs,
+            )
+        )
+    return Population(members)
+
+
+@st.composite
+def procedures(draw):
+    kind = draw(st.sampled_from(["deterministic", "global", "equal", "unequal"]))
+    if kind == "deterministic":
+        return DeterministicProcedure()
+    if kind == "global":
+        return global_procedure(draw(RATES), draw(RATES))
+    # a table over some of the values, so some members may lack a configured rate
+    values = draw(st.lists(st.sampled_from(VALUES), min_size=1, unique=True))
+    if kind == "equal":
+        pair = (draw(RATES), draw(RATES))
+        table = {value: pair for value in values}
+    else:
+        table = {value: (draw(RATES), draw(RATES)) for value in values}
+    return per_group_procedure(draw(st.sampled_from(NAMES)), table)
+
+
+# --- the per-member oracle ----------------------------------------------------------
+
+
+def member_pair(proc, ind):
+    """(h, k) governing ``ind``, or the (error type, message) its lookup raises."""
+    if isinstance(proc, DeterministicProcedure):
+        if ind.criterion is None:
+            return MissingCriterionError, (
+                f"individual {ind.id!r} has no criterion label; deterministic procedures require X"
+            )
+        p = Fraction(1 - ind.criterion)
+        return p, p
+    rates = proc.rates
+    if isinstance(rates, GlobalRates):
+        return rates.h, rates.k
+    value = ind.attributes.get(rates.attribute)
+    if value is None:
+        return MissingRateError, (
+            f"individual {ind.id!r} has no value for attribute {rates.attribute!r}"
+        )
+    if value not in rates.table:
+        return MissingRateError, (
+            f"no configured rates for {rates.attribute}={value!r} (individual {ind.id!r})"
+        )
+    return rates.table[value]
+
+
+def is_error(pair) -> bool:
+    return isinstance(pair[0], type)
+
+
+def oracle_exact_rates(proc, members):
+    """(h, k, support) or the (error type, message) exact_rates must raise."""
+    pairs = set()
+    sums, counts = [Fraction(0), Fraction(0)], [0, 0]
+    for ind in members:
+        pair = member_pair(proc, ind)
+        if is_error(pair):
+            return pair
+        pairs.add(pair)
+        sums[ind.merit] += pair[ind.merit]
+        counts[ind.merit] += 1
+    if not isinstance(proc, DeterministicProcedure) and len(pairs) > 1:
+        return AmbiguousRateError, (
+            "group spans members with different configured rates: "
+            + ", ".join(f"({h}, {k})" for h, k in sorted(pairs))
+        )
+    rates = tuple(s / c if c else None for s, c in zip(sums, counts))
+    return rates + (tuple(counts),)
+
+
+def oracle_contingency(proc, members, attribute):
+    cells: dict[str, list] = {}
+    for ind in members:
+        value = ind.attributes.get(attribute)
+        if value is None:
+            return ValueError, f"individual {ind.id!r} has no value for attribute {attribute!r}"
+        pair = member_pair(proc, ind)
+        if is_error(pair):
+            return pair
+        cell = cells.setdefault(value, [[0, Fraction(0)], [0, Fraction(0)]])[ind.merit]
+        cell[0] += 1
+        cell[1] += pair[ind.merit]
+    return {value: [tuple(c) for c in by_merit] for value, by_merit in cells.items()}
+
+
+def groups(pop):
+    ids = [ind.id for ind in pop.members]
+    out = [None, CriterionEquals(0), CriterionEquals(1)]
+    out += [AttributeEquals(name, value) for name in NAMES for value in VALUES]
+    out += [ExplicitIdSet(ids[::2]), ExplicitIdSet(ids[1::3])]
+    out += [Singleton(ident) for ident in ids[:2]]
+    return out
+
+
+def in_group(ind, g) -> bool:
+    return g is None or g.matches(ind)
+
+
+def both_ways(pop):
+    """The population as built from Individuals and as loaded from its CSV."""
+    loaded = load_population(dump_population(pop))
+    assert loaded == pop
+    assert loaded.members == pop.members
+    return pop, loaded
+
+
+def expect_raises(expected, call):
+    error, message = expected
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+# --- properties ------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(populations(), procedures())
+def test_exact_rates_match_member_sums(pop, proc):
+    for p in both_ways(pop):
+        for g in groups(pop):
+            members = [ind for ind in pop.members if in_group(ind, g)]
+            expected = oracle_exact_rates(proc, members)
+            if is_error(expected):
+                expect_raises(expected, lambda: exact_rates(proc, p, g))
+            else:
+                rates = exact_rates(proc, p, g)
+                assert (rates.h, rates.k, rates.support) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(populations(), procedures(), st.sampled_from(NAMES))
+def test_contingency_matches_member_sums(pop, proc, attribute):
+    expected = oracle_contingency(proc, pop.members, attribute)
+    for p in both_ways(pop):
+        if isinstance(expected, tuple):
+            expect_raises(expected, lambda: expected_contingency(p, proc, attribute))
+            continue
+        table = expected_contingency(p, proc, attribute)
+        got = {
+            value: [(cell.count, cell.expected_convictions) for cell in (by[0], by[1])]
+            for value, by in table.cells.items()
+        }
+        assert got == expected
+        assert list(got) == list(expected)  # first-appearance order
+
+
+@settings(max_examples=60, deadline=None)
+@given(populations(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_empirical_rates_merit_counts_and_values_match_member_counts(pop, trials, seed):
+    outcomes = np.random.default_rng(seed).integers(0, 2, (trials, len(pop)))
+    ids = pop.ids()
+    assignments = [OutcomeAssignment(ids, row, Provenance("simulated")) for row in outcomes]
+    for p in both_ways(pop):
+        for g in groups(pop):
+            positions = [i for i, ind in enumerate(pop.members) if in_group(ind, g)]
+            counts = [0, 0]
+            convicted = [0, 0]
+            for i in positions:
+                merit = pop.members[i].merit
+                counts[merit] += 1
+                convicted[merit] += sum(1 for row in outcomes if row[i] == 0)
+            rates = empirical_rates(p, assignments, g)
+            assert rates.support == tuple(counts)
+            assert (rates.h, rates.k) == tuple(
+                Fraction(v, c * trials) if c else None for v, c in zip(convicted, counts)
+            )
+            assert merit_counts(p, g) == tuple(counts)
+        for name in NAMES + ("absent",):
+            seen = []
+            for ind in pop.members:
+                value = ind.attributes.get(name)
+                if value is not None and value not in seen:
+                    seen.append(value)
+            assert p.attribute_values(name) == tuple(seen)
+
+
+@settings(max_examples=100, deadline=None)
+@given(populations())
+def test_witness_matches_member_scan(pop):
+    for p in both_ways(pop):
+        if not len(pop):
+            with pytest.raises(ValueError):
+                construct_witness(p)
+            continue
+        missing = [ind for ind in pop.members if ind.criterion is None]
+        if missing:
+            expect_raises(
+                member_pair(DeterministicProcedure(), missing[0]), lambda: construct_witness(p)
+            )
+            continue
+        present = {(ind.merit, ind.criterion) for ind in pop.members}
+        violated = tuple(j for j in (0, 1) if (j, 0) in present and (j, 1) in present)
+        perfect = all(ind.criterion == ind.merit for ind in pop.members)
+        h, k, _ = oracle_exact_rates(DeterministicProcedure(), pop.members)
+        report = construct_witness(p)
+        assert report.violated_merit_classes == violated
+        assert report.perfect == perfect
+        assert report.unwitnessable == (not perfect and not violated)
+        assert report.procedure_class == (
+            classify(RocPoint(h, k)) if h is not None and k is not None else None
+        )

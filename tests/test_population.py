@@ -177,3 +177,12 @@ def test_group_members_preserve_population_order():
 
 def test_empty_group_counts_are_zero(demo_pop):
     assert merit_counts(demo_pop, AttributeEquals("sex", "X")) == (0, 0)
+
+
+def test_load_drops_one_leading_byte_order_mark():
+    pop = load_population("\ufeff" + HEADER + "a,1,0,sex=M\n")
+    assert pop == load_population(HEADER + "a,1,0,sex=M\n")
+    assert pop.members[0].id == "a"
+    # only one mark, and only before the header
+    with pytest.raises(PopulationParseError, match="line 1.*expected header"):
+        load_population("\ufeff\ufeff" + HEADER + "a,1,0,\n")
