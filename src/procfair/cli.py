@@ -31,7 +31,7 @@ from .procedure import (
     simulate,
 )
 from .roc import RocPoint, classify, export_diagram, is_merit_agnostic, to_diamond
-from .theorem import DEFAULT_MAX_N, construct_witness, exhaustive_search
+from .theorem import DEFAULT_MAX_N, _check_search_limit, construct_witness, exhaustive_search
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -215,6 +215,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    _check_search_limit(args.max_n)
     pop = load_population(_read_text(args.population))
     report = construct_witness(pop)
     searched = len(pop) <= args.max_n

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from itertools import islice
+from typing import Mapping
 
 import numpy as np
 
+from . import theorem
 from .errors import SizeLimitError
 from .population import (
     GUILTY,
@@ -26,15 +28,14 @@ from .population import (
     MISSING,
     ExplicitIdSet,
     GroupSpec,
-    Individual,
     Population,
     Singleton,
 )
 from .procedure import (
     ConditionalRates,
     Procedure,
+    _probability_codes,
     as_rational,
-    conviction_probability,
     conviction_sums,
 )
 
@@ -134,61 +135,56 @@ class AbsoluteFairnessReport:
     truncated: bool
 
 
-def _class_rates(members: Sequence[tuple[Individual, Fraction]]) -> ConditionalRates:
-    """Average conviction probability per merit class over explicit members."""
-    sums = {GUILTY: Fraction(0), INNOCENT: Fraction(0)}
-    counts = {GUILTY: 0, INNOCENT: 0}
-    for ind, prob in members:
-        sums[ind.merit] += prob
-        counts[ind.merit] += 1
-    h = sums[GUILTY] / counts[GUILTY] if counts[GUILTY] else None
-    k = sums[INNOCENT] / counts[INNOCENT] if counts[INNOCENT] else None
-    return ConditionalRates(h, k, (counts[GUILTY], counts[INNOCENT]))
-
-
 def check_absolute_fairness(
     proc: Procedure,
     pop: Population,
     mode: str = "singletons",
     tolerance=0,
-    max_n: int = 15,
+    max_n: int = theorem.DEFAULT_MAX_N,
     max_violations: int = 100,
 ) -> AbsoluteFairnessReport:
     """Test fairness against every group of the requested kind.
 
     ``singletons`` mode checks all one-member groups: the procedure is fair
-    iff individuals sharing a merit label share a conviction probability.
-    ``bipartitions`` mode exhaustively tests every nontrivial subset against
-    its complement; it refuses populations larger than ``max_n`` (suggest
-    singletons mode instead, which is linear). Violations are listed in a
-    deterministic order and truncated at ``max_violations``.
+    iff individuals sharing a merit label share a conviction probability
+    (within ``tolerance``). ``bipartitions`` mode tests every nontrivial
+    subset against its complement through the enumerator behind
+    ``theorem.exhaustive_search``: a merit class is violated when the two
+    sides' mean conviction probabilities differ by more than ``tolerance``,
+    compared exactly in integers. It refuses ``max_n`` above
+    ``theorem.MAX_SEARCH_N``, the ceiling it shares with
+    ``exhaustive_search`` and ``witness --max-n``, and populations larger
+    than ``max_n`` (suggest singletons mode instead, which is linear).
+    Violations are listed in a deterministic order and truncated at
+    ``max_violations``.
     """
     tol = as_rational(tolerance)
     if tol < 0:
         raise ValueError(f"tolerance must be non-negative, got {tolerance!r}")
-    probs = [(ind, conviction_probability(proc, ind)) for ind in pop]
+    codes, probs = _probability_codes(proc, pop)
+    ids = pop.ids()
 
     if mode == "singletons":
         violations: list[GroupPairViolation] = []
         truncated = False
+        member_probs = [probs[c] for c in codes.tolist()]
+        merit_of = pop.merit.tolist()
         for merit in (GUILTY, INNOCENT):
-            in_class = [(ind, p) for ind, p in probs if ind.merit == merit]
+            in_class = [(ids[i], p) for i, p in enumerate(member_probs) if merit_of[i] == merit]
             if not in_class:
                 continue
             lo = min(p for _, p in in_class)
             hi = max(p for _, p in in_class)
             if hi - lo <= tol:
                 continue  # whole class within tolerance: no pair can violate
-            for i, (ind_a, p_a) in enumerate(in_class):
-                for ind_b, p_b in in_class[i + 1 :]:
+            for i, (id_a, p_a) in enumerate(in_class):
+                for id_b, p_b in in_class[i + 1 :]:
                     if abs(p_a - p_b) > tol:
                         if len(violations) >= max_violations:
                             truncated = True
                             break
                         violations.append(
-                            GroupPairViolation(
-                                Singleton(ind_a.id), Singleton(ind_b.id), (merit,)
-                            )
+                            GroupPairViolation(Singleton(id_a), Singleton(id_b), (merit,))
                         )
                 if truncated:
                     break
@@ -199,32 +195,24 @@ def check_absolute_fairness(
     if mode != "bipartitions":
         raise ValueError(f"mode must be 'singletons' or 'bipartitions', got {mode!r}")
 
+    theorem._check_search_limit(max_n)
     n = len(pop)
     if n > max_n:
         raise SizeLimitError(
             f"population of {n} exceeds bipartition limit {max_n}; "
             "use singletons mode for large populations"
         )
-    violations = []
-    truncated = False
-    # Pin the first member to the complement so each unordered bipartition
-    # appears exactly once; masks index pop.members.
-    for mask in range(1, 1 << (n - 1)) if n > 1 else ():
-        subset_mask = mask << 1
-        side_a = [probs[i] for i in range(n) if subset_mask >> i & 1]
-        side_b = [probs[i] for i in range(n) if not subset_mask >> i & 1]
-        verdict = check_pairwise_fairness(_class_rates(side_a), _class_rates(side_b), tol)
-        if not verdict.fair:
-            if len(violations) >= max_violations:
-                truncated = True
-                break
-            violations.append(
-                GroupPairViolation(
-                    ExplicitIdSet(ind.id for ind, _ in side_a),
-                    ExplicitIdSet(ind.id for ind, _ in side_b),
-                    verdict.violated_merit_classes(),
-                )
-            )
+    limit = max(max_violations, 0)
+    found = list(islice(theorem._bipartition_violations(pop, proc, tol), limit + 1))
+    violations = [
+        GroupPairViolation(
+            ExplicitIdSet(ids[i] for i in range(n) if mask >> i & 1),
+            ExplicitIdSet(ids[i] for i in range(n) if not mask >> i & 1),
+            violated,
+        )
+        for mask, violated in found[:limit]
+    ]
+    truncated = len(found) > limit
     return AbsoluteFairnessReport("bipartitions", not violations, tuple(violations), truncated)
 
 

@@ -31,10 +31,8 @@ from .errors import (
     ProcedureSpecError,
 )
 from .population import (
-    GUILTY,
     MISSING,
     GroupSpec,
-    Individual,
     Population,
     cell_counts,
     group_cells,
@@ -152,37 +150,6 @@ def make_group_fair(h, k, attribute: str, values: Iterable[str]) -> RandomizedPr
     return per_group_procedure(attribute, {value: pair for value in values})
 
 
-def applicable_rates(proc: RandomizedProcedure, ind: Individual) -> tuple[Fraction, Fraction]:
-    """The (h, k) pair that governs this individual under ``proc``."""
-    rates = proc.rates
-    if isinstance(rates, GlobalRates):
-        return rates.h, rates.k
-    value = ind.attributes.get(rates.attribute)
-    if value is None:
-        raise MissingRateError(
-            f"individual {ind.id!r} has no value for attribute {rates.attribute!r}"
-        )
-    pair = rates.table.get(value)
-    if pair is None:
-        raise MissingRateError(
-            f"no configured rates for {rates.attribute}={value!r} (individual {ind.id!r})"
-        )
-    return pair
-
-
-def conviction_probability(proc: Procedure, ind: Individual) -> Fraction:
-    """P(U=0) for one individual under ``proc``, as an exact rational."""
-    if isinstance(proc, DeterministicProcedure):
-        if ind.criterion is None:
-            raise MissingCriterionError(
-                f"individual {ind.id!r} has no criterion label; "
-                "deterministic procedures require X"
-            )
-        return Fraction(1 - ind.criterion)
-    h, k = applicable_rates(proc, ind)
-    return h if ind.merit == GUILTY else k
-
-
 # Deterministic probability code 1 - X, indexed by the criterion column (-1 is MISSING).
 _DETERMINISTIC_CODES = np.array([1, 0, MISSING])
 
@@ -196,8 +163,9 @@ def _probability_codes(
     Deterministic: code ``1 - X`` into ``(0, 1)``. Randomized: code
     ``2 * pair + merit`` into the flattened distinct ``(h, k)`` pairs (a global
     procedure has one pair), so attribute values sharing a pair share codes.
-    Raises the error of :func:`conviction_probability` for the first member in
-    ``scope`` (a boolean mask; ``None`` is everyone) that has no probability.
+    Raises for the first member in ``scope`` (a boolean mask; ``None`` is
+    everyone) that has no probability: :class:`MissingCriterionError` for a
+    deterministic procedure, :class:`MissingRateError` for a per-group one.
     """
     if isinstance(proc, DeterministicProcedure):
         codes = _DETERMINISTIC_CODES[pop.criterion]
@@ -218,9 +186,22 @@ def _probability_codes(
         codes = pair_codes + (pair_codes >= 0) * pop.merit
         probs = tuple(rate for pair in pairs for rate in pair)
     invalid = np.flatnonzero(codes < 0 if scope is None else (codes < 0) & scope)
-    if invalid.size:
-        conviction_probability(proc, pop._member(int(invalid[0])))
-    return codes, probs
+    if not invalid.size:
+        return codes, probs
+    first = int(invalid[0])
+    ident = pop.ids()[first]
+    if isinstance(proc, DeterministicProcedure):
+        raise MissingCriterionError(
+            f"individual {ident!r} has no criterion label; deterministic procedures require X"
+        )
+    if codes[first] == MISSING:
+        raise MissingRateError(
+            f"individual {ident!r} has no value for attribute {rates.attribute!r}"
+        )
+    value = column.values[column.codes[first]]
+    raise MissingRateError(
+        f"no configured rates for {rates.attribute}={value!r} (individual {ident!r})"
+    )
 
 
 def conviction_sums(

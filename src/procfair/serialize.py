@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Any
 
 from .fairness import (
-    AbsoluteFairnessReport,
     ContingencyTable,
     FairnessVerdict,
     JusticeMetrics,
@@ -32,7 +31,7 @@ from .procedure import (
     PerGroupRates,
     Procedure,
 )
-from .theorem import Bipartition, PropertyReport, WitnessReport
+from .theorem import Bipartition, WitnessReport
 
 
 def rational_json(value: Fraction | None) -> dict[str, Any] | None:
@@ -106,22 +105,6 @@ def verdict_json(verdict: FairnessVerdict) -> dict[str, Any]:
     }
 
 
-def absolute_report_json(report: AbsoluteFairnessReport) -> dict[str, Any]:
-    return {
-        "mode": report.mode,
-        "fair": report.fair,
-        "truncated": report.truncated,
-        "violations": [
-            {
-                "group_a": group_spec_json(v.group_a),
-                "group_b": group_spec_json(v.group_b),
-                "merit_classes": list(v.merit_classes),
-            }
-            for v in report.violations
-        ],
-    }
-
-
 def contingency_json(table: ContingencyTable) -> dict[str, Any]:
     def cell_json(cell) -> dict[str, Any]:
         return {
@@ -174,17 +157,4 @@ def bipartition_json(b: Bipartition) -> dict[str, Any]:
         "subset": list(b.subset),
         "complement": list(b.complement),
         "violated_merit_classes": list(b.violated_merit_classes),
-    }
-
-
-def property_report_json(report: PropertyReport) -> dict[str, Any]:
-    return {
-        "n_individuals": report.n_individuals,
-        "n_trials": report.n_trials,
-        "seed": report.seed,
-        "perfect_instances": report.perfect_instances,
-        "witnessed_instances": report.witnessed_instances,
-        "unwitnessable_instances": report.unwitnessable_instances,
-        "counterexamples": list(report.counterexamples),
-        "passed": report.passed,
     }

@@ -11,9 +11,13 @@ witnesses that the procedure is group-unfair. Only a perfect procedure
 ``exhaustive_search`` realizes the "every logically possible group"
 quantifier at desk scale by enumerating all bipartitions of a small
 population, which doubles as an independent check of the constructed
-witness. It deliberately avoids the fairness module's comparison code: all
-probabilities are reduced to integer numerators over a common denominator
-and compared by cross multiplication.
+witness. The enumeration is :func:`_bipartition_violations`, the one
+bipartition loop of the package, which
+``fairness.check_absolute_fairness(mode="bipartitions")`` shares. It avoids
+the fairness module's comparison code: every probability becomes an integer
+numerator over a common denominator, and class means are compared by cross
+multiplication against an integer tolerance bound. Both callers refuse a
+search limit above :data:`MAX_SEARCH_N`.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import SizeLimitError
 from .population import (
@@ -35,7 +39,7 @@ from .population import (
 from .procedure import (
     DeterministicProcedure,
     Procedure,
-    conviction_probability,
+    _probability_codes,
     exact_rates,
 )
 from .roc import ProcedureClass, RocPoint, classify
@@ -52,6 +56,14 @@ __all__ = [
 DEFAULT_MAX_N = 15
 # Ceiling on any exhaustive search: 2^19 - 1 (about 5 * 10^5) bipartitions.
 MAX_SEARCH_N = 20
+
+
+def _check_search_limit(max_n: int) -> None:
+    """Refuse a search limit above :data:`MAX_SEARCH_N` before any work."""
+    if max_n > MAX_SEARCH_N:
+        raise SizeLimitError(
+            f"search limit {max_n} exceeds the exhaustive-search ceiling {MAX_SEARCH_N}"
+        )
 
 
 @dataclass(frozen=True)
@@ -120,44 +132,36 @@ class Bipartition:
     violated_merit_classes: tuple[int, ...]
 
 
-def exhaustive_search(
-    pop: Population, max_n: int = DEFAULT_MAX_N, proc: Procedure | None = None
-) -> tuple[Bipartition, ...]:
-    """All fairness-violating bipartitions of a small population.
+def _bipartition_violations(
+    pop: Population, proc: Procedure, tolerance: Fraction = Fraction(0)
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Lazily yield ``(subset mask, violated merit classes)`` per unfair bipartition.
 
-    Tests every subset S with 1 <= |S| < n against its complement at
-    tolerance 0 on exact conviction probabilities; each unordered
-    bipartition is reported once, ordered by the canonical (bitmask over
-    population order) encoding of the side that excludes the first member.
-    ``proc`` defaults to the deterministic procedure, which requires
-    criterion labels on every member. ``max_n`` may not exceed
-    :data:`MAX_SEARCH_N`.
+    Bit i of the mask selects member i; the first member always stays in the
+    complement, so each unordered bipartition is tested once, in increasing
+    mask order. A merit class with members on both sides is violated when
+    its mean conviction probabilities differ by more than ``tolerance``.
+    Raises for the first member without a conviction probability when the
+    population has at least two members.
     """
-    if max_n > MAX_SEARCH_N:
-        raise SizeLimitError(
-            f"search limit {max_n} exceeds the exhaustive-search ceiling {MAX_SEARCH_N}"
-        )
     n = len(pop)
-    if n > max_n:
-        raise SizeLimitError(f"population of {n} exceeds exhaustive-search limit {max_n}")
     if n < 2:
-        return ()
-    if proc is None:
-        proc = DeterministicProcedure()
-
-    # Integer-only setup: probability of member i is numer[i] / denom.
-    probs = [conviction_probability(proc, ind) for ind in pop]
-    denom = math.lcm(*(p.denominator for p in probs))
-    numer = [p.numerator * (denom // p.denominator) for p in probs]
-    merit = [ind.merit for ind in pop]
+        return
+    # Integer-only setup: member i's probability is numer[i] / denom, and a class
+    # with (count, numerator sum) = (c_a, t_a) on one side and (c_b, t_b) on the
+    # other is violated iff |t_a * c_b - t_b * c_a| > tol_units * c_a * c_b.
+    codes, probs = _probability_codes(proc, pop)
+    denom = math.lcm(tolerance.denominator, *(p.denominator for p in probs))
+    numer_by_code = [p.numerator * (denom // p.denominator) for p in probs]
+    numer = [numer_by_code[c] for c in codes.tolist()]
+    tol_units = tolerance.numerator * (denom // tolerance.denominator)
+    merit = pop.merit.tolist()
     class_total_count = [merit.count(GUILTY), merit.count(INNOCENT)]
     class_total_sum = [
         sum(v for v, m in zip(numer, merit) if m == GUILTY),
         sum(v for v, m in zip(numer, merit) if m == INNOCENT),
     ]
-    ids = pop.ids()
 
-    results = []
     for mask in range(1, 1 << (n - 1)):
         subset_mask = mask << 1  # first member always stays in the complement
         count = [0, 0]
@@ -173,15 +177,42 @@ def exhaustive_search(
         for j in (GUILTY, INNOCENT):
             count_other = class_total_count[j] - count[j]
             if count[j] and count_other:
-                # mean_subset != mean_complement, by cross multiplication
                 total_other = class_total_sum[j] - total[j]
-                if total[j] * count_other != total_other * count[j]:
+                difference = total[j] * count_other - total_other * count[j]
+                if abs(difference) > tol_units * count[j] * count_other:
                     violated.append(j)
         if violated:
-            subset_ids = tuple(sorted(ids[i] for i in range(n) if subset_mask >> i & 1))
-            complement_ids = tuple(sorted(ids[i] for i in range(n) if not subset_mask >> i & 1))
-            results.append(Bipartition(subset_ids, complement_ids, tuple(violated)))
-    return tuple(results)
+            yield subset_mask, tuple(violated)
+
+
+def exhaustive_search(
+    pop: Population, max_n: int = DEFAULT_MAX_N, proc: Procedure | None = None
+) -> tuple[Bipartition, ...]:
+    """All fairness-violating bipartitions of a small population.
+
+    Tests every subset S with 1 <= |S| < n against its complement at
+    tolerance 0 on exact conviction probabilities; each unordered
+    bipartition is reported once, ordered by the canonical (bitmask over
+    population order) encoding of the side that excludes the first member.
+    ``proc`` defaults to the deterministic procedure, which requires
+    criterion labels on every member. ``max_n`` may not exceed
+    :data:`MAX_SEARCH_N`.
+    """
+    _check_search_limit(max_n)
+    n = len(pop)
+    if n > max_n:
+        raise SizeLimitError(f"population of {n} exceeds exhaustive-search limit {max_n}")
+    if proc is None:
+        proc = DeterministicProcedure()
+    ids = pop.ids()
+    return tuple(
+        Bipartition(
+            tuple(sorted(ids[i] for i in range(n) if mask >> i & 1)),
+            tuple(sorted(ids[i] for i in range(n) if not mask >> i & 1)),
+            violated,
+        )
+        for mask, violated in _bipartition_violations(pop, proc)
+    )
 
 
 @dataclass(frozen=True)

@@ -342,9 +342,20 @@ def test_witness_max_n_above_ceiling_is_refused(capsys, tmp_path, monkeypatch):
     def no_search(*args):
         raise AssertionError("the bipartition loop started")
 
-    monkeypatch.setattr(theorem, "conviction_probability", no_search)
+    monkeypatch.setattr(theorem, "_bipartition_violations", no_search)
     pop_file = tmp_path / "imperfect.csv"
     pop_file.write_text(IMPERFECT_CSV, encoding="utf-8")
+    code, out, err = run(capsys, "witness", "--population", str(pop_file), "--max-n", "40")
+    assert code == 1 and out == ""
+    assert single_error_line(err)
+    assert "ceiling 20" in err
+
+
+def test_witness_max_n_above_ceiling_is_refused_on_a_large_population(capsys, tmp_path):
+    # 50 rows exceed --max-n 40, so the search would be skipped; the ceiling still holds
+    rows = ["id,J,X,attrs"] + [f"p{i},1,{i % 2}," for i in range(50)]
+    pop_file = tmp_path / "fifty.csv"
+    pop_file.write_text("\n".join(rows) + "\n", encoding="utf-8")
     code, out, err = run(capsys, "witness", "--population", str(pop_file), "--max-n", "40")
     assert code == 1 and out == ""
     assert single_error_line(err)

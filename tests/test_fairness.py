@@ -155,6 +155,26 @@ def test_bipartitions_size_limit():
         check_absolute_fairness(global_procedure(0, 0), pop, mode="bipartitions", max_n=15)
 
 
+def test_bipartitions_refuse_max_n_above_ceiling_before_enumerating(monkeypatch):
+    import procfair.theorem as theorem
+
+    def no_search(*args):
+        raise AssertionError("the bipartition loop started")
+
+    monkeypatch.setattr(theorem, "_bipartition_violations", no_search)
+    pop = _mixed_pop(n_guilty=1, n_innocent=2)
+    with pytest.raises(SizeLimitError, match="ceiling 20"):
+        check_absolute_fairness(global_procedure(0, 0), pop, mode="bipartitions", max_n=40)
+
+
+def test_bipartitions_missing_probability_raises_before_size_checks():
+    pop = Population([Individual("a", INNOCENT), Individual("b", GUILTY)])
+    proc = per_group_procedure("sex", {"M": (0, 0)})
+    for max_n in (1, 40):
+        with pytest.raises(MissingRateError, match="'a' has no value for attribute 'sex'"):
+            check_absolute_fairness(proc, pop, mode="bipartitions", max_n=max_n)
+
+
 def test_singleton_violations_truncate():
     pop = _mixed_pop(n_guilty=0, n_innocent=6, criteria=[0, 0, 0, 1, 1, 1])
     report = check_absolute_fairness(

@@ -3,9 +3,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from procfair.errors import MissingCriterionError, SizeLimitError
-from procfair.fairness import check_pairwise_fairness
+from procfair.fairness import check_absolute_fairness, check_pairwise_fairness
 from procfair.population import (
     GUILTY,
     INNOCENT,
@@ -13,9 +15,13 @@ from procfair.population import (
     ExplicitIdSet,
     Individual,
     Population,
+    dump_population,
+    load_population,
 )
 from procfair.procedure import (
+    ConditionalRates,
     DeterministicProcedure,
+    PerGroupRates,
     exact_rates,
     global_procedure,
     per_group_procedure,
@@ -31,7 +37,31 @@ def pop_of(labels):
     )
 
 
-def brute_force_violations(pop, proc=None):
+def side_rates(proc, pop, ids):
+    """Exact rates of the members ``ids``.
+
+    ``exact_rates`` refuses a group spanning several configured rate pairs, so
+    a per-group side is split by attribute value and the parts' rates are
+    pooled, weighted by their support.
+    """
+    rates = getattr(proc, "rates", None)
+    if not isinstance(rates, PerGroupRates):
+        return exact_rates(proc, pop, ExplicitIdSet(ids))
+    parts = {}
+    for ident in ids:
+        parts.setdefault(pop.by_id[ident].attributes[rates.attribute], []).append(ident)
+    counts, sums = [0, 0], [Fraction(0), Fraction(0)]
+    for part in parts.values():
+        part_rates = exact_rates(proc, pop, ExplicitIdSet(part))
+        for j, rate in ((GUILTY, part_rates.h), (INNOCENT, part_rates.k)):
+            if rate is not None:
+                counts[j] += part_rates.support[j]
+                sums[j] += rate * part_rates.support[j]
+    h, k = (total / count if count else None for total, count in zip(sums, counts))
+    return ConditionalRates(h, k, tuple(counts))
+
+
+def brute_force_violations(pop, proc=None, tolerance=0):
     """Oracle: test every unordered bipartition through the fairness module."""
     if proc is None:
         proc = DeterministicProcedure()
@@ -42,9 +72,9 @@ def brute_force_violations(pop, proc=None):
         for subset in combinations(rest, size):  # first id pinned to the complement
             complement = tuple(i for i in ids if i not in subset)
             verdict = check_pairwise_fairness(
-                exact_rates(proc, pop, ExplicitIdSet(subset)),
-                exact_rates(proc, pop, ExplicitIdSet(complement)),
-                0,
+                side_rates(proc, pop, subset),
+                side_rates(proc, pop, complement),
+                tolerance,
             )
             if not verdict.fair:
                 found.append(
@@ -196,6 +226,76 @@ def test_search_with_per_group_rates_finds_violations():
         (("b",), (INNOCENT,)),
         (("b", "c"), (INNOCENT,)),
     ]
+
+
+RATES = st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)])
+
+
+@st.composite
+def audited_populations(draw):
+    """A population of at most 8 members and a procedure of one of the three kinds."""
+    members = [
+        Individual(
+            chr(ord("a") + i),
+            merit=draw(st.integers(0, 1)),
+            criterion=draw(st.integers(0, 1)),
+            attributes={"sex": draw(st.sampled_from("MF"))},
+        )
+        for i in range(draw(st.integers(0, 8)))
+    ]
+    pop = Population(members)
+    if draw(st.booleans()):
+        pop = load_population(dump_population(pop))
+    kind = draw(st.sampled_from(["deterministic", "global", "per-group"]))
+    if kind == "deterministic":
+        proc = DeterministicProcedure()
+    elif kind == "global":
+        proc = global_procedure(draw(RATES), draw(RATES))
+    else:
+        proc = per_group_procedure("sex", {v: (draw(RATES), draw(RATES)) for v in "MF"})
+    return pop, proc
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    audited_populations(),
+    st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)]),
+    st.integers(1, 4),
+)
+def test_bipartition_mode_matches_brute_force_oracle(case, tolerance, max_violations):
+    pop, proc = case
+    ids = pop.ids()
+    position = {ident: i for i, ident in enumerate(ids)}
+
+    def mask(group_ids):
+        return sum(1 << position[ident] for ident in group_ids)
+
+    # the oracle's (subset, classes) pairs in the library's order: by subset mask
+    expected = sorted(
+        (mask(subset), classes)
+        for subset, classes in brute_force_violations(pop, proc, tolerance)
+    )
+
+    def listed(report):
+        for v in report.violations:
+            assert v.group_a.ids | v.group_b.ids == set(ids)
+            assert not v.group_a.ids & v.group_b.ids
+        return [(mask(v.group_a.ids), v.merit_classes) for v in report.violations]
+
+    full = check_absolute_fairness(proc, pop, "bipartitions", tolerance, max_violations=1 << 8)
+    assert listed(full) == expected
+    assert full.fair == (not expected)
+    assert not full.truncated
+    cut = check_absolute_fairness(
+        proc, pop, "bipartitions", tolerance, max_violations=max_violations
+    )
+    assert listed(cut) == expected[:max_violations]
+    assert cut.truncated == (len(expected) > max_violations)
+    if tolerance == 0:
+        # some bipartition is unfair iff two members of one merit class differ
+        assert full.fair == check_absolute_fairness(proc, pop, "singletons").fair
+        found = exhaustive_search(pop, max_n=8, proc=proc)
+        assert [(mask(b.subset), b.violated_merit_classes) for b in found] == expected
 
 
 # --- verify_theorem -------------------------------------------------------------
