@@ -190,7 +190,8 @@ def check_absolute_fairness(
                     break
             if truncated:
                 break
-        return AbsoluteFairnessReport("singletons", not violations, tuple(violations), truncated)
+        fair = not violations and not truncated
+        return AbsoluteFairnessReport("singletons", fair, tuple(violations), truncated)
 
     if mode != "bipartitions":
         raise ValueError(f"mode must be 'singletons' or 'bipartitions', got {mode!r}")
@@ -213,7 +214,7 @@ def check_absolute_fairness(
         for mask, violated in found[:limit]
     ]
     truncated = len(found) > limit
-    return AbsoluteFairnessReport("bipartitions", not violations, tuple(violations), truncated)
+    return AbsoluteFairnessReport("bipartitions", not found, tuple(violations), truncated)
 
 
 # --- contingency tables and justice metrics ---------------------------------

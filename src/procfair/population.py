@@ -16,10 +16,15 @@ population order:
   distinct values in first-appearance order and an ``int32`` code per member
   indexing them, ``-1`` where the member has no value.
 
-:func:`load_population` fills these columns directly. ``Population(members)``
-builds them from :class:`Individual` objects on first use, and the member
-view (``members``, ``by_id``, iteration) of a loaded population is built only
-when something asks for it. Every exact aggregate downstream is a count per
+:func:`load_population` fills these columns directly, in two stages. A
+tokenizer cuts the CSV text into four lists of cells, one per column: plain
+text (no quotes, CR or NUL, the bare header first, three commas on every later
+line) with ``str.split``, anything else with :func:`csv.reader`. Then each
+column is validated and encoded as a whole, raising the error of the first
+offending row. ``Population(members)`` builds the columns from
+:class:`Individual` objects on first use, and the member view (``members``,
+``by_id``, iteration) of a loaded population is built only when something
+asks for it. Every exact aggregate downstream is a count per
 (cell, merit class, code) from :func:`cell_counts`. Everything here is
 read-only, so every operation is a pure function and safe under concurrent
 use.
@@ -29,6 +34,8 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
@@ -373,7 +380,7 @@ def _parse_binary(text: str, column: str, line: int, optional: bool = False) -> 
     raise PopulationParseError(f"{column} must be 0 or 1, got {text!r}", line)
 
 
-def _parse_attrs(text: str, line: int) -> dict[str, str]:
+def _parse_attrs(text: str) -> dict[str, str]:
     attrs: dict[str, str] = {}
     text = text.strip()
     if not text:
@@ -381,70 +388,196 @@ def _parse_attrs(text: str, line: int) -> dict[str, str]:
     for pair in text.split(";"):
         name, sep, value = pair.partition("=")
         if not sep or not name or not value:
-            raise PopulationParseError(f"bad attribute pair {pair!r}", line)
+            raise PopulationParseError(f"bad attribute pair {pair!r}")
         if name in attrs:
-            raise PopulationParseError(f"duplicate attribute {name!r}", line)
+            raise PopulationParseError(f"duplicate attribute {name!r}")
         attrs[name] = value
     return attrs
+
+
+_HEADER_LINE = ",".join(CSV_HEADER) + "\n"
+_CRITERION = {"0": 0, "1": 1, "": _NO_CRITERION}
+
+
+def _one_row_per_line(text: str) -> bool:
+    """Whether every line after the header line of ``text`` holds exactly three
+    commas and no more characters than ``csv.field_size_limit()``.
+
+    LF is the only line break, and a final LF ends the last line.
+    """
+    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    body = data[len(_HEADER_LINE) : len(data) - text.endswith("\n")]
+    newlines = np.flatnonzero(body == ord("\n"))
+    commas = np.flatnonzero(body == ord(","))
+    if len(commas) != 3 * (len(newlines) + 1):
+        return False
+    if not np.array_equal(np.searchsorted(commas, newlines), np.arange(1, len(newlines) + 1) * 3):
+        return False
+    # csv.reader refuses a longer field; a UTF-8 byte count bounds the characters
+    longest = np.diff(newlines, prepend=-1, append=len(body)).max() - 1
+    return longest <= csv.field_size_limit()
+
+
+_LINES_CHUNK = 1 << 16  # characters cut into lines at a time
+
+
+def _lines(text: str) -> Iterator[str]:
+    """``text`` cut after every LF, the lines a text file yields.
+
+    Chunks of whole lines are cut with ``str.split``, so no copy of the whole
+    text is made and no line is found by a search of its own.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _LINES_CHUNK) + 1 or len(text)
+        lines = text[start:end].split("\n")
+        last = lines.pop()  # empty when the chunk ends with its LF
+        yield from map(operator.add, lines, itertools.repeat("\n"))
+        if last:
+            yield last
+        start = end
+
+
+def _tokenize(
+    text: str,
+) -> tuple[tuple[Sequence[str], ...], Sequence[int], Exception | None]:
+    """The data rows of ``text`` as four columns (ids, J, X, attrs) and the line
+    number of each row, plus the error that ends the rows early, if any.
+
+    Text without quotes, CR or NUL, whose first line is the plain header and
+    whose later lines hold three commas each, is split with ``str``
+    operations. Everything else goes through :func:`csv.reader`, which handles
+    RFC-4180 quoting, CRLF and blank lines; its rows stop at the first row with
+    the wrong number of columns, or at the first :class:`csv.Error`.
+    """
+    if (
+        text.startswith(_HEADER_LINE)
+        and '"' not in text
+        and "\r" not in text
+        and "\0" not in text
+        and _one_row_per_line(text)
+    ):
+        cells = text.replace("\n", ",").split(",")
+        # the header's four cells come first; a final LF leaves one empty cell last
+        stop = len(cells) - text.endswith("\n")
+        columns = tuple(cells[first:stop:4] for first in range(4, 8))
+        return columns, range(2, len(columns[0]) + 2), None
+    ids: list[str] = []
+    js: list[str] = []
+    xs: list[str] = []
+    attrs: list[str] = []
+    lines: list[int] = []
+    header_seen = False
+    pending = None
+    try:
+        for line, row in enumerate(csv.reader(_lines(text)), start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue  # blank line
+            if not header_seen:
+                if tuple(cell.strip() for cell in row) != CSV_HEADER:
+                    raise PopulationParseError(
+                        f"expected header {','.join(CSV_HEADER)!r}, got {','.join(row)!r}", line
+                    )
+                header_seen = True
+            elif len(row) != 4:
+                pending = PopulationParseError(f"expected 4 columns, got {len(row)}", line)
+                break
+            else:
+                ident, j, x, attr_text = row
+                ids.append(ident)
+                js.append(j)
+                xs.append(x)
+                attrs.append(attr_text)
+                lines.append(line)
+    except csv.Error as exc:
+        pending = exc
+    if not header_seen and pending is None:
+        raise PopulationParseError("empty input: missing header", 1)
+    return (ids, js, xs, attrs), lines, pending
+
+
+def _parse_unmapped(
+    labels: list[int | None], cells: Sequence[str], column: str, lines: Sequence[int]
+) -> tuple[int, PopulationParseError] | None:
+    """Fill in, with :func:`_parse_binary`, the labels that the plain lookup
+    left ``None`` (cells that need stripping, or bad ones); the row and error
+    of the first cell that does not parse."""
+    row = -1
+    for _ in range(labels.count(None)):
+        row = labels.index(None, row + 1)
+        try:  # only X may be empty
+            label = _parse_binary(cells[row], column, lines[row], optional=column == "X")
+        except PopulationParseError as exc:
+            return row, exc
+        labels[row] = _NO_CRITERION if label is None else label
+    return None
 
 
 def load_population(source: str | IO[str]) -> Population:
     """Parse the population CSV format (header ``id,J,X,attrs``).
 
     ``X`` may be empty; ``attrs`` is a semicolon-separated list of
-    ``name=value`` pairs and may be empty. CRLF input and one leading UTF-8
-    byte-order mark are tolerated. Raises :class:`PopulationParseError`
-    naming the offending line on any malformed row, duplicate id, or
-    out-of-range label.
+    ``name=value`` pairs and may be empty. Fields may be quoted as in
+    RFC 4180; CRLF input, blank lines and one leading UTF-8 byte-order mark
+    are tolerated. Raises :class:`PopulationParseError` naming the offending
+    line on any malformed row, duplicate id, or out-of-range label.
+
+    Two stages: :func:`_tokenize` cuts the text into columns, then whole
+    columns are validated and encoded. The error raised is the first
+    offending row's, checking each row's column count, id (empty, then
+    duplicate), ``J``, ``X`` and ``attrs`` in that order.
     """
     text = source if isinstance(source, str) else source.read()
     if text.startswith("\ufeff"):
         text = text[1:]
-    index: dict[str, int] = {}
-    merit = bytearray()
-    criterion = bytearray()
-    # Each distinct attrs string is parsed once; rows point at its parse.
-    attr_rows: list[int] = []
-    attr_codes: dict[str, int] = {}
-    attr_dicts: list[dict[str, str]] = []
-    header_seen = False
-    for line, row in enumerate(csv.reader(io.StringIO(text)), start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue  # blank line
-        if not header_seen:
-            if tuple(cell.strip() for cell in row) != CSV_HEADER:
-                raise PopulationParseError(
-                    f"expected header {','.join(CSV_HEADER)!r}, got {','.join(row)!r}", line
-                )
-            header_seen = True
-            continue
-        if len(row) != 4:
-            raise PopulationParseError(f"expected 4 columns, got {len(row)}", line)
-        ident, j, x, attrs = row
-        ident = ident.strip()
-        if not ident:
-            raise PopulationParseError("empty id", line)
-        if ident in index:
-            raise PopulationParseError(f"duplicate id {ident!r}", line)
-        index[ident] = len(index)
-        label = _BINARY.get(j)
-        merit.append(_parse_binary(j, "J", line) if label is None else label)
-        label = _BINARY.get(x)
-        if label is None:
-            label = _parse_binary(x, "X", line, optional=True)
-        criterion.append(_NO_CRITERION if label is None else label)
-        code = attr_codes.get(attrs)
-        if code is None:
-            code = attr_codes[attrs] = len(attr_dicts)
-            attr_dicts.append(_parse_attrs(attrs, line))
-        attr_rows.append(code)
-    if not header_seen:
-        raise PopulationParseError("empty input: missing header", 1)
+    (ids, js, xs, attrs), lines, pending = _tokenize(text)
+    n = len(ids)
+    # (row, position of the check within the row, error) of each check's first failure
+    errors: list[tuple[int, int, Exception]] = []
+
+    # Each distinct attrs string is parsed once, in first-appearance order.
+    attr_codes = dict(zip(dict.fromkeys(attrs), range(n)))
+    attr_rows = np.fromiter(map(attr_codes.__getitem__, attrs), dtype=np.intp, count=n)
+    del attrs  # the largest column, no longer needed
+    attr_dicts = []
+    for code, attr_text in enumerate(attr_codes):
+        try:
+            attr_dicts.append(_parse_attrs(attr_text))
+        except PopulationParseError as exc:
+            row = int(np.flatnonzero(attr_rows == code)[0])
+            errors.append((row, 4, PopulationParseError(str(exc), lines[row])))
+            break
+
+    merit = list(map(_BINARY.get, js))
+    criterion = list(map(_CRITERION.get, xs))
+    for check, labels, cells, column in ((2, merit, js, "J"), (3, criterion, xs, "X")):
+        error = _parse_unmapped(labels, cells, column, lines)
+        if error:
+            errors.append((error[0], check, error[1]))
+    del js, xs, cells  # the J and X cells, no longer needed
+
+    ids = list(map(str.strip, ids))
+    index = dict(zip(ids, range(n)))
+    if "" in index:
+        row = ids.index("")
+        errors.append((row, 0, PopulationParseError("empty id", lines[row])))
+    if len(index) < n:
+        seen: set[str] = set()
+        for row, ident in enumerate(ids):
+            if ident in seen:
+                errors.append((row, 1, PopulationParseError(f"duplicate id {ident!r}", lines[row])))
+                break
+            seen.add(ident)
+
+    if errors:
+        raise min(errors, key=lambda error: error[:2])[2]
+    if pending is not None:
+        raise pending
     return Population._from_columns(
         index,
-        np.frombuffer(merit, dtype=np.int8).copy(),
-        np.frombuffer(criterion, dtype=np.int8).copy(),
-        _encode_attributes(attr_dicts, np.array(attr_rows, dtype=np.intp)),
+        np.frombuffer(bytes(merit), dtype=np.int8),
+        np.frombuffer(bytes(criterion), dtype=np.int8),
+        _encode_attributes(attr_dicts, attr_rows),
     )
 
 

@@ -204,6 +204,11 @@ def _probability_codes(
     )
 
 
+def _count_and_sum(counts: Sequence[int], probs: Sequence[Fraction]) -> tuple[int, Fraction]:
+    """Members and their exact sum of conviction probabilities, from counts per code."""
+    return sum(counts), sum((n * p for n, p in zip(counts, probs) if n), Fraction(0))
+
+
 def conviction_sums(
     proc: Procedure, pop: Population, cells: np.ndarray | None = None, n_cells: int = 1
 ) -> list[tuple[tuple[int, Fraction], tuple[int, Fraction]]]:
@@ -218,13 +223,7 @@ def conviction_sums(
     scope = None if cells is None else cells >= 0
     codes, probs = _probability_codes(proc, pop, scope)
     counts = cell_counts(pop, codes, len(probs), cells, n_cells).tolist()
-    return [
-        tuple(
-            (sum(row), sum((n * p for n, p in zip(row, probs) if n), Fraction(0)))
-            for row in by_merit
-        )
-        for by_merit in counts
-    ]
+    return [tuple(_count_and_sum(row, probs) for row in by_merit) for by_merit in counts]
 
 
 # --- outcomes --------------------------------------------------------------
@@ -353,19 +352,20 @@ def exact_rates(
     for its rate.
     """
     cells = group_cells(pop, g)
-    ((n_guilty, sum_guilty), (n_innocent, sum_innocent)), = conviction_sums(proc, pop, cells)
+    codes, probs = _probability_codes(proc, pop, None if cells is None else cells >= 0)
+    by_merit = cell_counts(pop, codes, len(probs), cells)[0].tolist()
     if isinstance(proc, RandomizedProcedure) and isinstance(proc.rates, PerGroupRates):
-        in_group = None if cells is None else cells == 0
-        codes, probs = _probability_codes(proc, pop, in_group)
-        if in_group is not None:
-            codes = codes[in_group]
-        present = np.flatnonzero(np.bincount(codes // 2)).tolist()
+        # codes 2 * pair and 2 * pair + 1 belong to one configured pair
+        present = [code // 2 for code, n in enumerate(map(sum, zip(*by_merit))) if n]
         pairs = {probs[2 * pair : 2 * pair + 2] for pair in present}
         if len(pairs) > 1:
             raise AmbiguousRateError(
                 "group spans members with different configured rates: "
                 + ", ".join(f"({h}, {k})" for h, k in sorted(pairs))
             )
+    (n_guilty, sum_guilty), (n_innocent, sum_innocent) = (
+        _count_and_sum(row, probs) for row in by_merit
+    )
     return ConditionalRates(
         sum_guilty / n_guilty if n_guilty else None,
         sum_innocent / n_innocent if n_innocent else None,

@@ -185,6 +185,14 @@ def test_singleton_violations_truncate():
     assert len(report.violations) == 2
 
 
+@pytest.mark.parametrize("mode", ["singletons", "bipartitions"])
+def test_no_listed_violation_is_still_unfair(mode):
+    # two innocents on either side of the criterion split
+    pop = Population([Individual("a", INNOCENT, 1), Individual("b", INNOCENT, 0)])
+    report = check_absolute_fairness(DeterministicProcedure(), pop, mode=mode, max_violations=0)
+    assert (report.fair, report.violations, report.truncated) == (False, (), True)
+
+
 def test_per_group_rate_differences_violate_absolutely():
     pop = Population(
         [

@@ -1,0 +1,256 @@
+"""``load_population`` against a reference loader that reads one row at a time.
+
+The reference is the row-by-row loader the column-at-a-time one replaced:
+:func:`csv.reader` over the whole text, every check made per row in order.
+Generated texts mix the plain form the fast tokenizer splits itself with
+everything that has to go through :func:`csv.reader` (quoted fields, CRLF,
+blank lines, a BOM, wrong column counts), and both loaders must build equal
+populations or raise the same exception type with the same message.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from procfair.errors import PopulationParseError
+from procfair.population import (
+    _LINES_CHUNK,
+    CSV_HEADER,
+    Individual,
+    Population,
+    _lines,
+    load_population,
+)
+
+# --- the reference loader ---------------------------------------------------------
+
+
+def _parse_binary(text, column, line, optional=False):
+    text = text.strip()
+    if not text:
+        if optional:
+            return None
+        raise PopulationParseError(f"empty {column} value", line)
+    if text in ("0", "1"):
+        return int(text)
+    raise PopulationParseError(f"{column} must be 0 or 1, got {text!r}", line)
+
+
+def _parse_attrs(text, line):
+    attrs = {}
+    text = text.strip()
+    if not text:
+        return attrs
+    for pair in text.split(";"):
+        name, sep, value = pair.partition("=")
+        if not sep or not name or not value:
+            raise PopulationParseError(f"bad attribute pair {pair!r}", line)
+        if name in attrs:
+            raise PopulationParseError(f"duplicate attribute {name!r}", line)
+        attrs[name] = value
+    return attrs
+
+
+def reference_load(source):
+    text = source if isinstance(source, str) else source.read()
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    members = []
+    seen = set()
+    header_seen = False
+    for line, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if not header_seen:
+            if tuple(cell.strip() for cell in row) != CSV_HEADER:
+                raise PopulationParseError(
+                    f"expected header {','.join(CSV_HEADER)!r}, got {','.join(row)!r}", line
+                )
+            header_seen = True
+            continue
+        if len(row) != 4:
+            raise PopulationParseError(f"expected 4 columns, got {len(row)}", line)
+        ident, j, x, attrs = row
+        ident = ident.strip()
+        if not ident:
+            raise PopulationParseError("empty id", line)
+        if ident in seen:
+            raise PopulationParseError(f"duplicate id {ident!r}", line)
+        seen.add(ident)
+        merit = _parse_binary(j, "J", line)
+        criterion = _parse_binary(x, "X", line, optional=True)
+        members.append(Individual(ident, merit, criterion, _parse_attrs(attrs, line)))
+    if not header_seen:
+        raise PopulationParseError("empty input: missing header", 1)
+    return Population(members)
+
+
+def outcome(load, text, as_file):
+    """The population ``load`` builds from ``text``, or (error type, message)."""
+    try:
+        return load(io.StringIO(text) if as_file else text)
+    except (PopulationParseError, csv.Error) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same(text, as_file=False):
+    expected = outcome(reference_load, text, as_file)
+    got = outcome(load_population, text, as_file)
+    assert got == expected
+    if isinstance(expected, Population):
+        assert got.members == expected.members
+
+
+# --- generated texts ----------------------------------------------------------------
+
+# the first entries of each list are well formed; plain texts draw only from those
+IDS = ["a", "b", "c", "d", "é", " a", "b ", "", "  ", "x,y", "n\0ul"]
+LABELS = ["0", "1", " 1", "0 ", "2", ""]
+ATTRS = [
+    "", "sex=M", "sex=F", "sex=M;age=old", "k=v=w", " sex=F ", "sex=M;sex=F", "bad", "=x",
+    "sex=", "sex=M;", "town=a,b", "c\rr",
+]
+
+
+def quote(cell):
+    return '"' + cell.replace('"', '""') + '"'
+
+
+@st.composite
+def rows(draw, plain):
+    kinds = ["row"] if plain else ["row"] * 8 + ["short", "long", "blank", "spaces"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "blank":
+        return ""
+    if kind == "spaces":
+        return "   "
+    ids, labels, attrs = (IDS[:5], LABELS[:2], ATTRS[:5]) if plain else (IDS, LABELS, ATTRS)
+    cells = [draw(st.sampled_from(ids)), draw(st.sampled_from(labels)),
+             draw(st.sampled_from(labels)), draw(st.sampled_from(attrs))]
+    if kind == "short":
+        cells = cells[:3]
+    elif kind == "long":
+        cells.append("extra")
+    if plain:
+        return ",".join(cells)
+    # a comma inside a field needs quotes; other fields are quoted now and then
+    return ",".join(quote(c) if "," in c or draw(st.integers(0, 9)) == 0 else c for c in cells)
+
+
+@st.composite
+def texts(draw):
+    plain = draw(st.booleans())
+    headers = ["id,J,X,attrs"] * 3
+    if not plain:
+        headers += [" id , J,X,attrs", "id,J,X", ""]
+    body = draw(st.lists(rows(plain), max_size=8))
+    if draw(st.booleans()):  # distinct ids, so that more texts load
+        body = [f"m{i}{row}" for i, row in enumerate(body)]
+    eol = "\n" if plain else draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join([draw(st.sampled_from(headers))] + body)
+    if draw(st.booleans()):
+        text += eol
+    if draw(st.integers(0, 4)) == 0:
+        text = "\ufeff" + text
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(texts(), st.booleans())
+def test_loader_matches_the_row_by_row_reference(text, as_file):
+    assert_same(text, as_file)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\n\n",
+        "id,J,X,attrs",
+        "id,J,X,attrs\n",
+        "id,J,X,attrs\n\n",
+        "id,J,X,attrs\na,1,0,sex=M",
+        "id,J,X,attrs\na,1,0,sex=M\n\n",
+        "\nid,J,X,attrs\na,1,0,\n",
+        # the first offending row wins, whichever column it fails in
+        "id,J,X,attrs\na,1,0,bad\nb,2,0,\n",
+        "id,J,X,attrs\na,1,0,\nb,1,0,bad\nc,1,2,\n",
+        "id,J,X,attrs\na,1,0,\na,1,2,bad\n",
+        "id,J,X,attrs\n,2,2,bad\n",
+        "id,J,X,attrs\na,1,0,bad\nb,1\n",
+        "id,J,X,attrs\na,1,0,\nb,1\nb,1,0,\n",
+        "id,J,X,attrs\na,1,0,\nb,1,0,x\ry\n",
+        "id,J,X,attrs\na,1,0,x\ry\nb,1\n",
+        "id,J,X,attrs\na,2,0,\nb,1,0,x\ry\n",
+        # three commas a line on average, but not on every line
+        "id,J,X,attrs\na,1,0\nb,1,0,,\n",
+        # an attrs string's error names the line where it first appears
+        "id,J,X,attrs\na,1,0,sex=M\nb,1,0,sex=M\nc,1,0,bad\nd,1,0,bad\n",
+        # spaced labels fall back to the strict parser and load
+        "id,J,X,attrs\na, 1,0 ,sex=M\nb,0, ,\n",
+    ],
+)
+def test_loader_edge_cases_match_the_reference(text):
+    assert_same(text)
+    assert_same(text, as_file=True)
+
+
+def test_field_size_limit_is_kept():
+    """A field longer than csv's limit is refused exactly as csv.reader refuses it."""
+    limit = csv.field_size_limit()
+    try:
+        csv.field_size_limit(8)
+        assert_same("id,J,X,attrs\na,1,0,sex=M\nb,1,0,sex=Female\n")
+        assert_same("id,J,X,attrs\na,1,0,sex=M\nb,1,0,sex=M\n")
+    finally:
+        csv.field_size_limit(limit)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+@pytest.mark.parametrize("final_eol", [True, False])
+@pytest.mark.parametrize("bad_row", [None, 5000])
+def test_text_longer_than_a_chunk_matches_the_reference(eol, final_eol, bad_row):
+    """csv.reader's lines are cut a chunk at a time; quoted line breaks span the cuts."""
+    body = [
+        f'm{i},{i % 2},{i // 2 % 2},"sex={"MF"[i % 2]};town=t{i % 7}' + ("\nx" if i % 9 else "") + '"'
+        for i in range(8000)
+    ]
+    if bad_row is not None:
+        body[bad_row] = f"m{bad_row},2,0,"
+    text = eol.join(["id,J,X,attrs"] + body) + (eol if final_eol else "")
+    assert len(text) > 3 * _LINES_CHUNK
+    assert list(_lines(text)) == io.StringIO(text).readlines()
+    assert_same(text)
+
+
+# --- which inputs reach csv.reader --------------------------------------------------
+
+
+def test_plain_text_loads_without_csv_reader(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader called for plain text")
+
+    monkeypatch.setattr(csv, "reader", refuse)
+    pop = load_population("id,J,X,attrs\na,1,0,sex=M\nb,0,,town=x;sex=F\n")
+    assert pop.ids() == ("a", "b")
+    assert pop.attribute_values("sex") == ("M", "F")
+
+
+def test_quoted_text_goes_through_csv_reader(monkeypatch):
+    calls = []
+    reader = csv.reader
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return reader(*args, **kwargs)
+
+    plain = "id,J,X,attrs\na,1,0,sex=M\nb,0,,town=x;sex=F\n"
+    monkeypatch.setattr(csv, "reader", counting)
+    quoted = plain.replace("town=x;sex=F", '"town=x;sex=F"')
+    assert load_population(plain) == load_population(quoted)
+    assert len(calls) == 1
