@@ -11,6 +11,8 @@ pipelines can branch on the result.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from fractions import Fraction
@@ -23,8 +25,10 @@ from .errors import ProcfairError
 from .fairness import check_pairwise_fairness, expected_contingency, justice_metrics
 from .population import GUILTY, INNOCENT, AttributeEquals, load_population, merit_counts
 from .procedure import (
+    ConditionalRates,
     as_probability,
     as_rational,
+    conviction_sums,
     empirical_rates,
     exact_rates,
     load_procedure,
@@ -88,9 +92,9 @@ def _cmd_audit(args) -> int:
 
     groups = {value: AttributeEquals(args.attribute, value) for value in values}
     if empirical:
-        assignments = simulate(proc, pop, seed=args.seed, trials=args.trials)
-        rates = {value: empirical_rates(pop, assignments, g) for value, g in groups.items()}
-        overall = empirical_rates(pop, assignments)
+        simulation = simulate(proc, pop, seed=args.seed, trials=args.trials)
+        rates = {value: empirical_rates(pop, simulation, g) for value, g in groups.items()}
+        overall = empirical_rates(pop, simulation)
     else:
         rates = {value: exact_rates(proc, pop, g) for value, g in groups.items()}
         overall = exact_rates(proc, pop)
@@ -136,17 +140,14 @@ def _cmd_audit(args) -> int:
 
 
 def _audit_csv(values, rates, overall, table, metrics, verdicts) -> str:
-    import csv as _csv
-    import io as _io
-
     def ratio(x):
         return "" if x is None else f"{x.numerator}/{x.denominator}"
 
     def approx(x):
         return "" if x is None else f"{float(x):.8f}"
 
-    out = _io.StringIO()
-    writer = _csv.writer(out, lineterminator="\n")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["section", "group", "merit", "field", "ratio", "approx"])
     for value, r in [("overall", overall)] + [(v, rates[v]) for v in values]:
         writer.writerow(["rates", value, GUILTY, "h", ratio(r.h), approx(r.h)])
@@ -262,23 +263,22 @@ def _cmd_witness(args) -> int:
 def _cmd_simulate(args) -> int:
     pop = load_population(_read_text(args.population))
     proc = load_procedure(_read_text(args.procedure))
-    assignments = simulate(proc, pop, seed=args.seed, trials=args.trials)
-    empirical = empirical_rates(pop, assignments)
-    try:
-        expected = exact_rates(proc, pop)
-    except ProcfairError:
-        expected = None  # heterogeneous per-group rates have no single pair
+    simulation = simulate(proc, pop, seed=args.seed, trials=args.trials)
+    empirical = empirical_rates(pop, simulation)
+    # the mean member conviction probability per merit class: the configured
+    # pair whenever every member has the same one
+    expected = ConditionalRates.from_sums(conviction_sums(proc, pop)[0])
 
     if args.format == "csv":
-        import csv as _csv
-        import io as _io
-
-        out = _io.StringIO()
-        writer = _csv.writer(out, lineterminator="\n")
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["quantity", "ratio", "approx"])
-        rows = [("empirical_h", empirical.h), ("empirical_k", empirical.k)]
-        if expected is not None:
-            rows += [("expected_h", expected.h), ("expected_k", expected.k)]
+        rows = [
+            ("empirical_h", empirical.h),
+            ("empirical_k", empirical.k),
+            ("expected_h", expected.h),
+            ("expected_k", expected.k),
+        ]
         for name, value in rows:
             if value is None:
                 writer.writerow([name, "", ""])
@@ -295,7 +295,7 @@ def _cmd_simulate(args) -> int:
                 "trials": args.trials,
                 "population_size": len(pop),
                 "empirical": serialize.rates_json(empirical),
-                "expected": None if expected is None else serialize.rates_json(expected),
+                "expected": serialize.rates_json(expected),
             },
             args.out,
         )
@@ -335,11 +335,8 @@ def _cmd_example1(args) -> int:
         }
         _emit_json(doc, args.out)
     elif args.format == "csv":
-        import csv as _csv
-        import io as _io
-
-        out = _io.StringIO()
-        writer = _csv.writer(out, lineterminator="\n")
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(
             ["stage", "group", "merit", "count", "expected_convictions", "guilty_share", "fair"]
         )
@@ -520,7 +517,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ProcfairError, ValueError, OSError, json.JSONDecodeError) as exc:
+    # csv.Error: a population field longer than csv.field_size_limit()
+    except (ProcfairError, ValueError, OSError, json.JSONDecodeError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -1,4 +1,4 @@
-"""Decision procedures: outcomes, exact conviction rates, and simulation.
+"""Decision procedures: exact conviction rates and seeded simulation.
 
 Two procedure families are modeled. A deterministic procedure convicts
 exactly when the individual's criterion label is 0 (outcome equals
@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import json
 import numbers
-from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
+from typing import IO, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -31,6 +30,8 @@ from .errors import (
     ProcedureSpecError,
 )
 from .population import (
+    GUILTY,
+    INNOCENT,
     MISSING,
     GroupSpec,
     Population,
@@ -226,87 +227,65 @@ def conviction_sums(
     return [tuple(_count_and_sum(row, probs) for row in by_merit) for by_merit in counts]
 
 
-# --- outcomes --------------------------------------------------------------
+# --- simulation ------------------------------------------------------------
+
+# Draws per block of trials: the uniform doubles and their comparison stay
+# cache-sized, and memory does not grow with the number of trials.
+SIMULATION_BLOCK_DRAWS = 1 << 16
 
 
-@dataclass(frozen=True)
-class Provenance:
-    """Where an outcome assignment came from."""
+@dataclass(frozen=True, eq=False)  # an array field has no single truth value to compare by
+class Simulation:
+    """Per-member conviction counts over ``trials`` seeded trials.
 
-    kind: str  # "deterministic" or "simulated"
-    seed: int | None = None
-    trial: int | None = None
-
-
-class OutcomeAssignment(MappingABC):
-    """One outcome per individual id: 1 = acquitted, 0 = convicted.
-
-    Behaves as a read-only mapping. The id order matches the population the
-    assignment was produced from; ``values_array`` exposes the outcomes in
-    that order for bulk processing.
+    ``convictions[i]`` is how many of the trials convicted member ``i`` of
+    the population the simulation was drawn for, in population order; the
+    array is read-only.
     """
 
-    __slots__ = ("_ids", "_values", "provenance", "_index")
+    seed: int
+    trials: int
+    convictions: np.ndarray
 
-    def __init__(self, ids: Sequence[str], values, provenance: Provenance):
-        self._ids = tuple(ids)
-        self._values = np.asarray(values, dtype=np.uint8)
-        if self._values.shape != (len(self._ids),):
-            raise ValueError("one outcome required per id")
-        self.provenance = provenance
-        self._index: dict[str, int] | None = None
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return self._ids
-
-    @property
-    def values_array(self) -> np.ndarray:
-        return self._values
-
-    def __getitem__(self, ident: str) -> int:
-        if self._index is None:
-            self._index = {ident: i for i, ident in enumerate(self._ids)}
-        return int(self._values[self._index[ident]])
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._ids)
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __repr__(self) -> str:
-        return f"OutcomeAssignment({len(self)} outcomes, {self.provenance})"
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        convictions = np.array(self.convictions, dtype=np.int64)
+        if convictions.ndim != 1:
+            raise ValueError("one conviction count required per member")
+        if convictions.size and not 0 <= convictions.min() <= convictions.max() <= self.trials:
+            raise ValueError(f"conviction counts must lie in [0, {self.trials}]")
+        convictions.flags.writeable = False
+        object.__setattr__(self, "convictions", convictions)
 
 
-def apply_deterministic(proc: DeterministicProcedure, pop: Population) -> OutcomeAssignment:
-    """Evaluate U = X over the whole population."""
-    _probability_codes(proc, pop)  # raises for the first member without X
-    return OutcomeAssignment(pop.ids(), pop.criterion, Provenance("deterministic"))
-
-
-def simulate(
-    proc: RandomizedProcedure, pop: Population, seed: int, trials: int
-) -> list[OutcomeAssignment]:
-    """Draw ``trials`` independent outcome assignments.
+def simulate(proc: Procedure, pop: Population, seed: int, trials: int) -> Simulation:
+    """Count each member's convictions over ``trials`` independent trials.
 
     Each individual is convicted with probability equal to their applicable
     rate, independently across individuals and trials. The generator is
     numpy's seeded PCG64, so identical (procedure, population, seed, trials)
-    inputs reproduce bit-identical outcomes.
+    inputs reproduce bit-identical counts. Trials are drawn a block at a time
+    (about ``SIMULATION_BLOCK_DRAWS`` doubles, at least one trial); PCG64
+    yields its doubles in order, so the counts equal those of one
+    ``(trials, n)`` draw.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     codes, exact = _probability_codes(proc, pop)
     probs = np.array([float(p) for p in exact])[codes]
     rng = np.random.default_rng(seed)
-    draws = rng.random((trials, len(pop)))
-    outcomes = np.where(draws < probs, CONVICTED, ACQUITTED).astype(np.uint8)
-    ids = pop.ids()
-    return [
-        OutcomeAssignment(ids, outcomes[t], Provenance("simulated", seed=seed, trial=t))
-        for t in range(trials)
-    ]
+    n = len(pop)
+    rows = min(trials, max(1, SIMULATION_BLOCK_DRAWS // max(n, 1)))
+    draws = np.empty((rows, n))
+    convicted = np.empty((rows, n), dtype=bool)
+    counts = np.zeros(n, dtype=np.int64)
+    for start in range(0, trials, rows):
+        block = min(rows, trials - start)
+        rng.random(out=draws[:block])
+        np.less(draws[:block], probs, out=convicted[:block])
+        counts += convicted[:block].sum(axis=0)
+    return Simulation(seed, trials, counts)
 
 
 # --- conditional rates -----------------------------------------------------
@@ -328,6 +307,17 @@ class ConditionalRates:
         n_guilty, n_innocent = self.support
         if (self.h is None) != (n_guilty == 0) or (self.k is None) != (n_innocent == 0):
             raise ValueError("a rate must be present exactly when its class has support")
+
+    @classmethod
+    def from_sums(cls, sums: Iterable[tuple[int, Fraction]]) -> ConditionalRates:
+        """Mean rate per merit class from its ``(count, sum of conviction
+        probabilities)`` pair, guilty first; a class with no members gets ``None``."""
+        (n_guilty, sum_guilty), (n_innocent, sum_innocent) = sums
+        return cls(
+            sum_guilty / n_guilty if n_guilty else None,
+            sum_innocent / n_innocent if n_innocent else None,
+            (n_guilty, n_innocent),
+        )
 
     @property
     def acquittal_h(self) -> Fraction | None:
@@ -363,44 +353,31 @@ def exact_rates(
                 "group spans members with different configured rates: "
                 + ", ".join(f"({h}, {k})" for h, k in sorted(pairs))
             )
-    (n_guilty, sum_guilty), (n_innocent, sum_innocent) = (
-        _count_and_sum(row, probs) for row in by_merit
-    )
-    return ConditionalRates(
-        sum_guilty / n_guilty if n_guilty else None,
-        sum_innocent / n_innocent if n_innocent else None,
-        (n_guilty, n_innocent),
-    )
+    return ConditionalRates.from_sums(_count_and_sum(row, probs) for row in by_merit)
 
 
 def empirical_rates(
-    pop: Population,
-    assignments: Sequence[OutcomeAssignment],
-    g: GroupSpec | None = None,
+    pop: Population, simulation: Simulation, g: GroupSpec | None = None
 ) -> ConditionalRates:
-    """Observed conviction frequencies over simulated assignments.
+    """Observed conviction frequencies of a simulation of ``pop``.
 
     Rates are exact ratios of counts (convictions over member-trials), so
     they can be fed to the same comparisons as configured rates; compare
     them with a positive tolerance, since they carry sampling noise.
     """
-    if not assignments:
-        raise ValueError("empirical_rates requires at least one assignment")
+    convictions = simulation.convictions
+    if len(convictions) != len(pop):
+        raise ValueError(
+            f"simulation has {len(convictions)} members, population has {len(pop)}"
+        )
     cells = group_cells(pop, g)
-    convicted = np.zeros(len(pop), dtype=np.intp)
-    for a in assignments:
-        convicted += a.values_array == CONVICTED
-    # each member's conviction count is its code
-    trials = len(assignments)
-    counts = cell_counts(pop, convicted, trials + 1, cells)[0].tolist()
-    (n_guilty, conv_guilty), (n_innocent, conv_innocent) = (
-        (sum(row), sum(c * n for c, n in enumerate(row) if n)) for row in counts
-    )
-    return ConditionalRates(
-        Fraction(conv_guilty, n_guilty * trials) if n_guilty else None,
-        Fraction(conv_innocent, n_innocent * trials) if n_innocent else None,
-        (n_guilty, n_innocent),
-    )
+    in_group = True if cells is None else cells == 0
+    sums = []
+    for merit in (GUILTY, INNOCENT):
+        members = (pop.merit == merit) & in_group
+        convicted = int(convictions.sum(where=members))
+        sums.append((int(np.count_nonzero(members)), Fraction(convicted, simulation.trials)))
+    return ConditionalRates.from_sums(sums)
 
 
 # --- procedure description files -------------------------------------------

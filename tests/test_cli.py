@@ -254,6 +254,36 @@ def test_simulate_csv(capsys, tmp_path):
     assert "empirical_k,0/1,0.00000000" in out
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_simulate_expected_is_mean_member_probability_for_unequal_rates(capsys, tmp_path, fmt):
+    pop_file = tmp_path / "population.csv"
+    pop_file.write_text(
+        "id,J,X,attrs\na,0,,sex=M\nb,0,,sex=F\nc,1,,sex=M\nd,1,,sex=F\n", encoding="utf-8"
+    )
+    proc_file = tmp_path / "procedure.json"
+    proc_file.write_text(
+        '{"type": "randomized", "attribute": "sex",'
+        ' "rates": {"M": ["3/4", "1/10"], "F": ["1/2", "1/5"]}}'
+    )
+    code, out, _ = run(
+        capsys,
+        "simulate",
+        "--population", str(pop_file),
+        "--procedure", str(proc_file),
+        "--trials", "10",
+        "--format", fmt,
+    )
+    assert code == 0
+    # h = (3/4 + 1/2) / 2, k = (1/10 + 1/5) / 2
+    if fmt == "json":
+        expected = json.loads(out)["expected"]
+        assert expected["h"] == {"ratio": "5/8", "approx": 0.625}
+        assert expected["k"] == {"ratio": "3/20", "approx": 0.15}
+        assert expected["support"] == {"guilty": 2, "innocent": 2}
+    else:
+        assert out.splitlines()[-2:] == ["expected_h,5/8,0.62500000", "expected_k,3/20,0.15000000"]
+
+
 # --- roc-export --------------------------------------------------------------
 
 
@@ -368,3 +398,17 @@ def test_witness_reads_population_with_byte_order_mark(capsys, tmp_path):
     code, out, err = run(capsys, "witness", "--population", str(pop_file))
     assert code == 0 and err == ""
     assert "no violation" in out
+
+
+def test_audit_field_over_csv_limit_is_an_error(capsys, tmp_path):
+    pop_file = tmp_path / "population.csv"
+    pop_file.write_text("id,J,X,attrs\na,1,1,sex=" + "M" * 200_000 + "\n", encoding="utf-8")
+    proc_file = tmp_path / "procedure.json"
+    proc_file.write_text('{"type": "deterministic"}', encoding="utf-8")
+    code, out, err = run(
+        capsys, "audit", "--population", str(pop_file), "--procedure", str(proc_file),
+        "--attribute", "sex",
+    )
+    assert code == 1 and out == ""
+    assert single_error_line(err)
+    assert "field larger than field limit" in err

@@ -32,8 +32,7 @@ from procfair.population import (
 from procfair.procedure import (
     DeterministicProcedure,
     GlobalRates,
-    OutcomeAssignment,
-    Provenance,
+    Simulation,
     empirical_rates,
     exact_rates,
     global_procedure,
@@ -212,8 +211,7 @@ def test_contingency_matches_member_sums(pop, proc, attribute):
 @given(populations(), st.integers(1, 5), st.integers(0, 2**32 - 1))
 def test_empirical_rates_merit_counts_and_values_match_member_counts(pop, trials, seed):
     outcomes = np.random.default_rng(seed).integers(0, 2, (trials, len(pop)))
-    ids = pop.ids()
-    assignments = [OutcomeAssignment(ids, row, Provenance("simulated")) for row in outcomes]
+    simulation = Simulation(seed, trials, (outcomes == 0).sum(axis=0))
     for p in both_ways(pop):
         for g in groups(pop):
             positions = [i for i, ind in enumerate(pop.members) if in_group(ind, g)]
@@ -223,7 +221,7 @@ def test_empirical_rates_merit_counts_and_values_match_member_counts(pop, trials
                 merit = pop.members[i].merit
                 counts[merit] += 1
                 convicted[merit] += sum(1 for row in outcomes if row[i] == 0)
-            rates = empirical_rates(p, assignments, g)
+            rates = empirical_rates(p, simulation, g)
             assert rates.support == tuple(counts)
             assert (rates.h, rates.k) == tuple(
                 Fraction(v, c * trials) if c else None for v, c in zip(convicted, counts)

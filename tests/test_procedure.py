@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from procfair.errors import (
@@ -18,12 +18,13 @@ from procfair.population import (
     Individual,
     Population,
     Singleton,
+    load_population,
 )
 from procfair.procedure import (
-    ACQUITTED,
-    CONVICTED,
+    SIMULATION_BLOCK_DRAWS,
     DeterministicProcedure,
-    apply_deterministic,
+    Simulation,
+    _probability_codes,
     as_probability,
     as_rational,
     empirical_rates,
@@ -70,22 +71,26 @@ def test_as_rational_rejects_garbage(raw):
 # --- deterministic evaluation ----------------------------------------------
 
 
-def test_apply_deterministic_is_identity_on_criterion():
+def test_deterministic_convicts_exactly_the_criterion_zero_members():
     pop = Population([Individual("a", 1, criterion=1), Individual("b", 0, criterion=0)])
-    out = apply_deterministic(DeterministicProcedure(), pop)
-    assert dict(out) == {"a": 1, "b": 0}
-    assert out.provenance.kind == "deterministic"
+    proc = DeterministicProcedure()
+    assert exact_rates(proc, pop, Singleton("a")).k == 0
+    assert exact_rates(proc, pop, Singleton("b")).h == 1
+    assert simulate(proc, pop, seed=0, trials=3).convictions.tolist() == [0, 3]
 
 
-def test_apply_deterministic_missing_criterion_names_id():
+def test_missing_criterion_names_id():
     pop = Population([Individual("a", 1, criterion=1), Individual("nope", 0)])
     with pytest.raises(MissingCriterionError, match="'nope'"):
-        apply_deterministic(DeterministicProcedure(), pop)
+        exact_rates(DeterministicProcedure(), pop)
+    with pytest.raises(MissingCriterionError, match="'nope'"):
+        simulate(DeterministicProcedure(), pop, seed=0, trials=1)
 
 
-def test_apply_deterministic_empty_population():
-    out = apply_deterministic(DeterministicProcedure(), Population([]))
-    assert len(out) == 0
+def test_deterministic_on_empty_population():
+    pop = Population([])
+    assert exact_rates(DeterministicProcedure(), pop).support == (0, 0)
+    assert len(simulate(DeterministicProcedure(), pop, seed=0, trials=2).convictions) == 0
 
 
 def test_exact_rates_deterministic_counts(four_member_pop):
@@ -171,13 +176,13 @@ def _tiny_pop():
 
 
 def test_simulate_degenerate_all_convicted():
-    for a in simulate(global_procedure(1, 1), _tiny_pop(), seed=3, trials=4):
-        assert all(u == CONVICTED for u in a.values())
+    sim = simulate(global_procedure(1, 1), _tiny_pop(), seed=3, trials=4)
+    assert (sim.convictions == 4).all()
 
 
 def test_simulate_degenerate_all_acquitted():
-    for a in simulate(global_procedure(0, 0), _tiny_pop(), seed=3, trials=4):
-        assert all(u == ACQUITTED for u in a.values())
+    sim = simulate(global_procedure(0, 0), _tiny_pop(), seed=3, trials=4)
+    assert (sim.convictions == 0).all()
 
 
 def test_simulate_same_seed_bit_identical():
@@ -185,25 +190,103 @@ def test_simulate_same_seed_bit_identical():
     proc = global_procedure("1/3", "2/3")
     first = simulate(proc, pop, seed=99, trials=6)
     second = simulate(proc, pop, seed=99, trials=6)
-    for a, b in zip(first, second):
-        assert np.array_equal(a.values_array, b.values_array)
+    assert np.array_equal(first.convictions, second.convictions)
     third = simulate(proc, pop, seed=100, trials=6)
-    assert any(
-        not np.array_equal(a.values_array, c.values_array) for a, c in zip(first, third)
-    )
+    assert not np.array_equal(first.convictions, third.convictions)
 
 
 def test_simulate_provenance_and_order():
-    pop = _tiny_pop()
-    runs = simulate(global_procedure("1/2", "1/2"), pop, seed=1, trials=3)
-    assert [a.provenance.trial for a in runs] == [0, 1, 2]
-    assert all(a.provenance.seed == 1 for a in runs)
-    assert list(runs[0]) == list(pop.ids())
+    pop = Population(
+        [
+            Individual("never", 0, attributes={"sex": "F"}),
+            Individual("always", 0, attributes={"sex": "M"}),
+            Individual("coin", 0, attributes={"sex": "X"}),
+        ]
+    )
+    proc = per_group_procedure("sex", {"F": (0, 0), "M": (1, 1), "X": ("1/2", "1/2")})
+    sim = simulate(proc, pop, seed=1, trials=3)
+    assert (sim.seed, sim.trials) == (1, 3)
+    assert sim.convictions.tolist()[:2] == [0, 3]
+    assert not sim.convictions.flags.writeable
+
+
+def _one_shot_counts(proc, pop, seed, trials):
+    """Reference: every trial's doubles in one ``(trials, n)`` draw, then a
+    conviction count per member."""
+    codes, exact = _probability_codes(proc, pop)
+    probs = np.array([float(p) for p in exact])[codes]
+    draws = np.random.default_rng(seed).random((trials, len(pop)))
+    return (draws < probs).sum(axis=0)
+
+
+RATES = ["0", "1", "1/10", "1/3", "1/2", "3/4"]
+SIM_PROCEDURES = st.one_of(
+    st.just(DeterministicProcedure()),
+    st.builds(global_procedure, st.sampled_from(RATES), st.sampled_from(RATES)),
+    # equal pairs for every value (or all but an unconfigured "c")
+    st.builds(
+        lambda h, k, values: make_group_fair(h, k, "g", values),
+        st.sampled_from(RATES),
+        st.sampled_from(RATES),
+        st.sampled_from([("a", "b", "c"), ("a", "b")]),
+    ),
+    # unequal pairs per value, possibly leaving some value unconfigured
+    st.dictionaries(
+        st.sampled_from("abc"), st.tuples(st.sampled_from(RATES), st.sampled_from(RATES)),
+        min_size=1,
+    ).map(lambda table: per_group_procedure("g", table)),
+)
+
+
+@st.composite
+def block_cases(draw):
+    """(population, trials) with n at the block edges and trials cut mid-block."""
+    n = draw(st.sampled_from([0, 1, 7, SIMULATION_BLOCK_DRAWS, SIMULATION_BLOCK_DRAWS + 3]))
+    rows = max(1, SIMULATION_BLOCK_DRAWS // max(n, 1))
+    if rows == 1:
+        trials = draw(st.integers(1, 3))
+    else:
+        trials = draw(st.integers(0, 2)) * rows + draw(st.integers(1, rows - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # rarely a member without X or without a value of "g"
+    holes = draw(st.sampled_from([0.0, 0.0, 1 / max(n, 1)]))
+    lines = ["id,J,X,attrs"]
+    for i, (j, x, v, hole) in enumerate(
+        zip(rng.integers(0, 2, n), rng.integers(0, 2, n), rng.integers(0, 3, n), rng.random(n))
+    ):
+        x_text, attrs = ("", "") if hole < holes else (str(x), f"g={'abc'[v]}")
+        lines.append(f"m{i},{j},{x_text},{attrs}")
+    return load_population("\n".join(lines) + "\n"), trials
+
+
+def _outcome(f):
+    try:
+        return f()
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SIM_PROCEDURES, block_cases(), st.integers(0, 2**32 - 1))
+def test_block_draws_count_as_one_shot_draw(proc, case, seed):
+    pop, trials = case
+    expected = _outcome(lambda: _one_shot_counts(proc, pop, seed, trials).tolist())
+    got = _outcome(lambda: simulate(proc, pop, seed, trials).convictions.tolist())
+    assert got == expected
 
 
 def test_simulate_rejects_zero_trials():
     with pytest.raises(ValueError):
         simulate(global_procedure(0, 0), _tiny_pop(), seed=1, trials=0)
+
+
+def test_simulation_rejects_inconsistent_counts():
+    with pytest.raises(ValueError, match="trials"):
+        Simulation(0, 0, [])
+    with pytest.raises(ValueError, match=r"\[0, 2\]"):
+        Simulation(0, 2, [0, 3])
+    with pytest.raises(ValueError, match="population has 10"):
+        empirical_rates(_tiny_pop(), Simulation(0, 2, [0, 1]))
 
 
 def test_empirical_rates_near_configured():
