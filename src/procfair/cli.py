@@ -517,8 +517,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    # csv.Error: a population field longer than csv.field_size_limit()
-    except (ProcfairError, ValueError, OSError, json.JSONDecodeError, csv.Error) as exc:
+    except (ProcfairError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

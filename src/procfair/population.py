@@ -16,15 +16,21 @@ population order:
   distinct values in first-appearance order and an ``int32`` code per member
   indexing them, ``-1`` where the member has no value.
 
-:func:`load_population` fills these columns directly, in two stages. A
-tokenizer cuts the CSV text into four lists of cells, one per column: plain
-text (no quotes, CR or NUL, the bare header first, three commas on every later
-line) with ``str.split``, anything else with :func:`csv.reader`. Then each
-column is validated and encoded as a whole, raising the error of the first
-offending row. ``Population(members)`` builds the columns from
-:class:`Individual` objects on first use, and the member view (``members``,
-``by_id``, iteration) of a loaded population is built only when something
-asks for it. Every exact aggregate downstream is a count per
+:func:`load_population` fills these columns directly, in two stages. First
+every cell is located as a byte range of the text's UTF-8 encoding: in plain
+text (the bare header first, three commas on every later line, no quote, CR
+or NUL) numpy finds the commas and line feeds; anything else is read by
+:func:`csv.reader` and its cells are encoded one after another. Then each
+column is validated and encoded as a whole from those bytes, raising the
+error of the first offending row: labels that are exactly ``0`` or ``1`` are
+read from their byte, attrs strings are grouped by a key mixed from their
+8-byte words and then compared word for word, and ids are checked for
+duplicates by sorting their keys and comparing the ids whose keys repeat.
+The ids of a loaded population stay byte ranges until something asks for
+``ids()``, ``by_id`` or an id-based group, and its member view (``members``,
+iteration) is built only when something asks for it;
+``Population(members)`` builds the columns from :class:`Individual` objects
+on first use. Every exact aggregate downstream is a count per
 (cell, merit class, code) from :func:`cell_counts`. Everything here is
 read-only, so every operation is a pure function and safe under concurrent
 use.
@@ -37,8 +43,8 @@ import io
 import itertools
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
+from functools import cached_property, partial
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -143,20 +149,21 @@ class Population:
             if ind.id in index:
                 raise ValueError(f"duplicate individual id {ind.id!r}")
             index[ind.id] = len(index)
-        self.__dict__.update(members=members, _index=index)
+        self.__dict__.update(members=members, _index=index, _ids=tuple(index))
 
     @classmethod
     def _from_columns(
         cls,
-        index: dict[str, int],
+        ids: Callable[[], tuple[str, ...]],
         merit: np.ndarray,
         criterion: np.ndarray,
         attributes: dict[str, AttributeColumn],
     ) -> Population:
-        """A population over already validated columns; ``index`` maps id to position."""
+        """A population over already validated columns. ``ids`` returns the
+        member ids, which must be distinct; it is called on first use."""
         pop = cls.__new__(cls)
         pop.__dict__.update(
-            _index=index, merit=_frozen(merit), criterion=_frozen(criterion), attributes=attributes
+            _id_source=ids, merit=_frozen(merit), criterion=_frozen(criterion), attributes=attributes
         )
         return pop
 
@@ -176,7 +183,7 @@ class Population:
     __hash__ = None
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self.merit)
 
     def __iter__(self) -> Iterator[Individual]:
         return iter(self.members)
@@ -186,14 +193,19 @@ class Population:
 
     @cached_property
     def _ids(self) -> tuple[str, ...]:
-        return tuple(self._index)
+        return self._id_source()
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return dict(zip(self._ids, range(len(self))))
 
     def ids(self) -> tuple[str, ...]:
         return self._ids
 
     @cached_property
     def merit(self) -> np.ndarray:
-        return _frozen(np.fromiter((ind.merit for ind in self.members), np.int8, len(self)))
+        merit = (ind.merit for ind in self.members)
+        return _frozen(np.fromiter(merit, np.int8, len(self.members)))
 
     @cached_property
     def criterion(self) -> np.ndarray:
@@ -363,7 +375,6 @@ def merit_counts(pop: Population, g: GroupSpec | None = None) -> tuple[int, int]
 
 # --- CSV ingestion ---------------------------------------------------------
 
-_BINARY = {"0": 0, "1": 1}
 _NO_CRITERION = 255  # MISSING as an unsigned byte, read back through int8
 
 
@@ -395,27 +406,65 @@ def _parse_attrs(text: str) -> dict[str, str]:
     return attrs
 
 
-_HEADER_LINE = ",".join(CSV_HEADER) + "\n"
-_CRITERION = {"0": 0, "1": 1, "": _NO_CRITERION}
+class _Cells(NamedTuple):
+    """The data rows of a population text as byte ranges of ``raw``.
+
+    Cell ``i`` (row ``i // 4``, column ``i % 4`` of id, J, X, attrs) is the
+    UTF-8 encoding ``raw[bounds[i] + 1 : bounds[i + 1]]``: each cell lies
+    between two separator positions. At least eight bytes of ``raw`` precede
+    every cell and at least one follows every J and X cell. ``lines[r]`` is
+    the line of row ``r``.
+    """
+
+    raw: bytes
+    bounds: np.ndarray
+    lines: Sequence[int]
+
+    def column(self, column: int) -> tuple[np.ndarray, np.ndarray]:
+        """The start and end of every cell in ``column``."""
+        return self.bounds[column:-1:4] + 1, self.bounds[column + 1 :: 4].copy()
+
+    def text(self, column: int, row: int) -> str:
+        cell = 4 * row + column
+        return _decode(self.raw, self.bounds[cell] + 1, self.bounds[cell + 1])
 
 
-def _one_row_per_line(text: str) -> bool:
-    """Whether every line after the header line of ``text`` holds exactly three
-    commas and no more characters than ``csv.field_size_limit()``.
+def _decode(raw: bytes, start: int, end: int) -> str:
+    return raw[start:end].decode("utf-8", "surrogatepass")
+
+
+_HEADER_LINE = ",".join(CSV_HEADER).encode() + b"\n"
+
+
+def _plain_cells(raw: bytes) -> _Cells | None:
+    """The cells of the UTF-8 text ``raw``, found by numpy, or ``None`` unless
+    ``raw`` is plain: the bare header line, then at least one line, each with
+    exactly three commas and no more bytes than ``csv.field_size_limit()``,
+    and no quote, CR or NUL anywhere.
 
     LF is the only line break, and a final LF ends the last line.
     """
-    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    body = data[len(_HEADER_LINE) : len(data) - text.endswith("\n")]
-    newlines = np.flatnonzero(body == ord("\n"))
-    commas = np.flatnonzero(body == ord(","))
-    if len(commas) != 3 * (len(newlines) + 1):
-        return False
-    if not np.array_equal(np.searchsorted(commas, newlines), np.arange(1, len(newlines) + 1) * 3):
-        return False
+    if not raw.startswith(_HEADER_LINE) or any(byte in raw for byte in (b'"', b"\r", b"\0")):
+        return None
+    data = np.frombuffer(raw, dtype=np.uint8)
+    # one more position, the end of the text, ends a last line without LF
+    is_separator = np.empty(len(data) + 1, dtype=bool)
+    np.equal(data, ord(","), out=is_separator[:-1])
+    is_separator[:-1] |= data == ord("\n")
+    is_separator[-1] = not raw.endswith(b"\n")
+    # 32-bit positions halve the memory of every position array that follows
+    bounds = np.flatnonzero(is_separator).astype(np.int32 if len(data) < 2**31 else np.int64)
+    del is_separator
+    # the header's three commas and LF, then the same four on every line
+    if len(bounds) < 8 or len(bounds) % 4:
+        return None
+    kinds = data[bounds[:-1]]
+    if not (kinds[3::4] == ord("\n")).all() or np.count_nonzero(kinds == ord("\n")) != len(kinds) // 4:
+        return None
     # csv.reader refuses a longer field; a UTF-8 byte count bounds the characters
-    longest = np.diff(newlines, prepend=-1, append=len(body)).max() - 1
-    return longest <= csv.field_size_limit()
+    if (bounds[7::4] - bounds[3:-1:4]).max() > csv.field_size_limit() + 1:
+        return None
+    return _Cells(raw, bounds[3:], range(2, len(bounds) // 4 + 1))
 
 
 _LINES_CHUNK = 1 << 16  # characters cut into lines at a time
@@ -438,37 +487,17 @@ def _lines(text: str) -> Iterator[str]:
         start = end
 
 
-def _tokenize(
-    text: str,
-) -> tuple[tuple[Sequence[str], ...], Sequence[int], Exception | None]:
-    """The data rows of ``text`` as four columns (ids, J, X, attrs) and the line
-    number of each row, plus the error that ends the rows early, if any.
-
-    Text without quotes, CR or NUL, whose first line is the plain header and
-    whose later lines hold three commas each, is split with ``str``
-    operations. Everything else goes through :func:`csv.reader`, which handles
-    RFC-4180 quoting, CRLF and blank lines; its rows stop at the first row with
-    the wrong number of columns, or at the first :class:`csv.Error`.
+def _csv_cells(text: str) -> tuple[_Cells, PopulationParseError | None]:
+    """The cells of ``text`` as read by :func:`csv.reader`, which handles
+    RFC-4180 quoting, CRLF and blank lines, plus the error that ends the rows
+    early, if any: a row with the wrong number of columns, or a
+    :class:`csv.Error` such as a field longer than ``csv.field_size_limit()``.
     """
-    if (
-        text.startswith(_HEADER_LINE)
-        and '"' not in text
-        and "\r" not in text
-        and "\0" not in text
-        and _one_row_per_line(text)
-    ):
-        cells = text.replace("\n", ",").split(",")
-        # the header's four cells come first; a final LF leaves one empty cell last
-        stop = len(cells) - text.endswith("\n")
-        columns = tuple(cells[first:stop:4] for first in range(4, 8))
-        return columns, range(2, len(columns[0]) + 2), None
-    ids: list[str] = []
-    js: list[str] = []
-    xs: list[str] = []
-    attrs: list[str] = []
+    cells: list[str] = []
     lines: list[int] = []
     header_seen = False
     pending = None
+    line = 0
     try:
         for line, row in enumerate(csv.reader(_lines(text)), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -483,34 +512,185 @@ def _tokenize(
                 pending = PopulationParseError(f"expected 4 columns, got {len(row)}", line)
                 break
             else:
-                ident, j, x, attr_text = row
-                ids.append(ident)
-                js.append(j)
-                xs.append(x)
-                attrs.append(attr_text)
+                cells.extend(row)
                 lines.append(line)
     except csv.Error as exc:
-        pending = exc
+        pending = PopulationParseError(str(exc), line + 1)
     if not header_seen and pending is None:
         raise PopulationParseError("empty input: missing header", 1)
-    return (ids, js, xs, attrs), lines, pending
+    encoded = [cell.encode("utf-8", "surrogatepass") for cell in cells]
+    lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
+    bounds = np.cumsum(np.concatenate(([7], lengths + 1)))
+    return _Cells(bytes(8) + b",".join(encoded) + bytes(1), bounds, lines), pending
 
 
-def _parse_unmapped(
-    labels: list[int | None], cells: Sequence[str], column: str, lines: Sequence[int]
-) -> tuple[int, PopulationParseError] | None:
-    """Fill in, with :func:`_parse_binary`, the labels that the plain lookup
-    left ``None`` (cells that need stripping, or bad ones); the row and error
-    of the first cell that does not parse."""
-    row = -1
-    for _ in range(labels.count(None)):
-        row = labels.index(None, row + 1)
-        try:  # only X may be empty
-            label = _parse_binary(cells[row], column, lines[row], optional=column == "X")
+def _labels(cells: _Cells, column: int) -> tuple[np.ndarray, tuple[int, PopulationParseError] | None]:
+    """Column J (1) or X (2) as ``int8`` labels, ``MISSING`` for an empty X,
+    plus the row and error of the first cell that does not parse.
+
+    A cell that is exactly ``0`` or ``1`` is read from its byte; any other
+    (one that needs stripping, or a bad one) goes through :func:`_parse_binary`.
+    """
+    name, optional = CSV_HEADER[column], column == 2
+    starts, ends = cells.column(column)
+    lengths = ends - starts
+    labels = np.frombuffer(cells.raw, dtype=np.uint8)[starts] - ord("0")  # wraps below "0"
+    parsed = (lengths == 1) & (labels <= 1)
+    if optional:
+        empty = lengths == 0
+        labels[empty] = _NO_CRITERION
+        parsed |= empty
+    for row in np.flatnonzero(~parsed).tolist():
+        try:
+            label = _parse_binary(cells.text(column, row), name, cells.lines[row], optional)
         except PopulationParseError as exc:
-            return row, exc
+            return labels.view(np.int8), (row, exc)
         labels[row] = _NO_CRITERION if label is None else label
-    return None
+    return labels.view(np.int8), None
+
+
+# how far a last word of 1 to 8 bytes, loaded with the bytes before it, is shifted down
+_TAIL_SHIFTS = np.array([0, 56, 48, 40, 32, 24, 16, 8, 0], dtype=np.uint64)
+
+
+def _field_words(
+    data: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> Iterator[tuple[np.ndarray | slice, np.ndarray]]:
+    """Yield ``(rows, words)`` for k = 0, 1, ...: the fields ``data[start:end]``
+    that have a byte 8k, and bytes 8k to 8k + 7 of each as a little-endian
+    ``uint64``, zero-padded past the field's end.
+
+    Each word is one unaligned 8-byte load that ends within its field, so at
+    least eight bytes of ``data`` must precede every field.
+    """
+    loads = np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))
+    rows: np.ndarray | slice = slice(None)
+    offsets, left = starts, ends - starts
+    while True:
+        if not (left > 0).all():
+            kept = np.flatnonzero(left > 0)
+            rows = kept if isinstance(rows, slice) else rows[kept]
+            offsets, left = offsets[kept], left[kept]
+        if not left.size:
+            return
+        size = np.minimum(left, 8)
+        last = offsets + size
+        last -= 8
+        words = loads[last]
+        words >>= _TAIL_SHIFTS[size]
+        yield rows, words
+        offsets, left = offsets + 8, left - 8
+
+
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # 2^64 over the golden ratio, odd
+
+
+def _mix_keys(lengths: np.ndarray, rounds: Iterable[tuple[np.ndarray | slice, np.ndarray]]) -> np.ndarray:
+    """A ``uint64`` key per field from its length and its :func:`_field_words`
+    rounds: equal fields get equal keys, and unequal ones almost always
+    unequal keys.
+
+    Each word is folded in by a multiply and a shift, which for a given key so
+    far maps distinct words to distinct keys.
+    """
+    keys = lengths.astype(np.uint64)
+    for rows, words in rounds:
+        folded = keys[rows] ^ words
+        folded *= _MIX
+        folded ^= folded >> np.uint64(32)
+        keys[rows] = folded
+    return keys
+
+
+def _group_cells(cells: _Cells, column: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group the cells of ``column`` by their bytes: the first row of each group
+    in first-appearance order, and each row's group, numbered in that order.
+
+    Rows are grouped by key, then every row's words are compared with its
+    group's first row's; only if two different cells share a key are the cells
+    grouped again, as bytes.
+    """
+    data = np.frombuffer(cells.raw, dtype=np.uint8)
+    starts, ends = cells.column(column)
+    lengths = ends - starts
+    rounds = list(_field_words(data, starts, ends))
+    keys = _mix_keys(lengths, rounds)
+    order = np.argsort(keys)
+    ordered = keys[order]
+    opens = np.empty(len(keys), dtype=bool)
+    opens[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=opens[1:])
+    group = np.empty(len(keys), dtype=np.intp)
+    group[order] = np.cumsum(opens) - 1
+    first = np.minimum.reduceat(order, np.flatnonzero(opens))
+    leader = first[group]
+    exact = (lengths[leader] == lengths).all()
+    position = np.empty(len(keys), dtype=np.intp)  # of each row within a round's rows
+    for rows, words in rounds:
+        if not exact:
+            break
+        if isinstance(rows, slice):
+            leader_words = words[leader]
+        else:  # a leader has as many words as the rows it leads
+            position[rows] = np.arange(len(rows))
+            leader_words = words[position[leader[rows]]]
+        exact = (leader_words == words).all()
+    if not exact:
+        index: dict[bytes, int] = {}
+        group = np.array(
+            [index.setdefault(cells.raw[s:e], len(index)) for s, e in zip(starts.tolist(), ends.tolist())],
+            dtype=np.intp,
+        )
+        _, first = np.unique(group, return_index=True)
+    order = np.argsort(first)
+    renumber = np.empty_like(order)
+    renumber[order] = np.arange(len(order))
+    return first[order], renumber[group]
+
+
+_GRAPHIC_ASCII = np.zeros(256, dtype=bool)  # the bytes of "!" to "~", which str.strip keeps
+_GRAPHIC_ASCII[ord("!") : ord("~") + 1] = True
+
+
+def _id_bounds(cells: _Cells) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, Exception]]]:
+    """The byte range in ``cells.raw`` of every stripped id, plus (row, 0, error)
+    for the first empty id and (row, 1, error) for the first duplicate.
+
+    Only an id whose first or last byte is not printable ASCII can change under
+    ``str.strip``; those ids are stripped as text. Duplicates are found by
+    sorting the ids' keys; the ids whose keys repeat are compared as bytes.
+    """
+    raw = cells.raw
+    data = np.frombuffer(raw, dtype=np.uint8)
+    starts, ends = cells.column(0)
+    edge = ~(_GRAPHIC_ASCII[data[starts]] & _GRAPHIC_ASCII[data[ends - 1]]) | (starts == ends)
+    for row in np.flatnonzero(edge).tolist():
+        cell = cells.text(0, row)
+        ident = cell.strip()
+        starts[row] += len(cell[: len(cell) - len(cell.lstrip())].encode("utf-8", "surrogatepass"))
+        ends[row] = starts[row] + len(ident.encode("utf-8", "surrogatepass"))
+    errors: list[tuple[int, int, Exception]] = []
+    empty = np.flatnonzero(starts == ends)
+    if empty.size:
+        row = int(empty[0])
+        errors.append((row, 0, PopulationParseError("empty id", cells.lines[row])))
+    keys = _mix_keys(ends - starts, _field_words(data, starts, ends))
+    ordered = np.sort(keys)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    suspects = np.flatnonzero(np.isin(keys, repeated)).tolist() if repeated.size else []
+    seen: set[bytes] = set()
+    for row in suspects:
+        ident = raw[starts[row] : ends[row]]
+        if ident in seen:
+            message = f"duplicate id {_decode(raw, starts[row], ends[row])!r}"
+            errors.append((row, 1, PopulationParseError(message, cells.lines[row])))
+            break
+        seen.add(ident)
+    return starts, ends, errors
+
+
+def _decode_all(raw: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[str, ...]:
+    return tuple(map(partial(_decode, raw), starts.tolist(), ends.tolist()))
 
 
 def load_population(source: str | IO[str]) -> Population:
@@ -520,63 +700,50 @@ def load_population(source: str | IO[str]) -> Population:
     ``name=value`` pairs and may be empty. Fields may be quoted as in
     RFC 4180; CRLF input, blank lines and one leading UTF-8 byte-order mark
     are tolerated. Raises :class:`PopulationParseError` naming the offending
-    line on any malformed row, duplicate id, or out-of-range label.
+    line on any malformed row, duplicate id, out-of-range label, or field
+    longer than ``csv.field_size_limit()``.
 
-    Two stages: :func:`_tokenize` cuts the text into columns, then whole
+    Two stages: the text's cells are located as byte ranges of its UTF-8
+    encoding, by :func:`_plain_cells` or else :func:`_csv_cells`; then whole
     columns are validated and encoded. The error raised is the first
     offending row's, checking each row's column count, id (empty, then
-    duplicate), ``J``, ``X`` and ``attrs`` in that order.
+    duplicate), ``J``, ``X`` and ``attrs`` in that order. The member ids are
+    decoded only when first asked for.
     """
     text = source if isinstance(source, str) else source.read()
     if text.startswith("\ufeff"):
         text = text[1:]
-    (ids, js, xs, attrs), lines, pending = _tokenize(text)
-    n = len(ids)
+    cells = _plain_cells(text.encode("utf-8", "surrogatepass"))
+    pending = None
+    if cells is None:
+        cells, pending = _csv_cells(text)
     # (row, position of the check within the row, error) of each check's first failure
-    errors: list[tuple[int, int, Exception]] = []
+    id_starts, id_ends, errors = _id_bounds(cells)
+    merit, error = _labels(cells, 1)
+    if error:
+        errors.append((error[0], 2, error[1]))
+    criterion, error = _labels(cells, 2)
+    if error:
+        errors.append((error[0], 3, error[1]))
 
     # Each distinct attrs string is parsed once, in first-appearance order.
-    attr_codes = dict(zip(dict.fromkeys(attrs), range(n)))
-    attr_rows = np.fromiter(map(attr_codes.__getitem__, attrs), dtype=np.intp, count=n)
-    del attrs  # the largest column, no longer needed
+    first_rows, attr_rows = _group_cells(cells, 3)
     attr_dicts = []
-    for code, attr_text in enumerate(attr_codes):
+    for row in first_rows.tolist():
         try:
-            attr_dicts.append(_parse_attrs(attr_text))
+            attr_dicts.append(_parse_attrs(cells.text(3, row)))
         except PopulationParseError as exc:
-            row = int(np.flatnonzero(attr_rows == code)[0])
-            errors.append((row, 4, PopulationParseError(str(exc), lines[row])))
+            errors.append((row, 4, PopulationParseError(str(exc), cells.lines[row])))
             break
-
-    merit = list(map(_BINARY.get, js))
-    criterion = list(map(_CRITERION.get, xs))
-    for check, labels, cells, column in ((2, merit, js, "J"), (3, criterion, xs, "X")):
-        error = _parse_unmapped(labels, cells, column, lines)
-        if error:
-            errors.append((error[0], check, error[1]))
-    del js, xs, cells  # the J and X cells, no longer needed
-
-    ids = list(map(str.strip, ids))
-    index = dict(zip(ids, range(n)))
-    if "" in index:
-        row = ids.index("")
-        errors.append((row, 0, PopulationParseError("empty id", lines[row])))
-    if len(index) < n:
-        seen: set[str] = set()
-        for row, ident in enumerate(ids):
-            if ident in seen:
-                errors.append((row, 1, PopulationParseError(f"duplicate id {ident!r}", lines[row])))
-                break
-            seen.add(ident)
 
     if errors:
         raise min(errors, key=lambda error: error[:2])[2]
     if pending is not None:
         raise pending
     return Population._from_columns(
-        index,
-        np.frombuffer(bytes(merit), dtype=np.int8),
-        np.frombuffer(bytes(criterion), dtype=np.int8),
+        partial(_decode_all, cells.raw, id_starts, id_ends),
+        merit,
+        criterion,
         _encode_attributes(attr_dicts, attr_rows),
     )
 

@@ -411,4 +411,4 @@ def test_audit_field_over_csv_limit_is_an_error(capsys, tmp_path):
     )
     assert code == 1 and out == ""
     assert single_error_line(err)
-    assert "field larger than field limit" in err
+    assert "line 2: field larger than field limit" in err

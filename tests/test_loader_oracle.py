@@ -2,7 +2,7 @@
 
 The reference is the row-by-row loader the column-at-a-time one replaced:
 :func:`csv.reader` over the whole text, every check made per row in order.
-Generated texts mix the plain form the fast tokenizer splits itself with
+Generated texts mix the plain form the loader reads from its bytes with
 everything that has to go through :func:`csv.reader` (quoted fields, CRLF,
 blank lines, a BOM, wrong column counts), and both loaders must build equal
 populations or raise the same exception type with the same message.
@@ -13,10 +13,12 @@ from __future__ import annotations
 import csv
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from procfair import population
 from procfair.errors import PopulationParseError
 from procfair.population import (
     _LINES_CHUNK,
@@ -24,6 +26,7 @@ from procfair.population import (
     Individual,
     Population,
     _lines,
+    _plain_cells,
     load_population,
 )
 
@@ -63,7 +66,16 @@ def reference_load(source):
     members = []
     seen = set()
     header_seen = False
-    for line, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+    rows = csv.reader(io.StringIO(text))
+    line = 0
+    while True:
+        try:
+            row = next(rows)
+        except StopIteration:
+            break
+        except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
+            raise PopulationParseError(str(exc), line + 1) from None
+        line += 1
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if not header_seen:
@@ -94,7 +106,7 @@ def outcome(load, text, as_file):
     """The population ``load`` builds from ``text``, or (error type, message)."""
     try:
         return load(io.StringIO(text) if as_file else text)
-    except (PopulationParseError, csv.Error) as exc:
+    except PopulationParseError as exc:
         return type(exc), str(exc)
 
 
@@ -207,6 +219,8 @@ def test_field_size_limit_is_kept():
         csv.field_size_limit(8)
         assert_same("id,J,X,attrs\na,1,0,sex=M\nb,1,0,sex=Female\n")
         assert_same("id,J,X,attrs\na,1,0,sex=M\nb,1,0,sex=M\n")
+        with pytest.raises(PopulationParseError, match=r"^line 3: field larger than field limit \(8\)$"):
+            load_population("id,J,X,attrs\na,1,0,sex=M\nb,1,0,sex=Female\n")
     finally:
         csv.field_size_limit(limit)
 
@@ -225,6 +239,63 @@ def test_text_longer_than_a_chunk_matches_the_reference(eol, final_eol, bad_row)
     text = eol.join(["id,J,X,attrs"] + body) + (eol if final_eol else "")
     assert len(text) > 3 * _LINES_CHUNK
     assert list(_lines(text)) == io.StringIO(text).readlines()
+    assert_same(text)
+
+
+# --- plain texts, read from their bytes ---------------------------------------------
+
+# Ids of 1 to 20 UTF-8 bytes: the prefixes make ids that share their first 8 or
+# 16 bytes, and the other characters put multi-byte and whitespace bytes at the
+# edges, where str.strip may remove them.
+ID_PREFIXES = ["", "", "abcdefgh", "abcdefgh12345678"]  # no prefix half the time
+ID_CHARS = "xy9é… \t"
+plain_ids = st.builds(
+    str.__add__, st.sampled_from(ID_PREFIXES), st.text(ID_CHARS, max_size=4)
+).filter(lambda ident: 1 <= len(ident.encode()) <= 20)
+plain_attrs = st.lists(
+    st.tuples(st.sampled_from(["a", "sex", "region_of_residence"]), st.text("vwé", min_size=1, max_size=20)),
+    max_size=3,
+    unique_by=lambda pair: pair[0],
+).map(lambda pairs: ";".join(f"{name}={value}" for name, value in pairs))
+
+
+@st.composite
+def plain_texts(draw):
+    ids = draw(st.lists(plain_ids, min_size=1, max_size=12))
+    if len(ids) > 1 and draw(st.booleans()):  # repeat an id at a later row
+        earlier = draw(st.integers(0, len(ids) - 2))
+        ids[draw(st.integers(earlier + 1, len(ids) - 1))] = ids[earlier]
+    pool = draw(st.lists(plain_attrs, min_size=1, max_size=4))  # so attrs strings repeat
+    rows = [
+        ",".join([ident, draw(st.sampled_from("01")), draw(st.sampled_from(["0", "1", ""])),
+                  draw(st.sampled_from(pool))])
+        for ident in ids
+    ]
+    return "\n".join(["id,J,X,attrs"] + rows) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(plain_texts())
+def test_byte_path_matches_the_reference(text):
+    assert _plain_cells(text.encode()) is not None
+    assert_same(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "id,J,X,attrs\nabcdefgh1,1,0,sex=M\nabcdefgh2,0,1,region=north;sex=F\n a,1,,\né…,0,0,sex=M\n"
+        "abcdefgh,1,1,sex=F;region=north\nb,0,0,\n",
+        "id,J,X,attrs\nabcdefgh1,1,0,sex=M\nabcdefgh2,0,1,region=north;sex=F\n a,1,,\n"
+        "abcdefgh,1,1,sex=F\nabcdefgh2,0,0,sex=M\n",
+        'id,J,X,attrs\r\n"a,b",1,0,sex=M\r\nb,0,1,"sex=F"\r\n',
+        # NUL bytes pad a cell's last word, so only the lengths tell these apart
+        "id,J,X,attrs\na,1,0,sex=M\nb,0,1,sex=M\0\nc\0,1,1,\nc,0,0,sex=M\n",
+    ],
+)
+def test_equal_keys_are_told_apart_by_their_bytes(monkeypatch, text):
+    """With every id and attrs string given the same key, the byte comparison alone decides."""
+    monkeypatch.setattr(population, "_mix_keys", lambda lengths, rounds: np.zeros(len(lengths), np.uint64))
     assert_same(text)
 
 

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from procfair.errors import PopulationParseError, UnknownIdError
+from procfair.fairness import expected_contingency
 from procfair.population import (
     AttributeEquals,
     CriterionEquals,
@@ -11,10 +13,13 @@ from procfair.population import (
     Population,
     Singleton,
     dump_population,
+    group_cells,
     group_members,
     load_population,
     merit_counts,
 )
+from procfair.procedure import exact_rates, per_group_procedure
+from procfair.theorem import construct_witness
 
 HEADER = "id,J,X,attrs\n"
 
@@ -186,3 +191,27 @@ def test_load_drops_one_leading_byte_order_mark():
     # only one mark, and only before the header
     with pytest.raises(PopulationParseError, match="line 1.*expected header"):
         load_population("\ufeff\ufeff" + HEADER + "a,1,0,\n")
+
+
+def test_loaded_ids_are_built_only_when_asked():
+    rows = [f"m{i},{i % 2},{i // 2 % 2},sex={'MF'[i % 3 % 2]};region=r{i % 5}" for i in range(1000)]
+    pop = load_population(HEADER + "\n".join(rows) + "\n")
+    proc = per_group_procedure("region", {f"r{v}": ("3/4", "1/10") for v in range(5)})
+    for value in pop.attribute_values("region"):
+        exact_rates(proc, pop, AttributeEquals("region", value))
+    expected_contingency(pop, proc, "sex")
+    construct_witness(pop)
+    assert "_ids" not in pop.__dict__ and "_index" not in pop.__dict__
+
+    built = Population(pop.members)
+    assert pop.ids() == built.ids()
+    assert pop.by_id == built.by_id
+    chosen = ExplicitIdSet(["m3", "m999", "m0"])
+    assert np.array_equal(group_cells(pop, chosen), group_cells(built, chosen))
+    for unknown in (Singleton("m1000"), ExplicitIdSet(["m1", "x", "y"])):
+        messages = []
+        for each in (pop, built):
+            with pytest.raises(UnknownIdError) as raised:
+                group_cells(each, unknown)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
