@@ -47,8 +47,16 @@ PROCEDURES = {
     },
 }
 
-# golden file name -> argv; "{proc:<name>}" stands for that procedure file
-DET, GLOBAL, EQUAL = "{proc:det}", "{proc:global}", "{proc:equal}"
+POINTS = [
+    {"label": "a<b", "h": "3/4", "k": "1/10"},
+    {"label": "coin", "h": "1/2", "k": "1/2"},
+    {"label": "unjust & co", "h": "1/5", "k": "0.9"},
+    {"label": "near", "h": "0.55", "k": "0.5"},
+]
+
+# golden file name -> argv; "{proc:<name>}" stands for that procedure file and
+# "{points}" for the POINTS file; audit, witness and simulate get the population
+DET, GLOBAL, EQUAL, PTS = "{proc:det}", "{proc:global}", "{proc:equal}", "{points}"
 CSV = ["--format", "csv"]
 SIM = ["--seed", "11", "--trials", "100"]
 CASES = {
@@ -61,13 +69,24 @@ CASES = {
     "audit-trials.json": [
         "audit", "--procedure", EQUAL, "--attribute", "region", "--trials", "50", "--seed", "3",
     ],
+    "audit-trials.csv": [
+        "audit", "--procedure", EQUAL, "--attribute", "region", "--trials", "50", "--seed", "3", *CSV,
+    ],
     "witness.json": ["witness", "--format", "json"],
     "witness.txt": ["witness"],
+    "witness-skip.json": ["witness", "--max-n", "5", "--format", "json"],
+    "witness-skip.txt": ["witness", "--max-n", "5"],
     "simulate.json": ["simulate", "--procedure", GLOBAL, *SIM],
     "simulate.csv": ["simulate", "--procedure", EQUAL, *SIM, *CSV],
     "example1.txt": ["example1"],
     "example1.json": ["example1", "--format", "json"],
     "example1.csv": ["example1", *CSV],
+    "classify.txt": ["classify", "--h", "3/4", "--k", "1/10"],
+    "classify.json": ["classify", "--h", "13/20", "--k", "0.6", "--eps", "0.05", "--format", "json"],
+    "roc.svg": ["roc-export", PTS],
+    "roc.csv": ["roc-export", PTS, "--eps", "1/10", *CSV],
+    "roc.json": ["roc-export", PTS, "--format", "json"],
+    "roc-empty.svg": ["roc-export"],
 }
 
 
@@ -77,12 +96,15 @@ def _argv(case: str, directory: Path) -> list[str]:
         pop.write_text(population_csv(), encoding="utf-8")
         for name, doc in PROCEDURES.items():
             (directory / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+        (directory / "points.json").write_text(json.dumps(POINTS), encoding="utf-8")
     argv = []
     for arg in CASES[case]:
         if arg.startswith("{proc:"):
             arg = str(directory / f"{arg[6:-1]}.json")
+        elif arg == PTS:
+            arg = str(directory / "points.json")
         argv.append(arg)
-    if argv[0] != "example1":
+    if argv[0] in ("audit", "witness", "simulate"):
         argv[1:1] = ["--population", str(pop)]
     return argv + ["--out", str(directory / case)]
 
