@@ -13,20 +13,13 @@ imperfect justice coexisting when only a limited set of groups is protected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
-from .fairness import (
-    ContingencyTable,
-    FairnessVerdict,
-    JusticeMetrics,
-    check_pairwise_fairness,
-    expected_contingency,
-    justice_metrics,
-)
+from . import serialize
+from .fairness import check_pairwise_fairness, expected_contingency, justice_metrics
 from .population import (
     GUILTY,
     INNOCENT,
@@ -35,8 +28,8 @@ from .population import (
     AttributeEquals,
     Population,
 )
-from .procedure import ConditionalRates, RandomizedProcedure, exact_rates, global_procedure, make_group_fair
-from .roc import ProcedureClass, RocPoint, classify
+from .procedure import RandomizedProcedure, exact_rates, global_procedure, make_group_fair
+from .roc import RocPoint, classify
 
 SEX = "sex"
 GROUP_SIZES: Mapping[str, Mapping[int, int]] = {
@@ -81,34 +74,15 @@ def demo_group_fair_procedure() -> RandomizedProcedure:
     return make_group_fair(RATE_GUILTY, RATE_INNOCENT, SEX, GROUP_SIZES)
 
 
-@dataclass(frozen=True)
-class DemoStage:
-    name: str
-    procedure: RandomizedProcedure
-    rates_by_group: Mapping[str, ConditionalRates]
-    verdict: FairnessVerdict
-    contingency: ContingencyTable
-    justice: JusticeMetrics
-    classification: ProcedureClass
-
-
-@dataclass(frozen=True)
-class DemoReport:
-    note: str
-    population_size: int
-    group_sizes: Mapping[str, Mapping[int, int]]
-    stages: tuple[DemoStage, ...]
-
-
-def demo_report() -> DemoReport:
-    """Run both stages of the demonstration and collect their exact numbers."""
+def demo_report() -> dict:
+    """Run both stages of the demonstration: the ``example1`` report document."""
     pop = demo_population()
+    groups = {value: AttributeEquals(SEX, value) for value in GROUP_SIZES}
     stages = []
     for name, proc in (
         ("global", demo_global_procedure()),
         ("group-fair", demo_group_fair_procedure()),
     ):
-        groups = {value: AttributeEquals(SEX, value) for value in GROUP_SIZES}
         rates = {value: exact_rates(proc, pop, g) for value, g in groups.items()}
         verdict = check_pairwise_fairness(
             rates["M"], rates["F"], 0, group_a=groups["M"], group_b=groups["F"]
@@ -120,19 +94,24 @@ def demo_report() -> DemoReport:
             totals[INNOCENT].expected_convictions / totals[INNOCENT].count,
         )
         stages.append(
-            DemoStage(
-                name=name,
-                procedure=proc,
-                rates_by_group=rates,
-                verdict=verdict,
-                contingency=table,
-                justice=justice_metrics(table),
-                classification=classify(point),
-            )
+            {
+                "name": name,
+                "procedure": serialize.procedure_json(proc),
+                "rates_by_group": {value: serialize.rates_json(r) for value, r in rates.items()},
+                "verdict": serialize.verdict_json(verdict),
+                "contingency": serialize.contingency_json(table),
+                "justice": serialize.justice_json(justice_metrics(table)),
+                "classification": classify(point).value,
+            }
         )
-    return DemoReport(
-        note=POPULATION_NOTE,
-        population_size=len(pop),
-        group_sizes=GROUP_SIZES,
-        stages=tuple(stages),
-    )
+    return {
+        "note": POPULATION_NOTE,
+        "population": {
+            "size": len(pop),
+            "groups": {
+                value: {"guilty": sizes[GUILTY], "innocent": sizes[INNOCENT]}
+                for value, sizes in GROUP_SIZES.items()
+            },
+        },
+        "stages": stages,
+    }

@@ -497,9 +497,11 @@ def _csv_cells(text: str) -> tuple[_Cells, PopulationParseError | None]:
     lines: list[int] = []
     header_seen = False
     pending = None
-    line = 0
+    reader = csv.reader(_lines(text))
+    start = 1  # the physical line the next record starts on
     try:
-        for line, row in enumerate(csv.reader(_lines(text)), start=1):
+        for row in reader:
+            line, start = start, reader.line_num + 1
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue  # blank line
             if not header_seen:
@@ -515,7 +517,7 @@ def _csv_cells(text: str) -> tuple[_Cells, PopulationParseError | None]:
                 cells.extend(row)
                 lines.append(line)
     except csv.Error as exc:
-        pending = PopulationParseError(str(exc), line + 1)
+        pending = PopulationParseError(str(exc), start)
     if not header_seen and pending is None:
         raise PopulationParseError("empty input: missing header", 1)
     encoded = [cell.encode("utf-8", "surrogatepass") for cell in cells]

@@ -75,7 +75,7 @@ def as_rational(value: int | float | str | Fraction | Decimal) -> Fraction:
 def as_probability(value: int | float | str | Fraction | Decimal) -> Fraction:
     """Like :func:`as_rational` but rejects values outside [0, 1]."""
     frac = as_rational(value)
-    if not 0 <= frac <= 1:
+    if not 0 <= frac.numerator <= frac.denominator:  # the denominator is positive
         raise ValueError(f"probability out of range [0, 1]: {value!r}")
     return frac
 

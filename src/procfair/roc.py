@@ -80,9 +80,12 @@ def classify(p: RocPoint, eps=0) -> ProcedureClass:
     tol = as_rational(eps)
     if not 0 <= tol < Fraction(1, 4):
         raise ValueError(f"eps must lie in [0, 1/4), got {eps!r}")
-    h, k = p.h, p.k
-    near_h0, near_h1 = h <= tol, 1 - h <= tol
-    near_k0, near_k1 = k <= tol, 1 - k <= tol
+    # h, k, tol and 1 over one common denominator: exact integer comparisons
+    hd, kd, td = p.h.denominator, p.k.denominator, tol.denominator
+    h, k = p.h.numerator * kd * td, p.k.numerator * hd * td
+    t, one = tol.numerator * hd * kd, hd * kd * td
+    near_h0, near_h1 = h <= t, one - h <= t
+    near_k0, near_k1 = k <= t, one - k <= t
     if near_h1 and near_k0:
         return ProcedureClass.PERFECTLY_JUST
     if near_h1 and near_k1:
@@ -95,9 +98,9 @@ def classify(p: RocPoint, eps=0) -> ProcedureClass:
         return ProcedureClass.PERFECT_FOR_GUILTY
     if near_k0:
         return ProcedureClass.PERFECT_FOR_INNOCENT
-    if abs(h - k) <= tol:
+    if abs(h - k) <= t:
         return ProcedureClass.MERIT_AGNOSTIC
-    if h - k > tol:
+    if h - k > t:
         return ProcedureClass.IMPERFECTLY_JUST
     return ProcedureClass.UNREASONABLY_UNJUST
 
@@ -137,6 +140,12 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
+def _check_unique_labels(labels: Sequence[str]) -> None:
+    if len(set(labels)) != len(labels):
+        dupes = sorted({l for l in labels if labels.count(l) > 1})
+        raise ValueError(f"duplicate point labels: {dupes}")
+
+
 def export_diagram(
     points: Sequence[tuple[str, RocPoint]], format: str = "svg", eps=0
 ) -> str:
@@ -147,10 +156,7 @@ def export_diagram(
     the dotted merit-agnostic segment, the two shaded half regions, and one
     labeled marker per point. Labels must be unique.
     """
-    labels = [label for label, _ in points]
-    if len(set(labels)) != len(labels):
-        dupes = sorted({l for l in labels if labels.count(l) > 1})
-        raise ValueError(f"duplicate point labels: {dupes}")
+    _check_unique_labels([label for label, _ in points])
     if format == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from procfair.cli import main
+from procfair.cli import build_parser, main
 from procfair.demo import demo_population
 from procfair.population import dump_population
 
@@ -317,6 +318,58 @@ def test_roc_export_bad_points_file(capsys, tmp_path):
     code, _, err = run(capsys, "roc-export", str(points))
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("fmt", ["svg", "csv", "json"])
+def test_roc_export_duplicate_labels_fail_alike_in_every_format(capsys, tmp_path, fmt):
+    points = tmp_path / "points.json"
+    points.write_text(
+        '[{"label": "p", "h": "1/2", "k": "0"}, {"label": "p", "h": "1", "k": "0"}]',
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "roc-export", str(points), "--format", fmt)
+    assert code == 1 and out == ""
+    assert err == "error: duplicate point labels: ['p']\n"
+
+
+# --- every command in every format ----------------------------------------------
+
+SEXED_CSV = "id,J,X,attrs\na,1,1,sex=M\nb,1,0,sex=F\nc,0,0,sex=M\nd,0,1,sex=F\n"
+COMMAND_ARGS = {  # small inputs for each command; "{pop}", "{proc}", "{points}" name files
+    "audit": ["--population", "{pop}", "--procedure", "{proc}", "--attribute", "sex"],
+    "classify": ["--h", "3/4", "--k", "1/10"],
+    "witness": ["--population", "{pop}"],
+    "simulate": ["--population", "{pop}", "--procedure", "{proc}", "--trials", "10"],
+    "example1": [],
+    "roc-export": ["{points}"],
+}
+
+
+def report_formats():
+    """Every (command, --format choice) pair that build_parser() offers."""
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in commands.choices.items():
+        for fmt in next(a for a in sub._actions if a.dest == "format").choices:
+            yield name, fmt
+
+
+@pytest.mark.parametrize(("command", "fmt"), list(report_formats()))
+def test_every_format_renders_and_out_matches_stdout(capsys, tmp_path, command, fmt):
+    files = {
+        "{pop}": ("population.csv", SEXED_CSV),
+        "{proc}": ("procedure.json", GROUP_FAIR_PROC),
+        "{points}": ("points.json", '[{"label": "a<b", "h": "3/4", "k": "1/10"}]'),
+    }
+    for name, text in files.values():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [command, *(str(tmp_path / files[a][0]) if a in files else a for a in COMMAND_ARGS[command])]
+    argv += ["--format", fmt]
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 2), err
+    assert out
+    out_file = tmp_path / f"report.{fmt}"
+    assert run(capsys, *argv, "--out", str(out_file)) == (code, "", err)
+    assert out_file.read_bytes() == out.encode("utf-8")
 
 
 def test_bad_population_csv_reports_line(capsys, tmp_path):

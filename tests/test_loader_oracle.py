@@ -67,15 +67,15 @@ def reference_load(source):
     seen = set()
     header_seen = False
     rows = csv.reader(io.StringIO(text))
-    line = 0
+    start = 1  # the physical line the next record starts on
     while True:
         try:
             row = next(rows)
         except StopIteration:
             break
         except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
-            raise PopulationParseError(str(exc), line + 1) from None
-        line += 1
+            raise PopulationParseError(str(exc), start) from None
+        line, start = start, rows.line_num + 1
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if not header_seen:
@@ -221,6 +221,26 @@ def test_field_size_limit_is_kept():
         assert_same("id,J,X,attrs\na,1,0,sex=M\nb,1,0,sex=M\n")
         with pytest.raises(PopulationParseError, match=r"^line 3: field larger than field limit \(8\)$"):
             load_population("id,J,X,attrs\na,1,0,sex=M\nb,1,0,sex=Female\n")
+    finally:
+        csv.field_size_limit(limit)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_errors_name_the_line_a_record_starts_on(eol):
+    """A quoted line break moves the next record one line down, for a bad
+    cell and for a field over csv's limit alike."""
+    head = ["id,J,X,attrs", 'a,1,0,"s=x', 'y"']
+    text = eol.join(head + ["b,2,0,", ""])
+    assert_same(text)
+    with pytest.raises(PopulationParseError, match=r"^line 4: J must be 0 or 1"):
+        load_population(text)
+    limit = csv.field_size_limit()
+    try:
+        csv.field_size_limit(8)
+        text = eol.join(head + ["b,1,0,sex=Female", ""])
+        assert_same(text)
+        with pytest.raises(PopulationParseError, match=r"^line 4: field larger than field limit \(8\)$"):
+            load_population(text)
     finally:
         csv.field_size_limit(limit)
 

@@ -61,6 +61,33 @@ def test_classify_matches_independent_case_analysis(h, k):
     assert classify(RocPoint(h, k)) is expected_class(h, k)
 
 
+def banded_class(h: Fraction, k: Fraction, eps: Fraction) -> ProcedureClass:
+    """classify's bands restated in Fraction arithmetic: the corners, then the
+    h = 1 and k = 0 edges, then the diagonal, each a band of width eps."""
+
+    def snap(x):
+        return 0 if x <= eps else 1 if 1 - x <= eps else None
+
+    if snap(h) is not None and snap(k) is not None:
+        return expected_class(snap(h), snap(k))
+    if snap(h) == 1:
+        return ProcedureClass.PERFECT_FOR_GUILTY
+    if snap(k) == 0:
+        return ProcedureClass.PERFECT_FOR_INNOCENT
+    if abs(h - k) <= eps:
+        return ProcedureClass.MERIT_AGNOSTIC
+    return ProcedureClass.IMPERFECTLY_JUST if h - k > eps else ProcedureClass.UNREASONABLY_UNJUST
+
+
+@given(
+    unit_fractions,
+    unit_fractions,
+    st.fractions(min_value=0, max_value=Fraction(1, 4)).filter(lambda e: e < Fraction(1, 4)),
+)
+def test_classify_matches_the_bands_in_fraction_arithmetic(h, k, eps):
+    assert classify(RocPoint(h, k), eps) is banded_class(h, k, eps)
+
+
 @given(unit_fractions, unit_fractions)
 def test_swap_duality(h, k):
     # swapping the rates mirrors a procedure across the merit-agnostic diagonal
