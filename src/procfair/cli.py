@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -28,7 +29,6 @@ from .fairness import check_pairwise_fairness, expected_contingency, justice_met
 from .population import GUILTY, INNOCENT, AttributeEquals, load_population
 from .procedure import (
     ConditionalRates,
-    as_probability,
     as_rational,
     conviction_sums,
     empirical_rates,
@@ -36,8 +36,7 @@ from .procedure import (
     load_procedure,
     simulate,
 )
-from .roc import RocPoint, classify, export_diagram, is_merit_agnostic, to_diamond
-from .roc import _check_unique_labels
+from .roc import RocPoint, classify, diagram_rows, is_merit_agnostic, render_diagram
 from .theorem import DEFAULT_MAX_N, _check_search_limit, construct_witness, exhaustive_search
 
 EXIT_OK = 0
@@ -171,7 +170,7 @@ def _audit_csv(doc, args) -> str:
 
 
 def _cmd_classify(args):
-    point = RocPoint(as_probability(args.h), as_probability(args.k))
+    point = RocPoint(args.h, args.k)
     eps = as_rational(args.eps)
     cls = classify(point, eps)
     return {
@@ -340,35 +339,12 @@ def _cmd_roc_export(args):
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict) or not {"label", "h", "k"} <= set(entry):
                 raise ProcfairError(f"points entry {i} must carry label, h and k")
-            points.append(
-                (str(entry["label"]), RocPoint(as_probability(entry["h"]), as_probability(entry["k"])))
-            )
-    _check_unique_labels([label for label, _ in points])
-    eps = as_rational(args.eps)
-    doc = []
-    for label, point in points:
-        x, y = to_diamond(point)
-        cls = classify(point, eps)
-        doc.append(
-            {
-                "label": label,
-                "h": serialize.rational_json(point.h),
-                "k": serialize.rational_json(point.k),
-                "x": x,
-                "y": y,
-                "class": cls.value,
-                "merit_agnostic": is_merit_agnostic(cls),
-            }
-        )
-    return doc, EXIT_OK
+            points.append((str(entry["label"]), RocPoint(entry["h"], entry["k"])))
+    return diagram_rows(points, args.eps), EXIT_OK
 
 
 def _roc_diagram(doc, args) -> str:
-    points = [
-        (row["label"], RocPoint(Fraction(row["h"]["ratio"]), Fraction(row["k"]["ratio"])))
-        for row in doc
-    ]
-    return export_diagram(points, format=args.format, eps=as_rational(args.eps))
+    return render_diagram(doc, args.format)
 
 
 # --- parser ------------------------------------------------------------------
@@ -382,6 +358,7 @@ def _add_report(parser, func, renderers) -> None:
     parser.set_defaults(func=func, render=renderers)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="procfair",

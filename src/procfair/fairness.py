@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Mapping
+from itertools import combinations, islice
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -135,6 +135,24 @@ class AbsoluteFairnessReport:
     truncated: bool
 
 
+def _singleton_violations(
+    pop: Population, codes: np.ndarray, probs: list[Fraction], tol: Fraction
+) -> Iterator[GroupPairViolation]:
+    """Lazily yield each pair of same-class members whose probabilities differ
+    by more than ``tol``, class by class, pairs in member order."""
+    ids = pop.ids()
+    member_probs = [probs[c] for c in codes.tolist()]
+    merit_of = pop.merit.tolist()
+    for merit in (GUILTY, INNOCENT):
+        in_class = [(ids[i], p) for i, p in enumerate(member_probs) if merit_of[i] == merit]
+        class_probs = [p for _, p in in_class]
+        if not in_class or max(class_probs) - min(class_probs) <= tol:
+            continue  # whole class within tolerance: no pair can violate
+        for (id_a, p_a), (id_b, p_b) in combinations(in_class, 2):
+            if abs(p_a - p_b) > tol:
+                yield GroupPairViolation(Singleton(id_a), Singleton(id_b), (merit,))
+
+
 def check_absolute_fairness(
     proc: Procedure,
     pop: Population,
@@ -155,66 +173,40 @@ def check_absolute_fairness(
     ``theorem.MAX_SEARCH_N``, the ceiling it shares with
     ``exhaustive_search`` and ``witness --max-n``, and populations larger
     than ``max_n`` (suggest singletons mode instead, which is linear).
-    Violations are listed in a deterministic order and truncated at
-    ``max_violations``.
+    Both modes yield violations lazily in a deterministic order and share one
+    truncation rule: the first ``max_violations`` are listed (none if it is not
+    positive), ``truncated`` says a further one exists, ``fair`` that none does.
     """
     tol = as_rational(tolerance)
     if tol < 0:
         raise ValueError(f"tolerance must be non-negative, got {tolerance!r}")
     codes, probs = _probability_codes(proc, pop)
-    ids = pop.ids()
 
     if mode == "singletons":
-        violations: list[GroupPairViolation] = []
-        truncated = False
-        member_probs = [probs[c] for c in codes.tolist()]
-        merit_of = pop.merit.tolist()
-        for merit in (GUILTY, INNOCENT):
-            in_class = [(ids[i], p) for i, p in enumerate(member_probs) if merit_of[i] == merit]
-            if not in_class:
-                continue
-            lo = min(p for _, p in in_class)
-            hi = max(p for _, p in in_class)
-            if hi - lo <= tol:
-                continue  # whole class within tolerance: no pair can violate
-            for i, (id_a, p_a) in enumerate(in_class):
-                for id_b, p_b in in_class[i + 1 :]:
-                    if abs(p_a - p_b) > tol:
-                        if len(violations) >= max_violations:
-                            truncated = True
-                            break
-                        violations.append(
-                            GroupPairViolation(Singleton(id_a), Singleton(id_b), (merit,))
-                        )
-                if truncated:
-                    break
-            if truncated:
-                break
-        fair = not violations and not truncated
-        return AbsoluteFairnessReport("singletons", fair, tuple(violations), truncated)
-
-    if mode != "bipartitions":
+        stream = _singleton_violations(pop, codes, probs, tol)
+    elif mode == "bipartitions":
+        theorem._check_search_limit(max_n)
+        n = len(pop)
+        if n > max_n:
+            raise SizeLimitError(
+                f"population of {n} exceeds bipartition limit {max_n}; "
+                "use singletons mode for large populations"
+            )
+        ids = pop.ids()
+        stream = (
+            GroupPairViolation(
+                ExplicitIdSet(ids[i] for i in range(n) if mask >> i & 1),
+                ExplicitIdSet(ids[i] for i in range(n) if not mask >> i & 1),
+                violated,
+            )
+            for mask, violated in theorem._bipartition_violations(pop, proc, tol)
+        )
+    else:
         raise ValueError(f"mode must be 'singletons' or 'bipartitions', got {mode!r}")
 
-    theorem._check_search_limit(max_n)
-    n = len(pop)
-    if n > max_n:
-        raise SizeLimitError(
-            f"population of {n} exceeds bipartition limit {max_n}; "
-            "use singletons mode for large populations"
-        )
     limit = max(max_violations, 0)
-    found = list(islice(theorem._bipartition_violations(pop, proc, tol), limit + 1))
-    violations = [
-        GroupPairViolation(
-            ExplicitIdSet(ids[i] for i in range(n) if mask >> i & 1),
-            ExplicitIdSet(ids[i] for i in range(n) if not mask >> i & 1),
-            violated,
-        )
-        for mask, violated in found[:limit]
-    ]
-    truncated = len(found) > limit
-    return AbsoluteFairnessReport("bipartitions", not found, tuple(violations), truncated)
+    found = list(islice(stream, limit + 1))
+    return AbsoluteFairnessReport(mode, not found, tuple(found[:limit]), len(found) > limit)
 
 
 # --- contingency tables and justice metrics ---------------------------------

@@ -257,9 +257,6 @@ class AttributeEquals:
     def matches(self, ind: Individual) -> bool:
         return ind.attributes.get(self.name) == self.value
 
-    def label(self) -> str:
-        return f"{self.name}={self.value}"
-
 
 @dataclass(frozen=True)
 class CriterionEquals:
@@ -274,9 +271,6 @@ class CriterionEquals:
     def matches(self, ind: Individual) -> bool:
         return ind.criterion == self.value
 
-    def label(self) -> str:
-        return f"X={self.value}"
-
 
 @dataclass(frozen=True)
 class ExplicitIdSet:
@@ -290,9 +284,6 @@ class ExplicitIdSet:
     def matches(self, ind: Individual) -> bool:
         return ind.id in self.ids
 
-    def label(self) -> str:
-        return "{" + ",".join(sorted(self.ids)) + "}"
-
 
 @dataclass(frozen=True)
 class Singleton:
@@ -302,9 +293,6 @@ class Singleton:
 
     def matches(self, ind: Individual) -> bool:
         return ind.id == self.id
-
-    def label(self) -> str:
-        return "{" + self.id + "}"
 
 
 GroupSpec = Union[AttributeEquals, CriterionEquals, ExplicitIdSet, Singleton]

@@ -10,7 +10,10 @@ innocent).
 
 ``to_diamond`` rotates the square by 45 degrees so the diagonal becomes the
 vertical axis and the everyone-acquitted corner sits at the bottom, which is
-the layout used by the exported diagram.
+the layout used by the exported diagram. :func:`diagram_rows` gives each
+labeled point one row, the JSON document of ``roc-export``, and
+:func:`render_diagram`, the one SVG and CSV writer, draws those rows; both
+:func:`export_diagram` and ``roc-export --format svg|csv`` use that writer.
 """
 
 from __future__ import annotations
@@ -140,46 +143,57 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _check_unique_labels(labels: Sequence[str]) -> None:
+def diagram_rows(points: Sequence[tuple[str, RocPoint]], eps=0) -> list[dict]:
+    """One row per point: ``label``, ``h`` and ``k`` as ``{"ratio", "approx"}``, diamond
+    ``x`` and ``y``, ``class`` at ``eps`` and ``merit_agnostic``. Labels must be unique."""
+    # serialize imports theorem, which imports this module
+    from .serialize import rational_json
+
+    labels = [label for label, _ in points]
     if len(set(labels)) != len(labels):
         dupes = sorted({l for l in labels if labels.count(l) > 1})
         raise ValueError(f"duplicate point labels: {dupes}")
+    tol = as_rational(eps)
+    rows = []
+    for label, point in points:
+        x, y = to_diamond(point)
+        cls = classify(point, tol)
+        rows.append(
+            {"label": label, "h": rational_json(point.h), "k": rational_json(point.k),
+             "x": x, "y": y, "class": cls.value, "merit_agnostic": is_merit_agnostic(cls)}
+        )
+    return rows
 
 
-def export_diagram(
-    points: Sequence[tuple[str, RocPoint]], format: str = "svg", eps=0
-) -> str:
-    """Render labeled rate points as an SVG diamond diagram or a CSV table.
+def export_diagram(points: Sequence[tuple[str, RocPoint]], format: str = "svg", eps=0) -> str:
+    """Render labeled rate points as an SVG diamond diagram or a CSV table: the one
+    writer :func:`render_diagram` over the :func:`diagram_rows` of ``points`` (each
+    row a ``label``, ``h`` and ``k``, ``x`` and ``y`` and the ``class`` at ``eps``)."""
+    return render_diagram(diagram_rows(points, eps), format)
+
+
+def render_diagram(rows: Sequence[dict], format: str = "svg") -> str:
+    """Draw :func:`diagram_rows` rows, reading each row's ``label``,
+    ``h.approx``, ``k.approx``, ``x``, ``y`` and ``class``.
 
     CSV rows are ``label,h,k,x,y,class`` with numbers to 8 decimal places.
     The SVG is a fixed 600x600 viewport showing the rotated unit square,
     the dotted merit-agnostic segment, the two shaded half regions, and one
-    labeled marker per point. Labels must be unique.
+    labeled marker per row.
     """
-    _check_unique_labels([label for label, _ in points])
     if format == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["label", "h", "k", "x", "y", "class"])
-        for label, point in points:
-            x, y = to_diamond(point)
+        for row in rows:
             writer.writerow(
-                [
-                    label,
-                    f"{float(point.h):.8f}",
-                    f"{float(point.k):.8f}",
-                    f"{x:.8f}",
-                    f"{y:.8f}",
-                    classify(point, eps).value,
-                ]
+                [row["label"]]
+                + [f"{v:.8f}" for v in (row["h"]["approx"], row["k"]["approx"], row["x"], row["y"])]
+                + [row["class"]]
             )
         return out.getvalue()
     if format != "svg":
         raise ValueError(f"format must be 'svg' or 'csv', got {format!r}")
-    return _render_svg(points, eps)
-
-
-def _render_svg(points: Sequence[tuple[str, RocPoint]], eps) -> str:
     bottom = _pixel((0.0, 0.0))  # everyone acquitted
     right = _pixel(to_diamond(RocPoint(1, 0)))  # perfectly just
     left = _pixel(to_diamond(RocPoint(0, 1)))  # perfectly unjust
@@ -215,15 +229,14 @@ def _render_svg(points: Sequence[tuple[str, RocPoint]], eps) -> str:
         _text((bottom[0] + left[0]) / 2 + 40, (bottom[1] + top[1]) / 2,
               "unreasonably unjust", italic=True),
     ]
-    for label, point in points:
-        px, py = _pixel(to_diamond(point))
-        cls = classify(point, eps).value
+    for row in rows:
+        px, py = _pixel((row["x"], row["y"]))
         lines.append(
             f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="4" fill="#c0392b">'
-            f"<title>{_escape(label)}: h={float(point.h):.4f} k={float(point.k):.4f} "
-            f"{cls}</title></circle>"
+            f"<title>{_escape(row['label'])}: h={row['h']['approx']:.4f} "
+            f"k={row['k']['approx']:.4f} {row['class']}</title></circle>"
         )
-        lines.append(_text(px + 7, py - 7, label, anchor="start"))
+        lines.append(_text(px + 7, py - 7, row["label"], anchor="start"))
     lines.append("</svg>")
     return "\n".join(lines)
 

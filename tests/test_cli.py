@@ -2,10 +2,13 @@ import argparse
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from procfair.cli import build_parser, main
 from procfair.demo import demo_population
 from procfair.population import dump_population
+from procfair.roc import RocPoint, export_diagram
 
 PERFECT_CSV = "id,J,X,attrs\na,1,1,\nb,0,0,\n"
 IMPERFECT_CSV = "id,J,X,attrs\na,1,1,\nb,1,0,\nc,0,0,\n"
@@ -19,6 +22,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 # --- classify ----------------------------------------------------------------
@@ -314,10 +321,39 @@ def test_roc_export_writes_out_file(capsys, tmp_path):
 
 def test_roc_export_bad_points_file(capsys, tmp_path):
     points = tmp_path / "points.json"
-    points.write_text('[{"label": "a"}]', encoding="utf-8")
-    code, _, err = run(capsys, "roc-export", str(points))
-    assert code == 1
-    assert "error:" in err
+    for entry, message in [
+        ('{"label": "a"}', "points entry 0 must carry label, h and k"),
+        ('{"label": "a", "h": "3/2", "k": "0"}', "probability out of range [0, 1]: '3/2'"),
+        ('{"label": "a", "h": "0", "k": "x"}', "cannot interpret 'x' as a rational"),
+    ]:
+        points.write_text(f"[{entry}]", encoding="utf-8")
+        code, out, err = run(capsys, "roc-export", str(points))
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+
+diagram_points = st.lists(
+    st.tuples(
+        st.text(alphabet="ab<&> ", max_size=4),
+        st.fractions(0, 1, max_denominator=12),
+        st.fractions(0, 1, max_denominator=12),
+    ),
+    max_size=6,
+    unique_by=lambda p: p[0],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(diagram_points, st.sampled_from(["0", "1/10"]), st.sampled_from(["svg", "csv"]))
+def test_roc_export_draws_the_library_diagram(tmp_path_factory, points, eps, fmt):
+    work = tmp_path_factory.mktemp("roc")
+    entries = [{"label": label, "h": str(h), "k": str(k)} for label, h, k in points]
+    (work / "points.json").write_text(json.dumps(entries), encoding="utf-8")
+    out_file = work / f"diagram.{fmt}"
+    argv = ["roc-export", str(work / "points.json"), "--eps", eps, "--format", fmt]
+    assert main([*argv, "--out", str(out_file)]) == 0
+    library = export_diagram([(label, RocPoint(h, k)) for label, h, k in points], fmt, eps)
+    assert out_file.read_bytes() == library.encode("utf-8")
 
 
 @pytest.mark.parametrize("fmt", ["svg", "csv", "json"])

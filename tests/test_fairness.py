@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from procfair.errors import MissingRateError, SizeLimitError
 from procfair.fairness import (
@@ -204,6 +206,51 @@ def test_per_group_rate_differences_violate_absolutely():
     report = check_absolute_fairness(proc, pop, mode="bipartitions")
     assert not report.fair
     assert report.violations[0].merit_classes == (INNOCENT,)
+
+
+@st.composite
+def singleton_cases(draw):
+    """A population of 0-9 members with a sex attribute, and a global or a
+    per-sex procedure whose rates come from 1-3 probability levels."""
+    levels = draw(st.lists(st.fractions(0, 1, max_denominator=6), min_size=1, max_size=3, unique=True))
+    rate = st.sampled_from(levels)
+    members = [
+        Individual(f"m{i}", draw(st.integers(0, 1)), attributes={"sex": draw(st.sampled_from("MF"))})
+        for i in range(draw(st.integers(0, 9)))
+    ]
+    if draw(st.booleans()):
+        pairs = dict.fromkeys("MF", (draw(rate), draw(rate)))
+        proc = global_procedure(*pairs["M"])
+    else:
+        pairs = {value: (draw(rate), draw(rate)) for value in "MF"}
+        proc = per_group_procedure("sex", pairs)
+    # member i's conviction probability: h of its group for the guilty, k for the innocent
+    probs = [pairs[m.attributes["sex"]][m.merit] for m in members]
+    return members, probs, proc
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    singleton_cases(),
+    st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 2)]),
+    st.sampled_from([0, 1, 3, 1000]),
+)
+def test_singletons_mode_lists_every_differing_pair(case, tolerance, max_violations):
+    members, probs, proc = case
+    expected = []
+    for merit in (GUILTY, INNOCENT):
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                same_class = members[i].merit == members[j].merit == merit
+                if same_class and abs(probs[i] - probs[j]) > tolerance:
+                    expected.append((members[i].id, members[j].id, merit))
+    report = check_absolute_fairness(
+        proc, Population(members), tolerance=tolerance, max_violations=max_violations
+    )
+    listed = [(v.group_a.id, v.group_b.id, *v.merit_classes) for v in report.violations]
+    assert listed == expected[:max_violations]
+    assert report.truncated == (len(expected) > max_violations)
+    assert report.fair == (not expected)
 
 
 # --- contingency and justice ---------------------------------------------------
