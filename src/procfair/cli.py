@@ -36,7 +36,7 @@ from .procedure import (
     load_procedure,
     simulate,
 )
-from .roc import RocPoint, classify, diagram_rows, is_merit_agnostic, render_diagram
+from .roc import RocPoint, _checked_eps, classify, diagram_rows, is_merit_agnostic, render_diagram
 from .theorem import DEFAULT_MAX_N, _check_search_limit, construct_witness, exhaustive_search
 
 EXIT_OK = 0
@@ -83,17 +83,19 @@ def _fmt(r) -> str:
 
 
 def _cmd_audit(args):
+    empirical = args.trials is not None
+    if args.tolerance is not None:
+        tolerance = as_rational(args.tolerance)
+        if tolerance < 0:
+            raise ValueError(f"tolerance must be non-negative, got {args.tolerance!r}")
+    else:
+        tolerance = EMPIRICAL_DEFAULT_TOLERANCE if empirical else Fraction(0)
     pop = load_population(_read_text(args.population))
     proc = load_procedure(_read_text(args.procedure))
     values = pop.attribute_values(args.attribute)
     if not values:
         raise ProcfairError(f"no member has a value for attribute {args.attribute!r}")
 
-    empirical = args.trials is not None
-    if args.tolerance is not None:
-        tolerance = as_rational(args.tolerance)
-    else:
-        tolerance = EMPIRICAL_DEFAULT_TOLERANCE if empirical else Fraction(0)
     if empirical and tolerance == 0:
         print(
             "warning: comparing simulated rates at tolerance 0 is degenerate; "
@@ -171,12 +173,11 @@ def _audit_csv(doc, args) -> str:
 
 def _cmd_classify(args):
     point = RocPoint(args.h, args.k)
-    eps = as_rational(args.eps)
-    cls = classify(point, eps)
+    cls = classify(point, args.eps)
     return {
         "h": serialize.rational_json(point.h),
         "k": serialize.rational_json(point.k),
-        "eps": serialize.rational_json(eps),
+        "eps": serialize.rational_json(as_rational(args.eps)),
         "class": cls.value,
         "merit_agnostic": is_merit_agnostic(cls),
     }, EXIT_OK
@@ -331,6 +332,7 @@ def _example1_text(doc, args) -> str:
 
 
 def _cmd_roc_export(args):
+    _checked_eps(args.eps)
     points = []
     if args.points:
         entries = json.loads(_read_text(args.points))

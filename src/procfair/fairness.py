@@ -192,14 +192,10 @@ def check_absolute_fairness(
                 f"population of {n} exceeds bipartition limit {max_n}; "
                 "use singletons mode for large populations"
             )
-        ids = pop.ids()
+        violations = theorem._bipartition_violations(pop, codes, probs, tol)
         stream = (
-            GroupPairViolation(
-                ExplicitIdSet(ids[i] for i in range(n) if mask >> i & 1),
-                ExplicitIdSet(ids[i] for i in range(n) if not mask >> i & 1),
-                violated,
-            )
-            for mask, violated in theorem._bipartition_violations(pop, proc, tol)
+            GroupPairViolation(ExplicitIdSet(subset), ExplicitIdSet(complement), violated)
+            for subset, complement, violated in violations
         )
     else:
         raise ValueError(f"mode must be 'singletons' or 'bipartitions', got {mode!r}")

@@ -28,9 +28,9 @@ read from their byte, attrs strings are grouped by a key mixed from their
 duplicates by sorting their keys and comparing the ids whose keys repeat.
 The ids of a loaded population stay byte ranges until something asks for
 ``ids()``, ``by_id`` or an id-based group, and its member view (``members``,
-iteration) is built only when something asks for it;
-``Population(members)`` builds the columns from :class:`Individual` objects
-on first use. Every exact aggregate downstream is a count per
+iteration) is built from the columns only when something asks for it.
+``Population(members)`` encodes the columns once, when it is constructed, and
+keeps the given tuple as ``members``. Every exact aggregate downstream is a count per
 (cell, merit class, code) from :func:`cell_counts`. Everything here is
 read-only, so every operation is a pure function and safe under concurrent
 use.
@@ -149,7 +149,14 @@ class Population:
             if ind.id in index:
                 raise ValueError(f"duplicate individual id {ind.id!r}")
             index[ind.id] = len(index)
-        self.__dict__.update(members=members, _index=index, _ids=tuple(index))
+        n = len(members)
+        criterion = (MISSING if ind.criterion is None else ind.criterion for ind in members)
+        self.__dict__.update(
+            members=members, _index=index, _ids=tuple(index),
+            merit=_frozen(np.fromiter((ind.merit for ind in members), np.int8, n)),
+            criterion=_frozen(np.fromiter(criterion, np.int8, n)),
+            attributes=_encode_attributes([ind.attributes for ind in members]),
+        )
 
     @classmethod
     def _from_columns(
@@ -202,24 +209,8 @@ class Population:
     def ids(self) -> tuple[str, ...]:
         return self._ids
 
-    @cached_property
-    def merit(self) -> np.ndarray:
-        merit = (ind.merit for ind in self.members)
-        return _frozen(np.fromiter(merit, np.int8, len(self.members)))
-
-    @cached_property
-    def criterion(self) -> np.ndarray:
-        labels = (MISSING if ind.criterion is None else ind.criterion for ind in self.members)
-        return _frozen(np.fromiter(labels, np.int8, len(self)))
-
-    @cached_property
-    def attributes(self) -> Mapping[str, AttributeColumn]:
-        return _encode_attributes([ind.attributes for ind in self.members])
-
     def _member(self, i: int) -> Individual:
-        """Member ``i``, built from the columns unless the member view exists."""
-        if "members" in self.__dict__:
-            return self.members[i]
+        """Member ``i``, built from the columns."""
         attrs = {}
         for name, column in self.attributes.items():
             code = int(column.codes[i])
@@ -741,13 +732,17 @@ def load_population(source: str | IO[str]) -> Population:
 def dump_population(pop: Population) -> str:
     """Serialize back to the population CSV format (LF line endings).
 
-    ``load_population(dump_population(p))`` reproduces ``p`` exactly.
+    ``load_population(dump_population(p))`` reproduces ``p`` exactly; since the
+    loader strips ids and attrs texts, a member whose id or joined ``name=value``
+    text starts or ends with whitespace raises :class:`ValueError` instead.
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for ind in pop.members:
         attrs = ";".join(f"{name}={value}" for name, value in ind.attributes.items())
+        if ind.id != ind.id.strip() or attrs != attrs.strip():
+            raise ValueError(f"member {ind.id!r}: the loader would strip its id or attrs {attrs!r}")
         criterion = "" if ind.criterion is None else str(ind.criterion)
         writer.writerow([ind.id, str(ind.merit), criterion, attrs])
     return out.getvalue()

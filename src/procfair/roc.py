@@ -72,6 +72,14 @@ class RocPoint:
         object.__setattr__(self, "k", as_probability(k))
 
 
+def _checked_eps(eps) -> Fraction:
+    """``eps`` as an exact rational; raises unless it lies in [0, 1/4)."""
+    tol = as_rational(eps)
+    if not 0 <= tol < Fraction(1, 4):
+        raise ValueError(f"eps must lie in [0, 1/4), got {eps!r}")
+    return tol
+
+
 def classify(p: RocPoint, eps=0) -> ProcedureClass:
     """Assign a point its taxonomy class, with tolerance bands of width ``eps``.
 
@@ -80,9 +88,7 @@ def classify(p: RocPoint, eps=0) -> ProcedureClass:
     the corner bands would start to overlap). With ``eps = 0`` and rational
     inputs the test is exact and partitions the unit square.
     """
-    tol = as_rational(eps)
-    if not 0 <= tol < Fraction(1, 4):
-        raise ValueError(f"eps must lie in [0, 1/4), got {eps!r}")
+    tol = _checked_eps(eps)
     # h, k, tol and 1 over one common denominator: exact integer comparisons
     hd, kd, td = p.h.denominator, p.k.denominator, tol.denominator
     h, k = p.h.numerator * kd * td, p.k.numerator * hd * td
@@ -149,11 +155,11 @@ def diagram_rows(points: Sequence[tuple[str, RocPoint]], eps=0) -> list[dict]:
     # serialize imports theorem, which imports this module
     from .serialize import rational_json
 
+    tol = _checked_eps(eps)
     labels = [label for label, _ in points]
     if len(set(labels)) != len(labels):
         dupes = sorted({l for l in labels if labels.count(l) > 1})
         raise ValueError(f"duplicate point labels: {dupes}")
-    tol = as_rational(eps)
     rows = []
     for label, point in points:
         x, y = to_diamond(point)

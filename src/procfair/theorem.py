@@ -13,11 +13,12 @@ quantifier at desk scale by enumerating all bipartitions of a small
 population, which doubles as an independent check of the constructed
 witness. The enumeration is :func:`_bipartition_violations`, the one
 bipartition loop of the package, which
-``fairness.check_absolute_fairness(mode="bipartitions")`` shares. It avoids
-the fairness module's comparison code: every probability becomes an integer
-numerator over a common denominator, and class means are compared by cross
-multiplication against an integer tolerance bound. Both callers refuse a
-search limit above :data:`MAX_SEARCH_N`.
+``fairness.check_absolute_fairness(mode="bipartitions")`` shares: it takes
+the caller's probability codes and yields each violating split as two sorted
+id tuples. Every probability becomes an integer numerator over a common
+denominator, and class means are compared by cross multiplication against an
+integer tolerance bound. Both callers refuse a search limit above
+:data:`MAX_SEARCH_N`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import SizeLimitError
 from .population import (
@@ -133,16 +136,16 @@ class Bipartition:
 
 
 def _bipartition_violations(
-    pop: Population, proc: Procedure, tolerance: Fraction = Fraction(0)
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Lazily yield ``(subset mask, violated merit classes)`` per unfair bipartition.
+    pop: Population, codes: np.ndarray, probs: Sequence[Fraction], tolerance: Fraction = Fraction(0)
+) -> Iterator[tuple[tuple[str, ...], tuple[str, ...], tuple[int, ...]]]:
+    """Lazily yield ``(subset ids, complement ids, violated merit classes)``, id
+    tuples sorted, per unfair bipartition; member i's conviction probability is
+    ``probs[codes[i]]``, as from :func:`~procfair.procedure._probability_codes`.
 
-    Bit i of the mask selects member i; the first member always stays in the
-    complement, so each unordered bipartition is tested once, in increasing
-    mask order. A merit class with members on both sides is violated when
-    its mean conviction probabilities differ by more than ``tolerance``.
-    Raises for the first member without a conviction probability when the
-    population has at least two members.
+    The first member always stays in the complement, so each unordered
+    bipartition is tested once, in increasing order of the subset's bitmask
+    over population order. A merit class with members on both sides is
+    violated when its mean conviction probabilities differ by more than ``tolerance``.
     """
     n = len(pop)
     if n < 2:
@@ -150,17 +153,14 @@ def _bipartition_violations(
     # Integer-only setup: member i's probability is numer[i] / denom, and a class
     # with (count, numerator sum) = (c_a, t_a) on one side and (c_b, t_b) on the
     # other is violated iff |t_a * c_b - t_b * c_a| > tol_units * c_a * c_b.
-    codes, probs = _probability_codes(proc, pop)
     denom = math.lcm(tolerance.denominator, *(p.denominator for p in probs))
     numer_by_code = [p.numerator * (denom // p.denominator) for p in probs]
     numer = [numer_by_code[c] for c in codes.tolist()]
     tol_units = tolerance.numerator * (denom // tolerance.denominator)
     merit = pop.merit.tolist()
+    ids = pop.ids()
     class_total_count = [merit.count(GUILTY), merit.count(INNOCENT)]
-    class_total_sum = [
-        sum(v for v, m in zip(numer, merit) if m == GUILTY),
-        sum(v for v, m in zip(numer, merit) if m == INNOCENT),
-    ]
+    class_total_sum = [sum(v for v, m in zip(numer, merit) if m == j) for j in (GUILTY, INNOCENT)]
 
     for mask in range(1, 1 << (n - 1)):
         subset_mask = mask << 1  # first member always stays in the complement
@@ -182,7 +182,10 @@ def _bipartition_violations(
                 if abs(difference) > tol_units * count[j] * count_other:
                     violated.append(j)
         if violated:
-            yield subset_mask, tuple(violated)
+            sides = ([], [])
+            for i in range(n):
+                sides[subset_mask >> i & 1].append(ids[i])
+            yield tuple(sorted(sides[1])), tuple(sorted(sides[0])), tuple(violated)
 
 
 def exhaustive_search(
@@ -195,24 +198,17 @@ def exhaustive_search(
     bipartition is reported once, ordered by the canonical (bitmask over
     population order) encoding of the side that excludes the first member.
     ``proc`` defaults to the deterministic procedure, which requires
-    criterion labels on every member. ``max_n`` may not exceed
-    :data:`MAX_SEARCH_N`.
+    criterion labels on every member of a population of two or more.
+    ``max_n`` may not exceed :data:`MAX_SEARCH_N`.
     """
     _check_search_limit(max_n)
     n = len(pop)
     if n > max_n:
         raise SizeLimitError(f"population of {n} exceeds exhaustive-search limit {max_n}")
-    if proc is None:
-        proc = DeterministicProcedure()
-    ids = pop.ids()
-    return tuple(
-        Bipartition(
-            tuple(sorted(ids[i] for i in range(n) if mask >> i & 1)),
-            tuple(sorted(ids[i] for i in range(n) if not mask >> i & 1)),
-            violated,
-        )
-        for mask, violated in _bipartition_violations(pop, proc)
-    )
+    if n < 2:
+        return ()  # no bipartition, so no member needs a probability
+    codes, probs = _probability_codes(proc or DeterministicProcedure(), pop)
+    return tuple(Bipartition(*found) for found in _bipartition_violations(pop, codes, probs))
 
 
 @dataclass(frozen=True)

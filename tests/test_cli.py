@@ -501,3 +501,43 @@ def test_audit_field_over_csv_limit_is_an_error(capsys, tmp_path):
     assert code == 1 and out == ""
     assert single_error_line(err)
     assert "line 2: field larger than field limit" in err
+
+
+# --- range checks on --tolerance and --eps, before any file is read ------------------
+
+
+@pytest.mark.parametrize("trials", [None, "3"])
+@pytest.mark.parametrize("attrs", [("sex=M", "sex=M"), ("sex=M", "sex=F")])
+def test_audit_negative_tolerance_is_an_error(capsys, tmp_path, attrs, trials):
+    pop_file = tmp_path / "population.csv"
+    pop_file.write_text(f"id,J,X,attrs\na,1,1,{attrs[0]}\nb,0,0,{attrs[1]}\n", encoding="utf-8")
+    proc_file = tmp_path / "procedure.json"
+    proc_file.write_text('{"type": "randomized", "rates": {"global": ["1/2", "1/2"]}}')
+    argv = ["audit", "--procedure", str(proc_file), "--attribute", "sex", "--tolerance=-1"]
+    if trials is not None:
+        argv += ["--trials", trials]
+    for population in (pop_file, tmp_path / "missing.csv"):
+        code, out, err = run(capsys, *argv, "--population", str(population))
+        assert code == 1 and out == ""
+        assert err == "error: tolerance must be non-negative, got '-1'\n"
+
+
+@pytest.mark.parametrize("eps", ["5", "-1/10"])
+@pytest.mark.parametrize("points", [None, "[]", '[{"label": "a", "h": "1/2", "k": "0"}]', "missing"])
+@pytest.mark.parametrize("fmt", ["svg", "csv", "json"])
+def test_roc_export_out_of_range_eps_is_an_error(capsys, tmp_path, fmt, points, eps):
+    argv = ["roc-export", f"--eps={eps}", "--format", fmt]
+    if points is not None:
+        points_file = tmp_path / "points.json"
+        if points != "missing":
+            points_file.write_text(points, encoding="utf-8")
+        argv.append(str(points_file))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: eps must lie in [0, 1/4), got '{eps}'\n"
+
+
+def test_classify_eps_message_names_the_text_as_typed(capsys):
+    code, out, err = run(capsys, "classify", "--h", "1/2", "--k", "0", "--eps=1/4")
+    assert code == 1 and out == ""
+    assert err == "error: eps must lie in [0, 1/4), got '1/4'\n"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -215,3 +217,34 @@ def test_loaded_ids_are_built_only_when_asked():
                 group_cells(each, unknown)
             messages.append(str(raised.value))
         assert messages[0] == messages[1]
+
+
+# dump refuses exactly the members whose text the loader would strip
+
+_padded_text = st.text(alphabet="ab1 \t", min_size=1, max_size=4)
+
+
+@st.composite
+def padded_populations(draw):
+    members = []
+    for ident in draw(st.lists(_padded_text, unique=True, min_size=1, max_size=6)):
+        attrs = draw(
+            st.dictionaries(st.sampled_from(["sex", " age", "town\t"]), _padded_text, max_size=2)
+        )
+        merit, criterion = draw(st.integers(0, 1)), draw(st.sampled_from([None, 0, 1]))
+        members.append(Individual(ident, merit, criterion, attrs))
+    return Population(members)
+
+
+@given(padded_populations())
+def test_dump_round_trips_or_names_the_member_the_loader_would_strip(pop):
+    def edged(ind):
+        attrs = ";".join(f"{name}={value}" for name, value in ind.attributes.items())
+        return ind.id != ind.id.strip() or attrs != attrs.strip()
+
+    first_edged = next((ind.id for ind in pop if edged(ind)), None)
+    if first_edged is None:
+        assert load_population(dump_population(pop)) == pop
+    else:
+        with pytest.raises(ValueError, match=re.escape(repr(first_edged))):
+            dump_population(pop)

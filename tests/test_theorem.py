@@ -329,3 +329,47 @@ def test_verify_theorem_rejects_out_of_range_sizes():
         verify_theorem(0, 1, seed=0)
     with pytest.raises(ValueError):
         verify_theorem(3, 0, seed=0)
+
+
+# one probability-code pass per bipartition search
+
+
+def _count_probability_code_calls(monkeypatch):
+    import procfair.fairness as fairness
+    import procfair.theorem as theorem
+    from procfair.procedure import _probability_codes
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _probability_codes(*args, **kwargs)
+
+    monkeypatch.setattr(theorem, "_probability_codes", counted)
+    monkeypatch.setattr(fairness, "_probability_codes", counted)
+    return calls
+
+
+def test_bipartition_searches_compute_probability_codes_once(monkeypatch):
+    calls = _count_probability_code_calls(monkeypatch)
+    pop = pop_of([(i % 2, i // 2 % 2) for i in range(8)])
+    report = check_absolute_fairness(DeterministicProcedure(), pop, mode="bipartitions")
+    assert not report.fair
+    assert len(calls) == 1
+    calls.clear()
+    assert exhaustive_search(pop)
+    assert len(calls) == 1
+
+
+def test_search_of_one_member_without_criterion_finds_nothing(monkeypatch):
+    calls = _count_probability_code_calls(monkeypatch)
+    assert exhaustive_search(Population([Individual("a", INNOCENT)])) == ()
+    assert calls == []
+
+
+def test_search_checks_size_before_criterion_labels():
+    pop = Population([Individual("a", INNOCENT), Individual("b", GUILTY)])
+    with pytest.raises(SizeLimitError):
+        exhaustive_search(pop, max_n=1)
+    with pytest.raises(MissingCriterionError):
+        exhaustive_search(pop)
