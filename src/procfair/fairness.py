@@ -30,6 +30,7 @@ from .population import (
     GroupSpec,
     Population,
     Singleton,
+    cell_counts,
 )
 from .procedure import (
     ConditionalRates,
@@ -136,21 +137,21 @@ class AbsoluteFairnessReport:
 
 
 def _singleton_violations(
-    pop: Population, codes: np.ndarray, probs: list[Fraction], tol: Fraction
+    pop: Population, codes: np.ndarray, probs: tuple[Fraction, ...], tol: Fraction
 ) -> Iterator[GroupPairViolation]:
     """Lazily yield each pair of same-class members whose probabilities differ
-    by more than ``tol``, class by class, pairs in member order."""
-    ids = pop.ids()
-    member_probs = [probs[c] for c in codes.tolist()]
-    merit_of = pop.merit.tolist()
+    by more than ``tol``, class by class, pairs in member order. Each class's
+    spread comes from one :func:`cell_counts`; ids are decoded only to name a pair."""
+    present = cell_counts(pop, codes, len(probs))[0] > 0
     for merit in (GUILTY, INNOCENT):
-        in_class = [(ids[i], p) for i, p in enumerate(member_probs) if merit_of[i] == merit]
-        class_probs = [p for _, p in in_class]
-        if not in_class or max(class_probs) - min(class_probs) <= tol:
+        class_probs = [p for p, here in zip(probs, present[merit]) if here]
+        if not class_probs or max(class_probs) - min(class_probs) <= tol:
             continue  # whole class within tolerance: no pair can violate
-        for (id_a, p_a), (id_b, p_b) in combinations(in_class, 2):
-            if abs(p_a - p_b) > tol:
-                yield GroupPairViolation(Singleton(id_a), Singleton(id_b), (merit,))
+        code_of = codes.tolist()
+        for a, b in combinations(np.flatnonzero(pop.merit == merit).tolist(), 2):
+            code_a, code_b = code_of[a], code_of[b]
+            if code_a != code_b and abs(probs[code_a] - probs[code_b]) > tol:
+                yield GroupPairViolation(Singleton(pop.ids()[a]), Singleton(pop.ids()[b]), (merit,))
 
 
 def check_absolute_fairness(
@@ -169,7 +170,7 @@ def check_absolute_fairness(
     subset against its complement through the enumerator behind
     ``theorem.exhaustive_search``: a merit class is violated when the two
     sides' mean conviction probabilities differ by more than ``tolerance``,
-    compared exactly in integers. It refuses ``max_n`` above
+    compared exactly in integers. It refuses a negative ``max_n`` or one above
     ``theorem.MAX_SEARCH_N``, the ceiling it shares with
     ``exhaustive_search`` and ``witness --max-n``, and populations larger
     than ``max_n`` (suggest singletons mode instead, which is linear).
@@ -258,9 +259,7 @@ def expected_contingency(pop: Population, proc: Procedure, attribute: str) -> Co
     missing = np.flatnonzero(codes == MISSING)
     if missing.size:
         first = int(missing[0])
-        before = np.zeros(len(pop), dtype=np.int8)
-        before[first:] = -1
-        conviction_sums(proc, pop, before)  # raises for an earlier member without a rate
+        _probability_codes(proc, pop, np.arange(len(pop)) < first)  # earlier members' errors first
         raise ValueError(
             f"individual {pop.ids()[first]!r} has no value for attribute {attribute!r}"
         )

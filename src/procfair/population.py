@@ -235,7 +235,7 @@ class Population:
         return () if column is None else column.values
 
 
-# --- group specs -----------------------------------------------------------
+# --- group specs: plain data; group_cells decides who belongs --------------
 
 
 @dataclass(frozen=True)
@@ -244,9 +244,6 @@ class AttributeEquals:
 
     name: str
     value: str
-
-    def matches(self, ind: Individual) -> bool:
-        return ind.attributes.get(self.name) == self.value
 
 
 @dataclass(frozen=True)
@@ -259,9 +256,6 @@ class CriterionEquals:
         if self.value not in (0, 1):
             raise ValueError(f"criterion value must be 0 or 1, got {self.value!r}")
 
-    def matches(self, ind: Individual) -> bool:
-        return ind.criterion == self.value
-
 
 @dataclass(frozen=True)
 class ExplicitIdSet:
@@ -272,18 +266,12 @@ class ExplicitIdSet:
     def __init__(self, ids: Iterable[str]):
         object.__setattr__(self, "ids", frozenset(ids))
 
-    def matches(self, ind: Individual) -> bool:
-        return ind.id in self.ids
-
 
 @dataclass(frozen=True)
 class Singleton:
     """The one-member group containing exactly ``id``."""
 
     id: str
-
-    def matches(self, ind: Individual) -> bool:
-        return ind.id == self.id
 
 
 GroupSpec = Union[AttributeEquals, CriterionEquals, ExplicitIdSet, Singleton]

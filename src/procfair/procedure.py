@@ -44,11 +44,15 @@ CONVICTED = 0
 ACQUITTED = 1
 
 
+MAX_DECIMAL_DIGITS = 4300  # sys.int_info.default_max_str_digits, which bounds "a/b" too
+
+
 def as_rational(value: int | float | str | Fraction | Decimal) -> Fraction:
     """Parse an exact rational from a number or a decimal / ``a/b`` string.
 
     Floats are read through their shortest decimal representation, so
-    ``0.1`` becomes exactly 1/10 rather than its binary expansion.
+    ``0.1`` becomes exactly 1/10 rather than its binary expansion. A decimal
+    needing more than :data:`MAX_DECIMAL_DIGITS` digits plus exponent is refused.
     """
     if isinstance(value, Fraction):
         return value
@@ -56,8 +60,7 @@ def as_rational(value: int | float | str | Fraction | Decimal) -> Fraction:
         raise ValueError(f"cannot interpret {value!r} as a rational")
     if isinstance(value, numbers.Integral):
         return Fraction(int(value))
-    if isinstance(value, Decimal):
-        return Fraction(value)
+    decimal = value if isinstance(value, Decimal) else None
     try:
         if isinstance(value, numbers.Real):  # floats, including numpy scalars
             return Fraction(Decimal(repr(float(value))))
@@ -65,11 +68,16 @@ def as_rational(value: int | float | str | Fraction | Decimal) -> Fraction:
             text = value.strip()
             if "/" in text:
                 return Fraction(text)
-            return Fraction(Decimal(text))
+            decimal = Decimal(text)
+        if decimal is not None:
+            _, digits, exponent = decimal.as_tuple()
+            if not decimal.is_finite() or len(digits) + abs(exponent) <= MAX_DECIMAL_DIGITS:
+                return Fraction(decimal)
     # infinities overflow, NaN is a ValueError
     except (ValueError, ZeroDivisionError, InvalidOperation, OverflowError) as exc:
         raise ValueError(f"cannot interpret {value!r} as a rational") from exc
-    raise ValueError(f"cannot interpret {value!r} as a rational")
+    too_long = "" if decimal is None else f": needs more than {MAX_DECIMAL_DIGITS} digits"
+    raise ValueError(f"cannot interpret {value!r} as a rational{too_long}")
 
 
 def as_probability(value: int | float | str | Fraction | Decimal) -> Fraction:

@@ -62,7 +62,9 @@ MAX_SEARCH_N = 20
 
 
 def _check_search_limit(max_n: int) -> None:
-    """Refuse a search limit above :data:`MAX_SEARCH_N` before any work."""
+    """Refuse a search limit outside ``[0, MAX_SEARCH_N]`` before any work."""
+    if max_n < 0:
+        raise SizeLimitError(f"search limit must be non-negative, got {max_n}")
     if max_n > MAX_SEARCH_N:
         raise SizeLimitError(
             f"search limit {max_n} exceeds the exhaustive-search ceiling {MAX_SEARCH_N}"
@@ -199,7 +201,7 @@ def exhaustive_search(
     population order) encoding of the side that excludes the first member.
     ``proc`` defaults to the deterministic procedure, which requires
     criterion labels on every member of a population of two or more.
-    ``max_n`` may not exceed :data:`MAX_SEARCH_N`.
+    ``max_n`` must lie between 0 and :data:`MAX_SEARCH_N`.
     """
     _check_search_limit(max_n)
     n = len(pop)

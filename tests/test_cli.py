@@ -470,6 +470,16 @@ def test_witness_max_n_above_ceiling_is_refused(capsys, tmp_path, monkeypatch):
     assert "ceiling 20" in err
 
 
+@pytest.mark.parametrize("argv", [["--max-n", "-5"], ["--max-n=-5"]])
+def test_witness_negative_max_n_is_an_error(capsys, tmp_path, argv):
+    pop_file = tmp_path / "imperfect.csv"
+    pop_file.write_text(IMPERFECT_CSV, encoding="utf-8")
+    code, out, err = run(capsys, "witness", "--population", str(pop_file), *argv)
+    assert code == 1 and out == ""
+    assert single_error_line(err)
+    assert "-5" in err
+
+
 def test_witness_max_n_above_ceiling_is_refused_on_a_large_population(capsys, tmp_path):
     # 50 rows exceed --max-n 40, so the search would be skipped; the ceiling still holds
     rows = ["id,J,X,attrs"] + [f"p{i},1,{i % 2}," for i in range(50)]
@@ -535,6 +545,26 @@ def test_roc_export_out_of_range_eps_is_an_error(capsys, tmp_path, fmt, points, 
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == f"error: eps must lie in [0, 1/4), got '{eps}'\n"
+
+
+def test_decimals_past_the_digit_limit_are_refused_before_any_work(capsys, tmp_path):
+    huge = "1e-999999999"  # expanding it exactly would take a billion digits
+    code, out, err = run(capsys, "classify", "--h", huge, "--k", "0")
+    assert code == 1 and out == "" and single_error_line(err)
+    assert "needs more than 4300 digits" in err
+    missing = str(tmp_path / "missing")
+    audit = ["audit", "--population", missing, "--procedure", missing, "--attribute", "sex"]
+    code, out, err = run(capsys, *audit, "--tolerance", huge)
+    assert code == 1 and out == "" and single_error_line(err)
+    assert "needs more than 4300 digits" in err  # not the missing file
+    pop_file = tmp_path / "population.csv"
+    pop_file.write_text("id,J,X,attrs\na,1,1,sex=M\n", encoding="utf-8")
+    proc_file = tmp_path / "procedure.json"
+    proc_file.write_text(f'{{"type": "randomized", "rates": {{"global": ["{huge}", "0"]}}}}')
+    audit = ["audit", "--population", str(pop_file), "--procedure", str(proc_file)]
+    code, out, err = run(capsys, *audit, "--attribute", "sex")
+    assert code == 1 and out == "" and single_error_line(err)
+    assert "needs more than 4300 digits" in err
 
 
 def test_classify_eps_message_names_the_text_as_typed(capsys):

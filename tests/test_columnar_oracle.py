@@ -155,7 +155,16 @@ def groups(pop):
 
 
 def in_group(ind, g) -> bool:
-    return g is None or g.matches(ind)
+    """Row-level membership, written out per group kind apart from ``group_cells``."""
+    if g is None:
+        return True
+    if isinstance(g, AttributeEquals):
+        return ind.attributes.get(g.name) == g.value
+    if isinstance(g, CriterionEquals):
+        return ind.criterion == g.value
+    if isinstance(g, ExplicitIdSet):
+        return ind.id in g.ids
+    return ind.id == g.id  # Singleton
 
 
 def both_ways(pop):

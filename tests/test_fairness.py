@@ -169,6 +169,18 @@ def test_bipartitions_refuse_max_n_above_ceiling_before_enumerating(monkeypatch)
         check_absolute_fairness(global_procedure(0, 0), pop, mode="bipartitions", max_n=40)
 
 
+def test_bipartitions_refuse_a_negative_max_n(monkeypatch):
+    import procfair.theorem as theorem
+
+    def no_search(*args):
+        raise AssertionError("the bipartition loop started")
+
+    monkeypatch.setattr(theorem, "_bipartition_violations", no_search)
+    pop = _mixed_pop(n_guilty=1, n_innocent=2)
+    with pytest.raises(SizeLimitError, match="non-negative, got -1"):
+        check_absolute_fairness(global_procedure(0, 0), pop, mode="bipartitions", max_n=-1)
+
+
 def test_bipartitions_missing_probability_raises_before_size_checks():
     pop = Population([Individual("a", INNOCENT), Individual("b", GUILTY)])
     proc = per_group_procedure("sex", {"M": (0, 0)})

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from procfair.errors import PopulationParseError, UnknownIdError
-from procfair.fairness import expected_contingency
+from procfair.fairness import check_absolute_fairness, expected_contingency
 from procfair.population import (
     AttributeEquals,
     CriterionEquals,
@@ -20,7 +20,7 @@ from procfair.population import (
     load_population,
     merit_counts,
 )
-from procfair.procedure import exact_rates, per_group_procedure
+from procfair.procedure import exact_rates, global_procedure, per_group_procedure
 from procfair.theorem import construct_witness
 
 HEADER = "id,J,X,attrs\n"
@@ -203,6 +203,7 @@ def test_loaded_ids_are_built_only_when_asked():
         exact_rates(proc, pop, AttributeEquals("region", value))
     expected_contingency(pop, proc, "sex")
     construct_witness(pop)
+    assert check_absolute_fairness(global_procedure("3/4", "1/10"), pop, mode="singletons").fair
     assert "_ids" not in pop.__dict__ and "_index" not in pop.__dict__
 
     built = Population(pop.members)

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +67,31 @@ def test_as_probability_rejects_out_of_range(raw):
 def test_as_rational_rejects_garbage(raw):
     with pytest.raises(ValueError):
         as_rational(raw)
+
+
+@pytest.mark.parametrize(
+    "raw", ["1e-4301", "1e4301", " 1e-999999999 ", Decimal("1e-999999999"), "0e-99999"]
+)
+def test_as_rational_refuses_decimals_past_the_digit_limit(raw):
+    with pytest.raises(ValueError, match="needs more than 4300 digits"):
+        as_rational(raw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**40), st.integers(-4400, 4400), st.booleans())
+def test_as_rational_digit_limit_counts_digits_and_exponent(mantissa, exponent, as_decimal):
+    text = f"{mantissa}e{exponent}"
+    raw = Decimal(text) if as_decimal else text
+    if len(str(mantissa)) + abs(exponent) > 4300:
+        with pytest.raises(ValueError, match="needs more than 4300 digits"):
+            as_rational(raw)
+    else:
+        assert as_rational(raw) == mantissa * Fraction(10) ** exponent
+
+
+def test_as_rational_parses_up_to_the_digit_limit():
+    assert as_rational("1e-4299") == Fraction(1, 10**4299)
+    assert as_rational(Decimal("1e4299")) == 10**4299
 
 
 # --- deterministic evaluation ----------------------------------------------

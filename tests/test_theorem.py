@@ -367,6 +367,12 @@ def test_search_of_one_member_without_criterion_finds_nothing(monkeypatch):
     assert calls == []
 
 
+def test_search_refuses_a_negative_max_n():
+    for pop in (Population([]), Population([Individual("a", INNOCENT, 1)])):
+        with pytest.raises(SizeLimitError, match="non-negative, got -5"):
+            exhaustive_search(pop, max_n=-5)
+
+
 def test_search_checks_size_before_criterion_labels():
     pop = Population([Individual("a", INNOCENT), Individual("b", GUILTY)])
     with pytest.raises(SizeLimitError):
