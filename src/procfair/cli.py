@@ -13,9 +13,7 @@ violation is found, so shell pipelines can branch on the result.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 from fractions import Fraction
@@ -25,11 +23,16 @@ from pathlib import Path
 from . import serialize
 from .demo import demo_report
 from .errors import ProcfairError
-from .fairness import check_pairwise_fairness, expected_contingency, justice_metrics
+from .fairness import (
+    _checked_tolerance,
+    check_pairwise_fairness,
+    expected_contingency,
+    justice_metrics,
+)
 from .population import GUILTY, INNOCENT, AttributeEquals, load_population
 from .procedure import (
     ConditionalRates,
-    as_rational,
+    _parse_json,
     conviction_sums,
     empirical_rates,
     exact_rates,
@@ -59,12 +62,6 @@ def _json(doc, args) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _csv(rows) -> str:
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    return out.getvalue()
-
-
 def _cells(r) -> list[str]:
     """The ``ratio`` and ``approx`` CSV cells of a rendered rational, empty when undefined."""
     return ["", ""] if r is None else [r["ratio"], f"{r['approx']:.8f}"]
@@ -84,12 +81,8 @@ def _fmt(r) -> str:
 
 def _cmd_audit(args):
     empirical = args.trials is not None
-    if args.tolerance is not None:
-        tolerance = as_rational(args.tolerance)
-        if tolerance < 0:
-            raise ValueError(f"tolerance must be non-negative, got {args.tolerance!r}")
-    else:
-        tolerance = EMPIRICAL_DEFAULT_TOLERANCE if empirical else Fraction(0)
+    default = EMPIRICAL_DEFAULT_TOLERANCE if empirical else 0
+    tolerance = _checked_tolerance(default if args.tolerance is None else args.tolerance)
     pop = load_population(_read_text(args.population))
     proc = load_procedure(_read_text(args.procedure))
     values = pop.attribute_values(args.attribute)
@@ -165,7 +158,7 @@ def _audit_csv(doc, args) -> str:
     for v in doc["verdicts"]:
         pair = "|".join(f"{g['name']}={g['value']}" for g in (v["group_a"], v["group_b"]))
         rows.append(["verdict", pair, "", "fair", v["fair"], v["fair"]])
-    return _csv(rows)
+    return serialize.csv_text(rows)
 
 
 # --- classify ----------------------------------------------------------------
@@ -173,11 +166,12 @@ def _audit_csv(doc, args) -> str:
 
 def _cmd_classify(args):
     point = RocPoint(args.h, args.k)
-    cls = classify(point, args.eps)
+    eps = _checked_eps(args.eps)
+    cls = classify(point, eps)
     return {
         "h": serialize.rational_json(point.h),
         "k": serialize.rational_json(point.k),
-        "eps": serialize.rational_json(as_rational(args.eps)),
+        "eps": serialize.rational_json(eps),
         "class": cls.value,
         "merit_agnostic": is_merit_agnostic(cls),
     }, EXIT_OK
@@ -257,7 +251,7 @@ def _simulate_csv(doc, args) -> str:
     for source in ("empirical", "expected"):
         for rate in ("h", "k"):
             rows.append([f"{source}_{rate}", *_cells(doc[source][rate])])
-    return _csv(rows)
+    return serialize.csv_text(rows)
 
 
 # --- example1 ----------------------------------------------------------------
@@ -279,7 +273,7 @@ def _example1_csv(doc, args) -> str:
                      _cells(cell["expected_convictions"])[1], _cells(share)[1],
                      stage["verdict"]["fair"]]
                 )
-    return _csv(rows)
+    return serialize.csv_text(rows)
 
 
 def _example1_text(doc, args) -> str:
@@ -332,17 +326,17 @@ def _example1_text(doc, args) -> str:
 
 
 def _cmd_roc_export(args):
-    _checked_eps(args.eps)
+    eps = _checked_eps(args.eps)
     points = []
     if args.points:
-        entries = json.loads(_read_text(args.points))
+        entries = _parse_json(_read_text(args.points))
         if not isinstance(entries, list):
             raise ProcfairError("points file must be a JSON list of {label, h, k} objects")
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict) or not {"label", "h", "k"} <= set(entry):
                 raise ProcfairError(f"points entry {i} must carry label, h and k")
             points.append((str(entry["label"]), RocPoint(entry["h"], entry["k"])))
-    return diagram_rows(points, args.eps), EXIT_OK
+    return diagram_rows(points, eps), EXIT_OK
 
 
 def _roc_diagram(doc, args) -> str:
@@ -419,7 +413,7 @@ def main(argv: list[str] | None = None) -> int:
             Path(args.out).write_text(text, encoding="utf-8")
         else:
             sys.stdout.write(text)
-    except (ProcfairError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ProcfairError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return code

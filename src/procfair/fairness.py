@@ -8,7 +8,8 @@ class is incomparable and imposes no constraint (a vacuously fair class).
 
 Comparisons are exact rational arithmetic whenever the rates are exact.
 Empirical (simulated) rates carry sampling noise and should be compared with
-a positive tolerance.
+a positive tolerance. :func:`_checked_tolerance` is the one tolerance rule,
+shared by both checks and ``audit --tolerance``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from . import theorem
-from .errors import SizeLimitError
 from .population import (
     GUILTY,
     INNOCENT,
@@ -87,6 +87,14 @@ class FairnessVerdict:
         return tuple(c.merit for c in self.comparisons if c.violation)
 
 
+def _checked_tolerance(tolerance) -> Fraction:
+    """``tolerance`` as an exact rational; raises unless it is non-negative."""
+    tol = as_rational(tolerance)
+    if tol < 0:
+        raise ValueError(f"tolerance must be non-negative, got {tolerance!r}")
+    return tol
+
+
 def check_pairwise_fairness(
     rates_a: ConditionalRates,
     rates_b: ConditionalRates,
@@ -100,9 +108,7 @@ def check_pairwise_fairness(
     tolerance 0 and exact rates the comparison is an exact rational equality
     test; no floating point is involved.
     """
-    tol = as_rational(tolerance)
-    if tol < 0:
-        raise ValueError(f"tolerance must be non-negative, got {tolerance!r}")
+    tol = _checked_tolerance(tolerance)
     comparisons = []
     for merit, a, b in (
         (GUILTY, rates_a.h, rates_b.h),
@@ -170,29 +176,20 @@ def check_absolute_fairness(
     subset against its complement through the enumerator behind
     ``theorem.exhaustive_search``: a merit class is violated when the two
     sides' mean conviction probabilities differ by more than ``tolerance``,
-    compared exactly in integers. It refuses a negative ``max_n`` or one above
-    ``theorem.MAX_SEARCH_N``, the ceiling it shares with
-    ``exhaustive_search`` and ``witness --max-n``, and populations larger
-    than ``max_n`` (suggest singletons mode instead, which is linear).
+    compared exactly in integers. ``theorem._check_search_limit`` refuses a
+    ``max_n`` outside ``[0, theorem.MAX_SEARCH_N]`` and a population larger
+    than ``max_n`` (singletons mode is linear instead).
     Both modes yield violations lazily in a deterministic order and share one
     truncation rule: the first ``max_violations`` are listed (none if it is not
     positive), ``truncated`` says a further one exists, ``fair`` that none does.
     """
-    tol = as_rational(tolerance)
-    if tol < 0:
-        raise ValueError(f"tolerance must be non-negative, got {tolerance!r}")
+    tol = _checked_tolerance(tolerance)
     codes, probs = _probability_codes(proc, pop)
 
     if mode == "singletons":
         stream = _singleton_violations(pop, codes, probs, tol)
     elif mode == "bipartitions":
-        theorem._check_search_limit(max_n)
-        n = len(pop)
-        if n > max_n:
-            raise SizeLimitError(
-                f"population of {n} exceeds bipartition limit {max_n}; "
-                "use singletons mode for large populations"
-            )
+        theorem._check_search_limit(max_n, len(pop))
         violations = theorem._bipartition_violations(pop, codes, probs, tol)
         stream = (
             GroupPairViolation(ExplicitIdSet(subset), ExplicitIdSet(complement), violated)

@@ -723,14 +723,19 @@ def dump_population(pop: Population) -> str:
     ``load_population(dump_population(p))`` reproduces ``p`` exactly; since the
     loader strips ids and attrs texts, a member whose id or joined ``name=value``
     text starts or ends with whitespace raises :class:`ValueError` instead.
+    Fields are quoted as needed, and every field of a row whose id or attrs
+    holds a carriage return is quoted, since the loader refuses an unquoted one.
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
+    # the minimal quoting quotes "\n", the line terminator, but not a bare "\r"
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(CSV_HEADER)
     for ind in pop.members:
         attrs = ";".join(f"{name}={value}" for name, value in ind.attributes.items())
         if ind.id != ind.id.strip() or attrs != attrs.strip():
             raise ValueError(f"member {ind.id!r}: the loader would strip its id or attrs {attrs!r}")
         criterion = "" if ind.criterion is None else str(ind.criterion)
-        writer.writerow([ind.id, str(ind.merit), criterion, attrs])
+        row = [ind.id, str(ind.merit), criterion, attrs]
+        (quoted if "\r" in ind.id + attrs else writer).writerow(row)
     return out.getvalue()

@@ -28,6 +28,7 @@ from .errors import (
     MissingCriterionError,
     MissingRateError,
     ProcedureSpecError,
+    ProcfairError,
 )
 from .population import (
     GUILTY,
@@ -38,11 +39,6 @@ from .population import (
     cell_counts,
     group_cells,
 )
-
-# Outcome labels: 1 = acquitted (favorable), 0 = convicted (unfavorable).
-CONVICTED = 0
-ACQUITTED = 1
-
 
 MAX_DECIMAL_DIGITS = 4300  # sys.int_info.default_max_str_digits, which bounds "a/b" too
 
@@ -391,6 +387,15 @@ def empirical_rates(
 # --- procedure description files -------------------------------------------
 
 
+def _parse_json(text: str, error: type[ProcfairError] = ProcfairError):
+    """The package's one JSON reader of input documents: malformed text, or
+    nesting too deep for the parser, raises ``error`` with a one-line message."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"invalid JSON: {exc}") from exc
+
+
 def load_procedure(source: str | IO[str]) -> Procedure:
     """Parse a procedure description document.
 
@@ -402,11 +407,7 @@ def load_procedure(source: str | IO[str]) -> Procedure:
 
     Probabilities may be JSON numbers, decimal strings, or ``"a/b"`` strings.
     """
-    text = source if isinstance(source, str) else source.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProcedureSpecError(f"invalid JSON: {exc}") from exc
+    doc = _parse_json(source if isinstance(source, str) else source.read(), ProcedureSpecError)
     if not isinstance(doc, dict):
         raise ProcedureSpecError("procedure description must be a JSON object")
     kind = doc.get("type")

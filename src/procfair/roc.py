@@ -12,14 +12,13 @@ innocent).
 vertical axis and the everyone-acquitted corner sits at the bottom, which is
 the layout used by the exported diagram. :func:`diagram_rows` gives each
 labeled point one row, the JSON document of ``roc-export``, and
-:func:`render_diagram`, the one SVG and CSV writer, draws those rows; both
-:func:`export_diagram` and ``roc-export --format svg|csv`` use that writer.
+:func:`render_diagram`, the one SVG writer, draws those rows (their CSV goes
+through ``serialize.csv_text``); both :func:`export_diagram` and ``roc-export
+--format svg|csv`` use it. :func:`_checked_eps` is the one ``eps`` rule.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -27,6 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .procedure import as_probability, as_rational
+from .serialize import csv_text, rational_json
 
 
 class ProcedureClass(Enum):
@@ -152,9 +152,6 @@ def _fmt(value: float) -> str:
 def diagram_rows(points: Sequence[tuple[str, RocPoint]], eps=0) -> list[dict]:
     """One row per point: ``label``, ``h`` and ``k`` as ``{"ratio", "approx"}``, diamond
     ``x`` and ``y``, ``class`` at ``eps`` and ``merit_agnostic``. Labels must be unique."""
-    # serialize imports theorem, which imports this module
-    from .serialize import rational_json
-
     tol = _checked_eps(eps)
     labels = [label for label, _ in points]
     if len(set(labels)) != len(labels):
@@ -188,16 +185,15 @@ def render_diagram(rows: Sequence[dict], format: str = "svg") -> str:
     labeled marker per row.
     """
     if format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["label", "h", "k", "x", "y", "class"])
-        for row in rows:
-            writer.writerow(
+        return csv_text(
+            [["label", "h", "k", "x", "y", "class"]]
+            + [
                 [row["label"]]
                 + [f"{v:.8f}" for v in (row["h"]["approx"], row["k"]["approx"], row["x"], row["y"])]
                 + [row["class"]]
-            )
-        return out.getvalue()
+                for row in rows
+            ]
+        )
     if format != "svg":
         raise ValueError(f"format must be 'svg' or 'csv', got {format!r}")
     bottom = _pixel((0.0, 0.0))  # everyone acquitted

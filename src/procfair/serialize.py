@@ -1,22 +1,21 @@
-"""JSON rendering for reports.
+"""JSON values and CSV text for reports.
 
-Every exact rational is rendered as an object carrying both the ``"a/b"``
-ratio string and a float approximation, e.g. ``{"ratio": "3/4", "approx":
-0.75}``, so downstream tools can choose exactness or convenience. All
-dictionaries are built in a deterministic order; serializing the same report
-twice produces identical text.
+Every exact rational is rendered by :func:`rational_json` as an object carrying
+both the ``"a/b"`` ratio string and a float approximation, e.g. ``{"ratio":
+"3/4", "approx": 0.75}``, so downstream tools can choose exactness or
+convenience. All dictionaries are built in a deterministic order; serializing
+the same report twice produces identical text. :func:`csv_text` writes every
+CSV report, the CLI's and ``roc-export``'s. ``fairness`` and ``theorem`` types
+appear only in annotations, so ``roc`` can import this module at its top.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from .fairness import (
-    ContingencyTable,
-    FairnessVerdict,
-    JusticeMetrics,
-)
 from .population import (
     AttributeEquals,
     CriterionEquals,
@@ -31,7 +30,17 @@ from .procedure import (
     PerGroupRates,
     Procedure,
 )
-from .theorem import Bipartition, WitnessReport
+
+if TYPE_CHECKING:
+    from .fairness import ContingencyTable, FairnessVerdict, JusticeMetrics
+    from .theorem import Bipartition, WitnessReport
+
+
+def csv_text(rows: Iterable[Sequence]) -> str:
+    """``rows`` as CSV text with LF line endings."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def rational_json(value: Fraction | None) -> dict[str, Any] | None:

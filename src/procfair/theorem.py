@@ -17,8 +17,8 @@ bipartition loop of the package, which
 the caller's probability codes and yields each violating split as two sorted
 id tuples. Every probability becomes an integer numerator over a common
 denominator, and class means are compared by cross multiplication against an
-integer tolerance bound. Both callers refuse a search limit above
-:data:`MAX_SEARCH_N`.
+integer tolerance bound. :func:`_check_search_limit` owns the size rule of
+both callers, of :func:`verify_theorem` and of ``witness --max-n``.
 """
 
 from __future__ import annotations
@@ -61,13 +61,19 @@ DEFAULT_MAX_N = 15
 MAX_SEARCH_N = 20
 
 
-def _check_search_limit(max_n: int) -> None:
-    """Refuse a search limit outside ``[0, MAX_SEARCH_N]`` before any work."""
+def _check_search_limit(max_n: int, n: int = 0) -> None:
+    """Refuse a search limit outside ``[0, MAX_SEARCH_N]``, then a population of
+    ``n`` members larger than ``max_n``: the one size rule of every bipartition search."""
     if max_n < 0:
         raise SizeLimitError(f"search limit must be non-negative, got {max_n}")
     if max_n > MAX_SEARCH_N:
         raise SizeLimitError(
             f"search limit {max_n} exceeds the exhaustive-search ceiling {MAX_SEARCH_N}"
+        )
+    if n > max_n:
+        raise SizeLimitError(
+            f"population of {n} exceeds bipartition search limit {max_n}; "
+            "use singletons mode for large populations"
         )
 
 
@@ -201,13 +207,10 @@ def exhaustive_search(
     population order) encoding of the side that excludes the first member.
     ``proc`` defaults to the deterministic procedure, which requires
     criterion labels on every member of a population of two or more.
-    ``max_n`` must lie between 0 and :data:`MAX_SEARCH_N`.
+    ``max_n`` and ``len(pop)`` must pass :func:`_check_search_limit`.
     """
-    _check_search_limit(max_n)
-    n = len(pop)
-    if n > max_n:
-        raise SizeLimitError(f"population of {n} exceeds exhaustive-search limit {max_n}")
-    if n < 2:
+    _check_search_limit(max_n, len(pop))
+    if len(pop) < 2:
         return ()  # no bipartition, so no member needs a probability
     codes, probs = _probability_codes(proc or DeterministicProcedure(), pop)
     return tuple(Bipartition(*found) for found in _bipartition_violations(pop, codes, probs))
@@ -240,10 +243,7 @@ def verify_theorem(n_individuals: int, n_trials: int, seed: int) -> PropertyRepo
     """
     if n_individuals < 1:
         raise ValueError(f"n_individuals must be >= 1, got {n_individuals}")
-    if n_individuals > DEFAULT_MAX_N:
-        raise SizeLimitError(
-            f"n_individuals {n_individuals} exceeds exhaustive-search limit {DEFAULT_MAX_N}"
-        )
+    _check_search_limit(DEFAULT_MAX_N, n_individuals)
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
 

@@ -571,3 +571,23 @@ def test_classify_eps_message_names_the_text_as_typed(capsys):
     code, out, err = run(capsys, "classify", "--h", "1/2", "--k", "0", "--eps=1/4")
     assert code == 1 and out == ""
     assert err == "error: eps must lie in [0, 1/4), got '1/4'\n"
+
+
+# --- input documents nested too deeply for the JSON parser ---------------------
+
+
+@pytest.mark.parametrize("command", ["audit", "simulate", "roc-export"])
+def test_deeply_nested_json_input_is_an_error(capsys, tmp_path, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    pop_file = tmp_path / "population.csv"
+    pop_file.write_text("id,J,X,attrs\na,1,1,sex=M\nb,0,0,sex=F\n", encoding="utf-8")
+    argv = {
+        "audit": ["audit", "--population", str(pop_file), "--procedure", str(deep),
+                  "--attribute", "sex"],
+        "simulate": ["simulate", "--population", str(pop_file), "--procedure", str(deep)],
+        "roc-export": ["roc-export", str(deep)],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and single_error_line(err)
+    assert err.startswith("error: invalid JSON: ")

@@ -222,7 +222,7 @@ def test_loaded_ids_are_built_only_when_asked():
 
 # dump refuses exactly the members whose text the loader would strip
 
-_padded_text = st.text(alphabet="ab1 \t", min_size=1, max_size=4)
+_padded_text = st.text(alphabet="ab1 \t\r\n\",", min_size=1, max_size=4)
 
 
 @st.composite
@@ -249,3 +249,10 @@ def test_dump_round_trips_or_names_the_member_the_loader_would_strip(pop):
     else:
         with pytest.raises(ValueError, match=re.escape(repr(first_edged))):
             dump_population(pop)
+
+
+def test_dump_quotes_a_carriage_return_inside_an_id_or_value():
+    pop = Population(
+        [Individual("a\rb", 0, None, {"town": "x\ry"}), Individual("c", 1, 1, {})]
+    )
+    assert load_population(dump_population(pop)) == pop

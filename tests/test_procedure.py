@@ -381,3 +381,8 @@ def test_criterion_groups_see_same_global_rates():
     by_x0 = exact_rates(proc, pop, CriterionEquals(0))
     by_x1 = exact_rates(proc, pop, CriterionEquals(1))
     assert by_x0.h == by_x1.h == Fraction(1, 3)
+
+
+def test_load_procedure_refuses_json_nested_too_deeply():
+    with pytest.raises(ProcedureSpecError, match="invalid JSON"):
+        load_procedure("[" * 200_000 + "]" * 200_000)

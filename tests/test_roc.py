@@ -1,10 +1,16 @@
+import ast
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from procfair import roc
 from procfair.roc import (
     ProcedureClass,
     RocPoint,
@@ -196,3 +202,30 @@ def test_export_rejects_duplicate_labels():
 def test_export_rejects_unknown_format():
     with pytest.raises(ValueError, match="format"):
         export_diagram([], format="png")
+
+
+# --- the import graph has no cycle ---------------------------------------------
+
+MODULES = sorted(
+    path.stem for path in Path(roc.__file__).parent.glob("*.py") if not path.stem.startswith("_")
+)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_first_in_a_fresh_interpreter(module):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run(
+        [sys.executable, "-c", f"import procfair.{module}"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_roc_has_no_function_level_import():
+    tree = ast.parse(Path(roc.__file__).read_text(encoding="utf-8"))
+    nested = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
+    ]
+    assert nested == []
