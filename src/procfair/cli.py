@@ -6,8 +6,9 @@ dict that ``--format json`` prints; its CSV and text formats (and
 ``roc-export``'s SVG) are renderings of that document, and :func:`main`
 writes the result to ``--out`` or standard output. Every command is
 deterministic given identical inputs (including the seed). Exit codes: 0
-success, 1 operational failure, 2 reserved for ``witness`` when a fairness
-violation is found, so shell pipelines can branch on the result.
+success, 1 operational failure (a bad argument included), 2 reserved for
+``witness`` when a fairness violation is found, so shell pipelines can branch
+on the result.
 """
 
 from __future__ import annotations
@@ -99,11 +100,11 @@ def _cmd_audit(args):
     groups = {value: AttributeEquals(args.attribute, value) for value in values}
     if empirical:
         simulation = simulate(proc, pop, seed=args.seed, trials=args.trials)
-        rates = {value: empirical_rates(pop, simulation, g) for value, g in groups.items()}
-        overall = empirical_rates(pop, simulation)
+        rates_of = functools.partial(empirical_rates, pop, simulation)
     else:
-        rates = {value: exact_rates(proc, pop, g) for value, g in groups.items()}
-        overall = exact_rates(proc, pop)
+        rates_of = functools.partial(exact_rates, proc, pop)
+    rates = {value: rates_of(g) for value, g in groups.items()}
+    overall = rates_of()
 
     verdicts = [
         check_pairwise_fairness(
@@ -335,7 +336,9 @@ def _cmd_roc_export(args):
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict) or not {"label", "h", "k"} <= set(entry):
                 raise ProcfairError(f"points entry {i} must carry label, h and k")
-            points.append((str(entry["label"]), RocPoint(entry["h"], entry["k"])))
+            if not isinstance(entry["label"], str):
+                raise ProcfairError(f"points entry {i} label must be a string")
+            points.append((entry["label"], RocPoint(entry["h"], entry["k"])))
     return diagram_rows(points, eps), EXIT_OK
 
 
@@ -354,9 +357,33 @@ def _add_report(parser, func, renderers) -> None:
     parser.set_defaults(func=func, render=renderers)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad argument for :func:`main` to report as one ``error:`` line
+    with exit code 1, where argparse would exit 2, the code of a ``witness``
+    violation. Subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ProcfairError(message)
+
+
+def _integer_at_least(minimum: int):
+    """An argparse ``type`` for an integer of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="procfair",
         description=(
             "Audit binary decision procedures for group fairness against a "
@@ -371,8 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--procedure", required=True, help="procedure JSON path")
     audit.add_argument("--attribute", required=True, help="attribute defining the groups")
     audit.add_argument("--tolerance", default=None, help="rate tolerance (default 0 exact, 1e-9 empirical)")
-    audit.add_argument("--trials", type=int, default=None, help="simulate and audit empirical rates")
-    audit.add_argument("--seed", type=int, default=0)
+    audit.add_argument(
+        "--trials", type=_integer_at_least(1), default=None, help="simulate and audit empirical rates"
+    )
+    audit.add_argument("--seed", type=_integer_at_least(0), default=0)
     _add_report(audit, _cmd_audit, {"json": _json, "csv": _audit_csv})
 
     cls = sub.add_parser("classify", help="taxonomy class of a rate point")
@@ -389,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="seeded Monte-Carlo outcomes and empirical rates")
     sim.add_argument("--population", required=True)
     sim.add_argument("--procedure", required=True)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--trials", type=int, default=1000)
+    sim.add_argument("--seed", type=_integer_at_least(0), default=0)
+    sim.add_argument("--trials", type=_integer_at_least(1), default=1000)
     _add_report(sim, _cmd_simulate, {"json": _json, "csv": _simulate_csv})
 
     ex1 = sub.add_parser("example1", help="run the built-in two-stage demonstration scenario")
@@ -405,8 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         doc, code = args.func(args)
         text = args.render[args.format](doc, args)
         if args.out:

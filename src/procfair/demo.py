@@ -59,7 +59,7 @@ def demo_population() -> Population:
                 merit.append(label)
                 sex.append(code)
     return Population._from_columns(
-        lambda: tuple(ids),
+        ids,
         np.array(merit, dtype=np.int8),
         np.full(len(ids), MISSING, dtype=np.int8),
         {SEX: AttributeColumn(tuple(GROUP_SIZES), np.array(sex, dtype=np.int32))},

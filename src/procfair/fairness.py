@@ -157,7 +157,7 @@ def _singleton_violations(
         for a, b in combinations(np.flatnonzero(pop.merit == merit).tolist(), 2):
             code_a, code_b = code_of[a], code_of[b]
             if code_a != code_b and abs(probs[code_a] - probs[code_b]) > tol:
-                yield GroupPairViolation(Singleton(pop.ids()[a]), Singleton(pop.ids()[b]), (merit,))
+                yield GroupPairViolation(Singleton(pop._id(a)), Singleton(pop._id(b)), (merit,))
 
 
 def check_absolute_fairness(
@@ -258,7 +258,7 @@ def expected_contingency(pop: Population, proc: Procedure, attribute: str) -> Co
         first = int(missing[0])
         _probability_codes(proc, pop, np.arange(len(pop)) < first)  # earlier members' errors first
         raise ValueError(
-            f"individual {pop.ids()[first]!r} has no value for attribute {attribute!r}"
+            f"individual {pop._id(first)!r} has no value for attribute {attribute!r}"
         )
     if column is None:  # an empty population
         return ContingencyTable(attribute, {})

@@ -27,7 +27,8 @@ read from their byte, attrs strings are grouped by a key mixed from their
 8-byte words and then compared word for word, and ids are checked for
 duplicates by sorting their keys and comparing the ids whose keys repeat.
 The ids of a loaded population stay byte ranges until something asks for
-``ids()``, ``by_id`` or an id-based group, and its member view (``members``,
+``ids()``, ``by_id`` or an id-based group; an error or violation that names
+one member decodes only that member's id. Its member view (``members``,
 iteration) is built from the columns only when something asks for it.
 ``Population(members)`` encodes the columns once, when it is constructed, and
 keeps the given tuple as ``members``. Every exact aggregate downstream is a count per
@@ -44,7 +45,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -161,13 +162,13 @@ class Population:
     @classmethod
     def _from_columns(
         cls,
-        ids: Callable[[], tuple[str, ...]],
+        ids: Sequence[str],
         merit: np.ndarray,
         criterion: np.ndarray,
         attributes: dict[str, AttributeColumn],
     ) -> Population:
-        """A population over already validated columns. ``ids`` returns the
-        member ids, which must be distinct; it is called on first use."""
+        """A population over already validated columns. ``ids`` holds the
+        member ids, which must be distinct; it is read whole on first use."""
         pop = cls.__new__(cls)
         pop.__dict__.update(
             _id_source=ids, merit=_frozen(merit), criterion=_frozen(criterion), attributes=attributes
@@ -200,7 +201,7 @@ class Population:
 
     @cached_property
     def _ids(self) -> tuple[str, ...]:
-        return self._id_source()
+        return tuple(self._id_source)
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -208,6 +209,10 @@ class Population:
 
     def ids(self) -> tuple[str, ...]:
         return self._ids
+
+    def _id(self, i: int) -> str:
+        """Member ``i``'s id, decoded alone unless the ids are already built."""
+        return self._ids[i] if "_ids" in self.__dict__ else self._id_source[i]
 
     def _member(self, i: int) -> Individual:
         """Member ``i``, built from the columns."""
@@ -658,8 +663,19 @@ def _id_bounds(cells: _Cells) -> tuple[np.ndarray, np.ndarray, list[tuple[int, i
     return starts, ends, errors
 
 
-def _decode_all(raw: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[str, ...]:
-    return tuple(map(partial(_decode, raw), starts.tolist(), ends.tolist()))
+@dataclass(frozen=True, eq=False)
+class _IdRanges:
+    """The ids of a loaded population as byte ranges of ``raw``, decoded on demand."""
+
+    raw: bytes
+    starts: np.ndarray
+    ends: np.ndarray
+
+    def __getitem__(self, i: int) -> str:
+        return _decode(self.raw, self.starts[i], self.ends[i])
+
+    def __iter__(self) -> Iterator[str]:
+        return map(partial(_decode, self.raw), self.starts.tolist(), self.ends.tolist())
 
 
 def load_population(source: str | IO[str]) -> Population:
@@ -710,7 +726,7 @@ def load_population(source: str | IO[str]) -> Population:
     if pending is not None:
         raise pending
     return Population._from_columns(
-        partial(_decode_all, cells.raw, id_starts, id_ends),
+        _IdRanges(cells.raw, id_starts, id_ends),
         merit,
         criterion,
         _encode_attributes(attr_dicts, attr_rows),

@@ -194,7 +194,7 @@ def _probability_codes(
     if not invalid.size:
         return codes, probs
     first = int(invalid[0])
-    ident = pop.ids()[first]
+    ident = pop._id(first)
     if isinstance(proc, DeterministicProcedure):
         raise MissingCriterionError(
             f"individual {ident!r} has no criterion label; deterministic procedures require X"

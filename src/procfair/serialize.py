@@ -16,13 +16,7 @@ import io
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from .population import (
-    AttributeEquals,
-    CriterionEquals,
-    ExplicitIdSet,
-    GroupSpec,
-    Singleton,
-)
+from .population import AttributeEquals, CriterionEquals
 from .procedure import (
     ConditionalRates,
     DeterministicProcedure,
@@ -52,18 +46,13 @@ def rational_json(value: Fraction | None) -> dict[str, Any] | None:
     }
 
 
-def group_spec_json(g: GroupSpec | None) -> dict[str, Any] | None:
-    if g is None:
-        return None
+def group_spec_json(g: AttributeEquals | CriterionEquals) -> dict[str, Any]:
+    """A report's group: an attribute value (a verdict side) or a criterion side (witness)."""
     if isinstance(g, AttributeEquals):
         return {"kind": "attribute", "name": g.name, "value": g.value}
     if isinstance(g, CriterionEquals):
         return {"kind": "criterion", "value": g.value}
-    if isinstance(g, ExplicitIdSet):
-        return {"kind": "ids", "ids": sorted(g.ids)}
-    if isinstance(g, Singleton):
-        return {"kind": "singleton", "id": g.id}
-    raise TypeError(f"unknown group spec {g!r}")
+    raise TypeError(f"no report shape for group {g!r}")
 
 
 def procedure_json(proc: Procedure) -> dict[str, Any]:

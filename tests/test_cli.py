@@ -174,6 +174,34 @@ def test_audit_csv_format(capsys, demo_files):
     assert "contingency,total,0,expected_convictions,1875/1,1875.00000000" in out
 
 
+def test_audit_attribute_no_member_has_is_an_error(capsys, demo_files):
+    pop_file, proc_file = demo_files
+    code, out, err = run(
+        capsys,
+        "audit", "--population", str(pop_file), "--procedure", str(proc_file),
+        "--attribute", "age",
+    )
+    assert code == 1 and out == ""
+    assert err == "error: no member has a value for attribute 'age'\n"
+
+
+def test_audit_csv_leaves_an_empty_merit_class_blank(capsys, tmp_path):
+    pop_file = tmp_path / "innocent.csv"
+    pop_file.write_text("id,J,X,attrs\na,1,,sex=M\nb,1,,sex=F\n", encoding="utf-8")
+    proc_file = tmp_path / "procedure.json"
+    proc_file.write_text(GROUP_FAIR_PROC, encoding="utf-8")
+    code, out, _ = run(
+        capsys,
+        "audit", "--population", str(pop_file), "--procedure", str(proc_file),
+        "--attribute", "sex", "--format", "csv",
+    )
+    assert code == 0
+    rows = out.splitlines()
+    for group in ("overall", "M", "F"):
+        assert f"rates,{group},0,h,," in rows
+        assert f"rates,{group},1,k,1/10,0.10000000" in rows
+
+
 # --- witness -----------------------------------------------------------------
 
 
@@ -217,6 +245,19 @@ def test_witness_skips_search_beyond_max_n(capsys, tmp_path):
     )
     assert code == 2
     assert "skipped" in out
+
+
+def test_witness_text_names_an_unwitnessable_population(capsys, tmp_path):
+    # every guilty member has X=1 and every innocent one X=0: imperfect, yet no
+    # merit class straddles the criterion split
+    pop_file = tmp_path / "unjust.csv"
+    pop_file.write_text("id,J,X,attrs\na,1,0,\nb,0,1,\n", encoding="utf-8")
+    code, out, _ = run(capsys, "witness", "--population", str(pop_file), "--format", "text")
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "no violation on this population: the procedure is imperfect but "
+        "unwitnessable here (each merit class sits entirely on one side of X)"
+    )
 
 
 # --- simulate ----------------------------------------------------------------
@@ -325,11 +366,20 @@ def test_roc_export_bad_points_file(capsys, tmp_path):
         ('{"label": "a"}', "points entry 0 must carry label, h and k"),
         ('{"label": "a", "h": "3/2", "k": "0"}', "probability out of range [0, 1]: '3/2'"),
         ('{"label": "a", "h": "0", "k": "x"}', "cannot interpret 'x' as a rational"),
+        ('{"label": true, "h": "0", "k": "0"}', "points entry 0 label must be a string"),
     ]:
         points.write_text(f"[{entry}]", encoding="utf-8")
         code, out, err = run(capsys, "roc-export", str(points))
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
+
+
+def test_roc_export_points_file_must_be_a_list(capsys, tmp_path):
+    points = tmp_path / "points.json"
+    points.write_text('{"label": "a", "h": "0", "k": "0"}', encoding="utf-8")
+    code, out, err = run(capsys, "roc-export", str(points))
+    assert code == 1 and out == ""
+    assert err == "error: points file must be a JSON list of {label, h, k} objects\n"
 
 
 diagram_points = st.lists(
@@ -591,3 +641,43 @@ def test_deeply_nested_json_input_is_an_error(capsys, tmp_path, command):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and single_error_line(err)
     assert err.startswith("error: invalid JSON: ")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["witness", "--population", "p.csv", "--max-n", "abc"],
+         "argument --max-n: invalid int value: 'abc'"),
+        (["witness"], "the following arguments are required: --population"),
+        (["simulate", "--population", "p.csv", "--procedure", "q.json", "--seed", "-1"],
+         "argument --seed: expected an integer >= 0, got '-1'"),
+        (["audit", "--population", "p.csv", "--procedure", "q.json", "--attribute", "sex",
+          "--trials", "0"],
+         "argument --trials: expected an integer >= 1, got '0'"),
+        (["audit", "--population", "p.csv", "--procedure", "q.json", "--attribute", "sex",
+          "--trials", "2", "--seed", "-03"],
+         "argument --seed: expected an integer >= 0, got '-03'"),
+        (["simulate", "--population", "p.csv", "--procedure", "q.json", "--trials", "many"],
+         "argument --trials: expected an integer >= 1, got 'many'"),
+        (["nonsense"], "argument command: invalid choice: 'nonsense'"),
+    ],
+)
+def test_argument_errors_exit_1_before_any_file_is_read(capsys, monkeypatch, argv, message):
+    import procfair.cli as cli
+
+    def no_read(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "_read_text", no_read)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert single_error_line(err)
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["witness", "--help"], ["audit", "-h"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: procfair")

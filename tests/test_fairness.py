@@ -189,6 +189,12 @@ def test_bipartitions_missing_probability_raises_before_size_checks():
             check_absolute_fairness(proc, pop, mode="bipartitions", max_n=max_n)
 
 
+def test_unknown_mode_is_refused():
+    pop = Population([Individual("a", GUILTY)])
+    with pytest.raises(ValueError, match="mode must be 'singletons' or 'bipartitions', got 'pairs'"):
+        check_absolute_fairness(global_procedure(1, 0), pop, mode="pairs")
+
+
 def test_singleton_violations_truncate():
     pop = _mixed_pop(n_guilty=0, n_innocent=6, criteria=[0, 0, 0, 1, 1, 1])
     report = check_absolute_fairness(

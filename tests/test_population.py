@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from procfair.errors import PopulationParseError, UnknownIdError
+from procfair.errors import (
+    MissingCriterionError,
+    MissingRateError,
+    PopulationParseError,
+    UnknownIdError,
+)
 from procfair.fairness import check_absolute_fairness, expected_contingency
 from procfair.population import (
     AttributeEquals,
@@ -20,7 +25,12 @@ from procfair.population import (
     load_population,
     merit_counts,
 )
-from procfair.procedure import exact_rates, global_procedure, per_group_procedure
+from procfair.procedure import (
+    DeterministicProcedure,
+    exact_rates,
+    global_procedure,
+    per_group_procedure,
+)
 from procfair.theorem import construct_witness
 
 HEADER = "id,J,X,attrs\n"
@@ -87,6 +97,28 @@ def test_individual_rejects_structural_characters():
         Individual("a", 1, attributes={"sex": "M;F"})
     with pytest.raises(ValueError):
         Individual("a", 1, attributes={"": "M"})
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [(("", 1), "id must be a non-empty string"),
+     (("a", 2), "merit must be 0 or 1, got 2"),
+     (("a", 1, -1), "criterion must be 0, 1 or None, got -1")],
+)
+def test_individual_rejects_a_bad_id_merit_or_criterion(args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Individual(*args)
+
+
+def test_criterion_group_value_must_be_binary():
+    with pytest.raises(ValueError, match="criterion value must be 0 or 1, got 2"):
+        CriterionEquals(2)
+
+
+def test_population_fields_cannot_be_assigned():
+    pop = Population([Individual("a", 1)])
+    with pytest.raises(AttributeError, match="cannot assign to field 'merit'"):
+        pop.merit = None
 
 
 def test_population_rejects_duplicate_ids():
@@ -182,6 +214,11 @@ def test_group_members_preserve_population_order():
     assert [i.id for i in group_members(pop, AttributeEquals("sex", "M"))] == ["b", "a", "c"]
 
 
+def test_no_group_selects_every_member():
+    pop = load_population(HEADER + "b,1,1,\na,0,0,\n")
+    assert group_members(pop, None) == pop.members
+
+
 def test_empty_group_counts_are_zero(demo_pop):
     assert merit_counts(demo_pop, AttributeEquals("sex", "X")) == (0, 0)
 
@@ -218,6 +255,42 @@ def test_loaded_ids_are_built_only_when_asked():
                 group_cells(each, unknown)
             messages.append(str(raised.value))
         assert messages[0] == messages[1]
+
+
+def test_naming_one_member_decodes_only_its_id():
+    rows = [f"m{i},{i % 2},{'' if i == 7 else i % 2},sex={'MF'[i % 3 % 2]}" for i in range(1000)]
+    text = HEADER + "\n".join(rows) + "\n"
+    unequal = per_group_procedure("sex", {"M": ("3/4", "1/10"), "F": ("1/2", "1/10")})
+
+    def named(build):
+        """Three singleton violations and four errors, each naming members of
+        two populations made by ``build``, the second with a member lacking sex."""
+        pop, no_sex = build(text), build(text + "z,1,1,\n")
+        report = check_absolute_fairness(unequal, pop, mode="singletons", max_violations=3)
+        errors = []
+        for call, error in [
+            (lambda: exact_rates(DeterministicProcedure(), pop), MissingCriterionError),
+            (lambda: exact_rates(per_group_procedure("sex", {"M": (0, 0)}), pop), MissingRateError),
+            (lambda: exact_rates(unequal, no_sex), MissingRateError),
+            (lambda: expected_contingency(no_sex, global_procedure(0, 0), "sex"), ValueError),
+        ]:
+            with pytest.raises(error) as raised:
+                call()
+            errors.append(str(raised.value))
+        return report, errors, (pop, no_sex)
+
+    report, errors, loaded = named(load_population)
+    assert not any("_ids" in pop.__dict__ for pop in loaded)
+    assert (report, errors) == named(lambda source: Population(load_population(source).members))[:2]
+    assert [(v.group_a.id, v.group_b.id) for v in report.violations] == [
+        ("m0", "m4"), ("m0", "m10"), ("m0", "m16")
+    ]
+    assert errors == [
+        "individual 'm7' has no criterion label; deterministic procedures require X",
+        "no configured rates for sex='F' (individual 'm1')",
+        "individual 'z' has no value for attribute 'sex'",
+        "individual 'z' has no value for attribute 'sex'",
+    ]
 
 
 # dump refuses exactly the members whose text the loader would strip

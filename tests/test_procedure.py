@@ -23,7 +23,9 @@ from procfair.population import (
 )
 from procfair.procedure import (
     SIMULATION_BLOCK_DRAWS,
+    ConditionalRates,
     DeterministicProcedure,
+    PerGroupRates,
     Simulation,
     _probability_codes,
     as_probability,
@@ -179,6 +181,16 @@ def test_make_group_fair_assigns_identical_pairs():
     assert proc.rates.table["M"] == proc.rates.table["F"] == (Fraction(3, 4), Fraction(1, 10))
 
 
+@pytest.mark.parametrize(
+    "attribute,table,message",
+    [("", {"M": (0, 0)}, "attribute name must be non-empty"),
+     ("sex", {}, "per-group rate table must be non-empty")],
+)
+def test_per_group_rates_need_an_attribute_and_a_table(attribute, table, message):
+    with pytest.raises(ValueError, match=message):
+        PerGroupRates(attribute, table)
+
+
 def test_make_group_fair_rejects_empty_values():
     with pytest.raises(ValueError):
         make_group_fair("1/2", "1/2", "sex", [])
@@ -315,6 +327,18 @@ def test_simulation_rejects_inconsistent_counts():
         empirical_rates(_tiny_pop(), Simulation(0, 2, [0, 1]))
 
 
+def test_simulation_needs_one_count_per_member():
+    with pytest.raises(ValueError, match="one conviction count required per member"):
+        Simulation(0, 2, [[0, 1], [1, 2]])
+
+
+def test_conditional_rates_match_their_support():
+    with pytest.raises(ValueError, match="exactly when its class has support"):
+        ConditionalRates(Fraction(1, 2), None, (0, 1))
+    with pytest.raises(ValueError, match="exactly when its class has support"):
+        ConditionalRates(Fraction(1, 2), None, (1, 1))
+
+
 def test_empirical_rates_near_configured():
     # binomial standard error bound: 3 sigma on 2000 draws per class
     pop = Population(
@@ -386,3 +410,8 @@ def test_criterion_groups_see_same_global_rates():
 def test_load_procedure_refuses_json_nested_too_deeply():
     with pytest.raises(ProcedureSpecError, match="invalid JSON"):
         load_procedure("[" * 200_000 + "]" * 200_000)
+
+
+def test_load_procedure_refuses_a_document_that_is_not_an_object():
+    with pytest.raises(ProcedureSpecError, match="must be a JSON object"):
+        load_procedure("[]")

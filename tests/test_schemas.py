@@ -8,6 +8,8 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from procfair.cli import main
+from procfair.population import CriterionEquals, ExplicitIdSet, Singleton
+from procfair.serialize import group_spec_json
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -101,3 +103,26 @@ def test_roc_export_schema(capsys, tmp_path, registry):
     )
     out = emit(capsys, "roc-export", str(points), "--format", "json")
     validate(registry, "roc-export.schema.json", json.loads(out))
+
+
+def test_audit_with_an_empty_merit_class_validates(capsys, tmp_path, registry):
+    pop = tmp_path / "innocent.csv"
+    pop.write_text("id,J,X,attrs\na,1,1,sex=M\nb,1,0,sex=F\n", encoding="utf-8")
+    proc = tmp_path / "procedure.json"
+    proc.write_text(RANDOMIZED, encoding="utf-8")
+    out = emit(
+        capsys,
+        "audit", "--population", str(pop), "--procedure", str(proc),
+        "--attribute", "sex", "--format", "json",
+    )
+    doc = json.loads(out)
+    assert doc["rates"]["overall"]["h"] is None
+    assert [v["group_a"]["kind"] for v in doc["verdicts"]] == ["attribute"]
+    validate(registry, "audit.schema.json", doc)
+
+
+@pytest.mark.parametrize("group", [None, ExplicitIdSet(["a"]), Singleton("a")])
+def test_a_report_group_is_an_attribute_or_a_criterion(group):
+    assert group_spec_json(CriterionEquals(1)) == {"kind": "criterion", "value": 1}
+    with pytest.raises(TypeError, match="no report shape"):
+        group_spec_json(group)
