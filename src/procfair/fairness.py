@@ -14,9 +14,10 @@ shared by both checks and ``audit --tolerance``.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import islice
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -88,10 +89,14 @@ class FairnessVerdict:
 
 
 def _checked_tolerance(tolerance) -> Fraction:
-    """``tolerance`` as an exact rational; raises unless it is non-negative."""
+    """``tolerance`` as an exact rational; raises unless it lies in [0, 1].
+    Two probabilities never differ by more than 1, so no larger tolerance
+    gives other verdicts than 1."""
     tol = as_rational(tolerance)
     if tol < 0:
         raise ValueError(f"tolerance must be non-negative, got {tolerance!r}")
+    if tol > 1:
+        raise ValueError(f"tolerance must be at most 1, got {tolerance!r}")
     return tol
 
 
@@ -147,16 +152,26 @@ def _singleton_violations(
 ) -> Iterator[GroupPairViolation]:
     """Lazily yield each pair of same-class members whose probabilities differ
     by more than ``tol``, class by class, pairs in member order. Each class's
-    spread comes from one :func:`cell_counts`; ids are decoded only to name a pair."""
+    spread comes from one :func:`cell_counts`. Each member is paired only with
+    the later members of the codes farther than ``tol`` from its own, merged
+    from one sorted index array per code; ids are decoded only to name a pair."""
     present = cell_counts(pop, codes, len(probs))[0] > 0
     for merit in (GUILTY, INNOCENT):
-        class_probs = [p for p, here in zip(probs, present[merit]) if here]
+        here = np.flatnonzero(present[merit]).tolist()
+        class_probs = [probs[code] for code in here]
         if not class_probs or max(class_probs) - min(class_probs) <= tol:
             continue  # whole class within tolerance: no pair can violate
-        code_of = codes.tolist()
-        for a, b in combinations(np.flatnonzero(pop.merit == merit).tolist(), 2):
-            code_a, code_b = code_of[a], code_of[b]
-            if code_a != code_b and abs(probs[code_a] - probs[code_b]) > tol:
+        members = np.flatnonzero(pop.merit == merit)
+        member_codes = codes[members]
+        order = np.argsort(member_codes, kind="stable")
+        splits = np.flatnonzero(np.diff(member_codes[order])) + 1
+        holders = dict(zip(here, np.split(members[order], splits)))
+        far: dict[int, list[np.ndarray]] = {}
+        for a, code in zip(members.tolist(), member_codes.tolist()):
+            if code not in far:
+                far[code] = [holders[d] for d in here if abs(probs[d] - probs[code]) > tol]
+            later = [held[np.searchsorted(held, a, "right"):] for held in far[code]]
+            for b in heapq.merge(*later):
                 yield GroupPairViolation(Singleton(pop._id(a)), Singleton(pop._id(b)), (merit,))
 
 

@@ -223,11 +223,12 @@ class Population:
                 attrs[name] = column.values[code]
         criterion = int(self.criterion[i])
         return Individual(
-            self._ids[i], int(self.merit[i]), None if criterion == MISSING else criterion, attrs
+            self._id(i), int(self.merit[i]), None if criterion == MISSING else criterion, attrs
         )
 
     @cached_property
     def members(self) -> tuple[Individual, ...]:
+        self.ids()  # decoded in bulk, so that each _member looks its id up
         return tuple(self._member(i) for i in range(len(self)))
 
     @cached_property
@@ -349,6 +350,9 @@ def merit_counts(pop: Population, g: GroupSpec | None = None) -> tuple[int, int]
 
 _NO_CRITERION = 255  # MISSING as an unsigned byte, read back through int8
 
+# (row, column from 0 for id, error) of a check's first failure; the least is raised
+_RowError = tuple[int, int, PopulationParseError]
+
 
 def _parse_binary(text: str, column: str, line: int, optional: bool = False) -> int | None:
     text = text.strip()
@@ -363,7 +367,7 @@ def _parse_binary(text: str, column: str, line: int, optional: bool = False) -> 
     raise PopulationParseError(f"{column} must be 0 or 1, got {text!r}", line)
 
 
-def _parse_attrs(text: str) -> dict[str, str]:
+def _parse_attrs(text: str, line: int) -> dict[str, str]:
     attrs: dict[str, str] = {}
     text = text.strip()
     if not text:
@@ -371,9 +375,9 @@ def _parse_attrs(text: str) -> dict[str, str]:
     for pair in text.split(";"):
         name, sep, value = pair.partition("=")
         if not sep or not name or not value:
-            raise PopulationParseError(f"bad attribute pair {pair!r}")
+            raise PopulationParseError(f"bad attribute pair {pair!r}", line)
         if name in attrs:
-            raise PopulationParseError(f"duplicate attribute {name!r}")
+            raise PopulationParseError(f"duplicate attribute {name!r}", line)
         attrs[name] = value
     return attrs
 
@@ -459,16 +463,16 @@ def _lines(text: str) -> Iterator[str]:
         start = end
 
 
-def _csv_cells(text: str) -> tuple[_Cells, PopulationParseError | None]:
+def _csv_cells(text: str, errors: list[_RowError]) -> _Cells:
     """The cells of ``text`` as read by :func:`csv.reader`, which handles
-    RFC-4180 quoting, CRLF and blank lines, plus the error that ends the rows
-    early, if any: a row with the wrong number of columns, or a
-    :class:`csv.Error` such as a field longer than ``csv.field_size_limit()``.
+    RFC-4180 quoting, CRLF and blank lines. The error that ends the rows early,
+    a row with the wrong number of columns or a :class:`csv.Error` such as a
+    field longer than ``csv.field_size_limit()``, goes to ``errors`` at the row
+    after the last one read.
     """
     cells: list[str] = []
     lines: list[int] = []
     header_seen = False
-    pending = None
     reader = csv.reader(_lines(text))
     start = 1  # the physical line the next record starts on
     try:
@@ -483,24 +487,25 @@ def _csv_cells(text: str) -> tuple[_Cells, PopulationParseError | None]:
                     )
                 header_seen = True
             elif len(row) != 4:
-                pending = PopulationParseError(f"expected 4 columns, got {len(row)}", line)
+                error = PopulationParseError(f"expected 4 columns, got {len(row)}", line)
+                errors.append((len(lines), 0, error))
                 break
             else:
                 cells.extend(row)
                 lines.append(line)
     except csv.Error as exc:
-        pending = PopulationParseError(str(exc), start)
-    if not header_seen and pending is None:
+        errors.append((len(lines), 0, PopulationParseError(str(exc), start)))
+    if not header_seen and not errors:
         raise PopulationParseError("empty input: missing header", 1)
     encoded = [cell.encode("utf-8", "surrogatepass") for cell in cells]
     lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
     bounds = np.cumsum(np.concatenate(([7], lengths + 1)))
-    return _Cells(bytes(8) + b",".join(encoded) + bytes(1), bounds, lines), pending
+    return _Cells(bytes(8) + b",".join(encoded) + bytes(1), bounds, lines)
 
 
-def _labels(cells: _Cells, column: int) -> tuple[np.ndarray, tuple[int, PopulationParseError] | None]:
-    """Column J (1) or X (2) as ``int8`` labels, ``MISSING`` for an empty X,
-    plus the row and error of the first cell that does not parse.
+def _labels(cells: _Cells, column: int, errors: list[_RowError]) -> np.ndarray:
+    """Column J (1) or X (2) as ``int8`` labels, ``MISSING`` for an empty X;
+    the first cell that does not parse puts its error in ``errors``.
 
     A cell that is exactly ``0`` or ``1`` is read from its byte; any other
     (one that needs stripping, or a bad one) goes through :func:`_parse_binary`.
@@ -518,9 +523,10 @@ def _labels(cells: _Cells, column: int) -> tuple[np.ndarray, tuple[int, Populati
         try:
             label = _parse_binary(cells.text(column, row), name, cells.lines[row], optional)
         except PopulationParseError as exc:
-            return labels.view(np.int8), (row, exc)
+            errors.append((row, column, exc))
+            break
         labels[row] = _NO_CRITERION if label is None else label
-    return labels.view(np.int8), None
+    return labels.view(np.int8)
 
 
 # how far a last word of 1 to 8 bytes, loaded with the bytes before it, is shifted down
@@ -626,9 +632,9 @@ _GRAPHIC_ASCII = np.zeros(256, dtype=bool)  # the bytes of "!" to "~", which str
 _GRAPHIC_ASCII[ord("!") : ord("~") + 1] = True
 
 
-def _id_bounds(cells: _Cells) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, Exception]]]:
-    """The byte range in ``cells.raw`` of every stripped id, plus (row, 0, error)
-    for the first empty id and (row, 1, error) for the first duplicate.
+def _id_bounds(cells: _Cells, errors: list[_RowError]) -> _IdRanges:
+    """The byte range in ``cells.raw`` of every stripped id; the first empty id
+    and the first duplicate put their errors in ``errors``.
 
     Only an id whose first or last byte is not printable ASCII can change under
     ``str.strip``; those ids are stripped as text. Duplicates are found by
@@ -643,7 +649,6 @@ def _id_bounds(cells: _Cells) -> tuple[np.ndarray, np.ndarray, list[tuple[int, i
         ident = cell.strip()
         starts[row] += len(cell[: len(cell) - len(cell.lstrip())].encode("utf-8", "surrogatepass"))
         ends[row] = starts[row] + len(ident.encode("utf-8", "surrogatepass"))
-    errors: list[tuple[int, int, Exception]] = []
     empty = np.flatnonzero(starts == ends)
     if empty.size:
         row = int(empty[0])
@@ -657,10 +662,10 @@ def _id_bounds(cells: _Cells) -> tuple[np.ndarray, np.ndarray, list[tuple[int, i
         ident = raw[starts[row] : ends[row]]
         if ident in seen:
             message = f"duplicate id {_decode(raw, starts[row], ends[row])!r}"
-            errors.append((row, 1, PopulationParseError(message, cells.lines[row])))
+            errors.append((row, 0, PopulationParseError(message, cells.lines[row])))
             break
         seen.add(ident)
-    return starts, ends, errors
+    return _IdRanges(raw, starts, ends)
 
 
 @dataclass(frozen=True, eq=False)
@@ -698,39 +703,25 @@ def load_population(source: str | IO[str]) -> Population:
     text = source if isinstance(source, str) else source.read()
     if text.startswith("\ufeff"):
         text = text[1:]
-    cells = _plain_cells(text.encode("utf-8", "surrogatepass"))
-    pending = None
-    if cells is None:
-        cells, pending = _csv_cells(text)
-    # (row, position of the check within the row, error) of each check's first failure
-    id_starts, id_ends, errors = _id_bounds(cells)
-    merit, error = _labels(cells, 1)
-    if error:
-        errors.append((error[0], 2, error[1]))
-    criterion, error = _labels(cells, 2)
-    if error:
-        errors.append((error[0], 3, error[1]))
+    errors: list[_RowError] = []
+    cells = _plain_cells(text.encode("utf-8", "surrogatepass")) or _csv_cells(text, errors)
+    ids = _id_bounds(cells, errors)
+    merit = _labels(cells, 1, errors)
+    criterion = _labels(cells, 2, errors)
 
     # Each distinct attrs string is parsed once, in first-appearance order.
     first_rows, attr_rows = _group_cells(cells, 3)
     attr_dicts = []
     for row in first_rows.tolist():
         try:
-            attr_dicts.append(_parse_attrs(cells.text(3, row)))
+            attr_dicts.append(_parse_attrs(cells.text(3, row), cells.lines[row]))
         except PopulationParseError as exc:
-            errors.append((row, 4, PopulationParseError(str(exc), cells.lines[row])))
+            errors.append((row, 3, exc))
             break
 
     if errors:
         raise min(errors, key=lambda error: error[:2])[2]
-    if pending is not None:
-        raise pending
-    return Population._from_columns(
-        _IdRanges(cells.raw, id_starts, id_ends),
-        merit,
-        criterion,
-        _encode_attributes(attr_dicts, attr_rows),
-    )
+    return Population._from_columns(ids, merit, criterion, _encode_attributes(attr_dicts, attr_rows))
 
 
 def dump_population(pop: Population) -> str:

@@ -20,6 +20,7 @@ through ``serialize.csv_text``); both :func:`export_diagram` and ``roc-export
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -153,9 +154,9 @@ def diagram_rows(points: Sequence[tuple[str, RocPoint]], eps=0) -> list[dict]:
     """One row per point: ``label``, ``h`` and ``k`` as ``{"ratio", "approx"}``, diamond
     ``x`` and ``y``, ``class`` at ``eps`` and ``merit_agnostic``. Labels must be unique."""
     tol = _checked_eps(eps)
-    labels = [label for label, _ in points]
-    if len(set(labels)) != len(labels):
-        dupes = sorted({l for l in labels if labels.count(l) > 1})
+    counts = Counter(label for label, _ in points)
+    if len(counts) != len(points):
+        dupes = sorted(label for label, count in counts.items() if count > 1)
         raise ValueError(f"duplicate point labels: {dupes}")
     rows = []
     for label, point in points:

@@ -582,6 +582,15 @@ def test_audit_negative_tolerance_is_an_error(capsys, tmp_path, attrs, trials):
         assert err == "error: tolerance must be non-negative, got '-1'\n"
 
 
+@pytest.mark.parametrize("tolerance", ["1e400", "1.5", "3/2"])
+def test_audit_tolerance_above_one_is_an_error_before_any_file_is_read(capsys, tmp_path, tolerance):
+    missing = str(tmp_path / "missing")
+    argv = ["audit", "--population", missing, "--procedure", missing, "--attribute", "sex"]
+    code, out, err = run(capsys, *argv, f"--tolerance={tolerance}")
+    assert code == 1 and out == ""
+    assert err == f"error: tolerance must be at most 1, got '{tolerance}'\n"
+
+
 @pytest.mark.parametrize("eps", ["5", "-1/10"])
 @pytest.mark.parametrize("points", [None, "[]", '[{"label": "a", "h": "1/2", "k": "0"}]', "missing"])
 @pytest.mark.parametrize("fmt", ["svg", "csv", "json"])

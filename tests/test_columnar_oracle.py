@@ -26,6 +26,7 @@ from procfair.population import (
     Population,
     Singleton,
     dump_population,
+    group_members,
     load_population,
     merit_counts,
 )
@@ -270,3 +271,16 @@ def test_witness_matches_member_scan(pop):
         assert report.procedure_class == (
             classify(RocPoint(h, k)) if h is not None and k is not None else None
         )
+
+
+
+@settings(max_examples=100, deadline=None)
+@given(populations())
+def test_group_members_match_member_scan_and_decode_only_their_ids(pop):
+    loaded = load_population(dump_population(pop))
+    for g in [CriterionEquals(0), CriterionEquals(1)] + [
+        AttributeEquals(name, value) for name in pop.attributes for value in pop.attribute_values(name)
+    ]:
+        listed = group_members(loaded, g)
+        assert "_ids" not in loaded.__dict__
+        assert listed == group_members(pop, g) == tuple(m for m in pop.members if in_group(m, g))

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from procfair.population import (
     CriterionEquals,
     Individual,
     Population,
+    load_population,
 )
 from procfair.procedure import (
     ConditionalRates,
@@ -96,6 +98,15 @@ def test_zero_tolerance_distinguishes_tiny_exact_differences():
 def test_negative_tolerance_rejected():
     with pytest.raises(ValueError):
         check_pairwise_fairness(rates(1, 0), rates(1, 0), -1)
+
+
+def test_tolerance_above_one_rejected():
+    # 1 already accepts the widest gap two probabilities can have
+    assert check_pairwise_fairness(rates(1, 0), rates(0, 1), 1).fair
+    with pytest.raises(ValueError, match="tolerance must be at most 1, got '1e400'"):
+        check_pairwise_fairness(rates(1, 0), rates(1, 0), "1e400")
+    with pytest.raises(ValueError, match="at most 1"):
+        check_absolute_fairness(global_procedure(0, 1), Population([]), tolerance=Fraction(3, 2))
 
 
 def test_global_rates_fair_across_every_attribute_pair(demo_pop, demo_proc):
@@ -269,6 +280,27 @@ def test_singletons_mode_lists_every_differing_pair(case, tolerance, max_violati
     assert listed == expected[:max_violations]
     assert report.truncated == (len(expected) > max_violations)
     assert report.fair == (not expected)
+
+
+def test_singleton_listing_does_not_slow_down_when_the_differing_member_is_last():
+    # one F among 4 * 10^5 innocent M: 100 listed pairs, whichever end the F sits at
+    n = 400_000
+    proc = per_group_procedure("sex", {"M": ("1/2", "1/10"), "F": ("1/2", "1/5")})
+    elapsed = {}
+    for odd in (0, n - 1):
+        rows = "".join(f"m{i},1,1,sex={'F' if i == odd else 'M'}\n" for i in range(n))
+        pop = load_population("id,J,X,attrs\n" + rows)
+        start = time.perf_counter()
+        report = check_absolute_fairness(proc, pop, mode="singletons")
+        elapsed[odd] = time.perf_counter() - start
+        assert report.truncated and "_ids" not in pop.__dict__
+        pairs = [(v.group_a.id, v.group_b.id) for v in report.violations]
+        if odd == 0:
+            assert pairs == [("m0", f"m{i}") for i in range(1, 101)]
+        else:
+            assert pairs == [(f"m{i}", f"m{odd}") for i in range(100)]
+    # pairing each leading member with every later one made the late case many times slower
+    assert elapsed[n - 1] < 10 * elapsed[0] + 0.2
 
 
 # --- contingency and justice ---------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from procfair.roc import (
     ProcedureClass,
     RocPoint,
     classify,
+    diagram_rows,
     export_diagram,
     is_merit_agnostic,
     to_diamond,
@@ -197,6 +199,21 @@ def test_export_rejects_duplicate_labels():
     points = [("p", RocPoint(0, 0)), ("p", RocPoint(1, 0))]
     with pytest.raises(ValueError, match="duplicate"):
         export_diagram(points, format="csv")
+
+
+def test_duplicate_labels_among_many_points_are_found_in_one_pass():
+    points = [(f"p{i}", RocPoint(Fraction(i % 7, 7), Fraction(i % 5, 5))) for i in range(20_000)]
+    start = time.perf_counter()
+    assert len(diagram_rows(points)) == len(points)
+    unique = time.perf_counter() - start
+    points[12_000] = ("p7", points[12_000][1])
+    points[-1] = ("p19", points[-1][1])
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as raised:
+        diagram_rows(points)
+    # counting each label by scanning the whole list took longer than the export itself
+    assert time.perf_counter() - start <= unique
+    assert str(raised.value) == "duplicate point labels: ['p19', 'p7']"
 
 
 def test_export_rejects_unknown_format():
