@@ -155,7 +155,7 @@ def _singleton_violations(
     spread comes from one :func:`cell_counts`. Each member is paired only with
     the later members of the codes farther than ``tol`` from its own, merged
     from one sorted index array per code; ids are decoded only to name a pair."""
-    present = cell_counts(pop, codes, len(probs))[0] > 0
+    present = cell_counts(pop.merit, codes, len(probs))[0] > 0
     for merit in (GUILTY, INNOCENT):
         here = np.flatnonzero(present[merit]).tolist()
         class_probs = [probs[code] for code in here]
@@ -271,7 +271,7 @@ def expected_contingency(pop: Population, proc: Procedure, attribute: str) -> Co
     missing = np.flatnonzero(codes == MISSING)
     if missing.size:
         first = int(missing[0])
-        _probability_codes(proc, pop, np.arange(len(pop)) < first)  # earlier members' errors first
+        _probability_codes(proc, pop, np.arange(first))  # earlier members' errors first
         raise ValueError(
             f"individual {pop._id(first)!r} has no value for attribute {attribute!r}"
         )

@@ -241,7 +241,7 @@ class Population:
         return () if column is None else column.values
 
 
-# --- group specs: plain data; group_cells decides who belongs --------------
+# --- group specs: plain data; group_rows decides who belongs ---------------
 
 
 @dataclass(frozen=True)
@@ -283,66 +283,65 @@ class Singleton:
 GroupSpec = Union[AttributeEquals, CriterionEquals, ExplicitIdSet, Singleton]
 
 
-def group_cells(pop: Population, g: GroupSpec | None) -> np.ndarray | None:
-    """Cell 0 for members of ``g`` and -1 for the rest, the ``cells`` argument of
-    :func:`cell_counts`; ``None`` when ``g`` selects everyone."""
+def group_rows(pop: Population, g: GroupSpec | None) -> np.ndarray | None:
+    """The sorted row indices of ``g``'s members; ``None`` when ``g`` selects everyone."""
     if g is None:
         return None
     if isinstance(g, AttributeEquals):
         column = pop.attributes.get(g.name)
         if column is None or g.value not in column.values:
-            mask = np.zeros(len(pop), dtype=bool)
-        else:
-            mask = column.codes == column.values.index(g.value)
-    elif isinstance(g, CriterionEquals):
-        mask = pop.criterion == g.value
-    else:
-        ids = g.ids if isinstance(g, ExplicitIdSet) else {g.id}
-        unknown = ids - pop._index.keys()
-        if unknown and isinstance(g, Singleton):
-            raise UnknownIdError(f"unknown id in group: {g.id!r}")
-        if unknown:
-            raise UnknownIdError(f"unknown ids in group: {sorted(unknown)}")
-        mask = np.zeros(len(pop), dtype=bool)
-        mask[[pop._index[ident] for ident in ids]] = True
-    return mask.view(np.int8) - 1
+            return np.empty(0, dtype=np.intp)
+        return np.flatnonzero(column.codes == column.values.index(g.value))
+    if isinstance(g, CriterionEquals):
+        return np.flatnonzero(pop.criterion == g.value)
+    ids = g.ids if isinstance(g, ExplicitIdSet) else {g.id}
+    unknown = ids - pop._index.keys()
+    if unknown and isinstance(g, Singleton):
+        raise UnknownIdError(f"unknown id in group: {g.id!r}")
+    if unknown:
+        raise UnknownIdError(f"unknown ids in group: {sorted(unknown)}")
+    return np.sort(np.array([pop._index[ident] for ident in ids], dtype=np.intp))
+
+
+def _gather(column: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """``column``'s entries at ``rows``, as from :func:`group_rows`; all of it for ``None``."""
+    return column if rows is None else column[rows]
 
 
 def group_members(pop: Population, g: GroupSpec | None) -> tuple[Individual, ...]:
     """Members satisfying ``g``, in population order. ``None`` selects everyone."""
-    cells = group_cells(pop, g)
-    if cells is None:
+    rows = group_rows(pop, g)
+    if rows is None:
         return pop.members
-    return tuple(pop._member(i) for i in np.flatnonzero(cells == 0).tolist())
+    return tuple(pop._member(i) for i in rows.tolist())
 
 
 def cell_counts(
-    pop: Population,
+    merit: np.ndarray,
     codes: np.ndarray | None = None,
     n_codes: int = 1,
     cells: np.ndarray | None = None,
     n_cells: int = 1,
 ) -> np.ndarray:
-    """Member counts per (cell, merit class, code), shape ``(n_cells, 2, n_codes)``.
+    """Member counts per (cell, merit class, code), shape ``(n_cells, 2, n_codes)``,
+    of the members whose merit labels are ``merit``.
 
-    ``codes`` (all 0 when omitted) must lie in ``[0, n_codes)`` for every
-    counted member; members whose entry in ``cells`` is negative are not
-    counted, and ``cells=None`` puts everyone in cell 0. One ``np.bincount``
-    does the counting.
+    ``codes`` (all 0 when omitted) and ``cells`` (all 0 when omitted) give one
+    entry per member, in ``[0, n_codes)`` and ``[0, n_cells)``. One integer
+    ``np.bincount`` does the counting.
     """
-    key = pop.merit.astype(np.intp)
+    key = merit.astype(np.intp)
     if codes is not None:
         key = key * n_codes + codes
     if cells is not None:
-        counted = cells >= 0
-        key = cells[counted].astype(np.intp) * (2 * n_codes) + key[counted]
+        key = cells.astype(np.intp) * (2 * n_codes) + key
     counts = np.bincount(key, minlength=n_cells * 2 * n_codes)
     return counts.reshape(n_cells, 2, n_codes)
 
 
 def merit_counts(pop: Population, g: GroupSpec | None = None) -> tuple[int, int]:
     """(number guilty, number innocent) within the group. Empty group gives (0, 0)."""
-    n_guilty, n_innocent = cell_counts(pop, cells=group_cells(pop, g))[0, :, 0].tolist()
+    n_guilty, n_innocent = cell_counts(_gather(pop.merit, group_rows(pop, g)))[0, :, 0].tolist()
     return n_guilty, n_innocent
 
 

@@ -36,8 +36,9 @@ from .population import (
     MISSING,
     GroupSpec,
     Population,
+    _gather,
     cell_counts,
-    group_cells,
+    group_rows,
 )
 
 MAX_DECIMAL_DIGITS = 4300  # sys.int_info.default_max_str_digits, which bounds "a/b" too
@@ -160,46 +161,49 @@ _DETERMINISTIC_CODES = np.array([1, 0, MISSING])
 
 
 def _probability_codes(
-    proc: Procedure, pop: Population, scope: np.ndarray | None = None
+    proc: Procedure, pop: Population, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, tuple[Fraction, ...]]:
-    """Every member's conviction probability as a code into a tuple of distinct
-    exact probabilities.
+    """The conviction probability of each member at ``rows`` (sorted row
+    indices, as from :func:`group_rows`; ``None`` is everyone) as a code into
+    a tuple of distinct exact probabilities.
 
     Deterministic: code ``1 - X`` into ``(0, 1)``. Randomized: code
     ``2 * pair + merit`` into the flattened distinct ``(h, k)`` pairs (a global
     procedure has one pair), so attribute values sharing a pair share codes.
-    Raises for the first member in ``scope`` (a boolean mask; ``None`` is
-    everyone) that has no probability: :class:`MissingCriterionError` for a
-    deterministic procedure, :class:`MissingRateError` for a per-group one.
+    Raises for the first of those members, in population order, that has no
+    probability: :class:`MissingCriterionError` for a deterministic procedure,
+    :class:`MissingRateError` for a per-group one.
     """
+    merit = _gather(pop.merit, rows)
     if isinstance(proc, DeterministicProcedure):
-        codes = _DETERMINISTIC_CODES[pop.criterion]
+        codes = _DETERMINISTIC_CODES[_gather(pop.criterion, rows)]
         probs = (Fraction(0), Fraction(1))
     else:
         rates = proc.rates
         if isinstance(rates, GlobalRates):
-            return pop.merit, (rates.h, rates.k)
+            return merit, (rates.h, rates.k)
         pairs = {pair: i for i, pair in enumerate(dict.fromkeys(rates.table.values()))}
         column = pop.attributes.get(rates.attribute)
         if column is None:
-            pair_codes = np.full(len(pop), MISSING)
+            pair_codes = np.full(len(merit), MISSING)
         else:
             # -2 marks a value without configured rates; the trailing entry maps
             # the code MISSING of a member without a value to MISSING
             lookup = [2 * pairs[rates.table[v]] if v in rates.table else -2 for v in column.values]
-            pair_codes = np.array(lookup + [MISSING], dtype=np.intp)[column.codes]
-        codes = pair_codes + (pair_codes >= 0) * pop.merit
+            pair_codes = np.array(lookup + [MISSING], dtype=np.intp)[_gather(column.codes, rows)]
+        codes = pair_codes + (pair_codes >= 0) * merit
         probs = tuple(rate for pair in pairs for rate in pair)
-    invalid = np.flatnonzero(codes < 0 if scope is None else (codes < 0) & scope)
+    invalid = np.flatnonzero(codes < 0)
     if not invalid.size:
         return codes, probs
-    first = int(invalid[0])
+    at = int(invalid[0])
+    first = at if rows is None else int(rows[at])
     ident = pop._id(first)
     if isinstance(proc, DeterministicProcedure):
         raise MissingCriterionError(
             f"individual {ident!r} has no criterion label; deterministic procedures require X"
         )
-    if codes[first] == MISSING:
+    if codes[at] == MISSING:
         raise MissingRateError(
             f"individual {ident!r} has no value for attribute {rates.attribute!r}"
         )
@@ -219,15 +223,14 @@ def conviction_sums(
 ) -> list[tuple[tuple[int, Fraction], tuple[int, Fraction]]]:
     """``(count, exact sum of conviction probabilities)`` per cell and merit class.
 
-    ``cells`` assigns each member a cell in ``[0, n_cells)``; members with a
-    negative cell are left out, and ``None`` puts everyone in cell 0. Members
-    are counted per (cell, merit, probability code) in one pass, and each
-    count is multiplied by its exact probability only at the end. Raises for
-    the first member in a cell that has no conviction probability.
+    ``cells`` assigns each member a cell in ``[0, n_cells)``; ``None`` puts
+    everyone in cell 0. Members are counted per (cell, merit, probability
+    code) in one pass, and each count is multiplied by its exact probability
+    only at the end. Raises for the first member that has no conviction
+    probability.
     """
-    scope = None if cells is None else cells >= 0
-    codes, probs = _probability_codes(proc, pop, scope)
-    counts = cell_counts(pop, codes, len(probs), cells, n_cells).tolist()
+    codes, probs = _probability_codes(proc, pop)
+    counts = cell_counts(pop.merit, codes, len(probs), cells, n_cells).tolist()
     return [tuple(_count_and_sum(row, probs) for row in by_merit) for by_merit in counts]
 
 
@@ -343,11 +346,12 @@ def exact_rates(
     rational arithmetic. Randomized procedures report their configured rates;
     a group spanning members with different configured pairs raises
     :class:`AmbiguousRateError`. A merit class with no members yields ``None``
-    for its rate.
+    for its rate. The work is in proportion to the group's size, after one
+    pass over its membership column in :func:`group_rows`.
     """
-    cells = group_cells(pop, g)
-    codes, probs = _probability_codes(proc, pop, None if cells is None else cells >= 0)
-    by_merit = cell_counts(pop, codes, len(probs), cells)[0].tolist()
+    rows = group_rows(pop, g)
+    codes, probs = _probability_codes(proc, pop, rows)
+    by_merit = cell_counts(_gather(pop.merit, rows), codes, len(probs))[0].tolist()
     if isinstance(proc, RandomizedProcedure) and isinstance(proc.rates, PerGroupRates):
         # codes 2 * pair and 2 * pair + 1 belong to one configured pair
         present = [code // 2 for code, n in enumerate(map(sum, zip(*by_merit))) if n]
@@ -374,11 +378,11 @@ def empirical_rates(
         raise ValueError(
             f"simulation has {len(convictions)} members, population has {len(pop)}"
         )
-    cells = group_cells(pop, g)
-    in_group = True if cells is None else cells == 0
+    rows = group_rows(pop, g)
+    merit, convictions = _gather(pop.merit, rows), _gather(convictions, rows)
     sums = []
-    for merit in (GUILTY, INNOCENT):
-        members = (pop.merit == merit) & in_group
+    for label in (GUILTY, INNOCENT):
+        members = merit == label
         convicted = int(convictions.sum(where=members))
         sums.append((int(np.count_nonzero(members)), Fraction(convicted, simulation.trials)))
     return ConditionalRates.from_sums(sums)

@@ -4,19 +4,32 @@ Every exact quantity (rates, contingency cells, empirical rates, merit counts,
 attribute values and the criterion-split witness) is recomputed member by
 member with :class:`fractions.Fraction`, including which error is raised and
 its message, and compared with the library on the same population built two
-ways: from :class:`Individual` objects and loaded from CSV.
+ways: from :class:`Individual` objects and loaded from CSV. The ``audit``
+command is compared with the same sums through files it reads.
 """
 
 from __future__ import annotations
 
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from procfair.errors import AmbiguousRateError, MissingCriterionError, MissingRateError
+from procfair.cli import main
+from procfair.errors import (
+    AmbiguousRateError,
+    MissingCriterionError,
+    MissingRateError,
+    ProcfairError,
+)
 from procfair.fairness import expected_contingency
 from procfair.population import (
     AttributeEquals,
@@ -78,6 +91,21 @@ def procedures(draw):
     else:
         table = {value: (draw(RATES), draw(RATES)) for value in values}
     return per_group_procedure(draw(st.sampled_from(NAMES)), table)
+
+
+@st.composite
+def audit_inputs(draw):
+    """A population, a procedure and the attribute to audit; half the time every
+    member has a value for that attribute, so the audit can get past its
+    contingency table."""
+    pop, proc, attribute = draw(populations()), draw(procedures()), draw(st.sampled_from(NAMES))
+    if draw(st.booleans()):
+        members = []
+        for ind in pop.members:
+            attrs = {attribute: draw(st.sampled_from(VALUES)), **ind.attributes}
+            members.append(Individual(ind.id, ind.merit, ind.criterion, attrs))
+        pop = Population(members)
+    return pop, proc, attribute
 
 
 # --- the per-member oracle ----------------------------------------------------------
@@ -146,6 +174,38 @@ def oracle_contingency(proc, members, attribute):
     return {value: [tuple(c) for c in by_merit] for value, by_merit in cells.items()}
 
 
+def oracle_audit(proc, pop, attribute):
+    """Rates per attribute value, in first-appearance order, or the first
+    (error type, message) in the order ``audit`` meets them: each value's
+    group, then everyone, then the contingency table."""
+    values = dict.fromkeys(ind.attributes.get(attribute) for ind in pop.members)
+    values.pop(None, None)
+    if not values:
+        return ProcfairError, f"no member has a value for attribute {attribute!r}"
+    by_value = {}
+    for value in values:
+        members = [ind for ind in pop.members if ind.attributes.get(attribute) == value]
+        by_value[value] = oracle_exact_rates(proc, members)
+        if is_error(by_value[value]):
+            return by_value[value]
+    overall = oracle_exact_rates(proc, pop.members)
+    if is_error(overall):
+        return overall
+    contingency = oracle_contingency(proc, pop.members, attribute)
+    return contingency if isinstance(contingency, tuple) else by_value
+
+
+def procedure_doc(proc) -> dict:
+    """``proc`` as a procedure file, each rate an exact ``a/b`` string."""
+    if isinstance(proc, DeterministicProcedure):
+        return {"type": "deterministic"}
+    rates = proc.rates
+    if isinstance(rates, GlobalRates):
+        return {"type": "randomized", "rates": {"global": [str(rates.h), str(rates.k)]}}
+    table = {value: [str(h), str(k)] for value, (h, k) in rates.table.items()}
+    return {"type": "randomized", "attribute": rates.attribute, "rates": table}
+
+
 def groups(pop):
     ids = [ind.id for ind in pop.members]
     out = [None, CriterionEquals(0), CriterionEquals(1)]
@@ -156,7 +216,7 @@ def groups(pop):
 
 
 def in_group(ind, g) -> bool:
-    """Row-level membership, written out per group kind apart from ``group_cells``."""
+    """Row-level membership, written out per group kind apart from ``group_rows``."""
     if g is None:
         return True
     if isinstance(g, AttributeEquals):
@@ -185,9 +245,27 @@ def expect_raises(expected, call):
 
 # --- properties ------------------------------------------------------------------
 
+# m0, outside the groups region=a and sex=a, comes first and lacks X and a
+# configured rate for region or sex; m2 (region=a) lacks X, m3 (sex=a) lacks
+# region and m1 (in both) has sex=a, which has no rate under SEX_B. The
+# error of each group must name its own first offending member.
+EARLIER_OFFENDER = Population(
+    [
+        Individual("m0", merit=0, criterion=None, attributes={"region": "b"}),
+        Individual("m1", merit=1, criterion=1, attributes={"region": "a", "sex": "a"}),
+        Individual("m2", merit=0, criterion=None, attributes={"region": "a"}),
+        Individual("m3", merit=1, criterion=0, attributes={"sex": "a"}),
+    ]
+)
+REGION_A = per_group_procedure("region", {"a": (Fraction(1, 4), Fraction(1, 2))})
+SEX_B = per_group_procedure("sex", {"b": (Fraction(1, 3), Fraction(1))})
+
 
 @settings(max_examples=100, deadline=None)
 @given(populations(), procedures())
+@example(EARLIER_OFFENDER, DeterministicProcedure())
+@example(EARLIER_OFFENDER, REGION_A)
+@example(EARLIER_OFFENDER, SEX_B)
 def test_exact_rates_match_member_sums(pop, proc):
     for p in both_ways(pop):
         for g in groups(pop):
@@ -202,6 +280,7 @@ def test_exact_rates_match_member_sums(pop, proc):
 
 @settings(max_examples=100, deadline=None)
 @given(populations(), procedures(), st.sampled_from(NAMES))
+@example(EARLIER_OFFENDER, DeterministicProcedure(), "region")
 def test_contingency_matches_member_sums(pop, proc, attribute):
     expected = oracle_contingency(proc, pop.members, attribute)
     for p in both_ways(pop):
@@ -217,8 +296,49 @@ def test_contingency_matches_member_sums(pop, proc, attribute):
         assert list(got) == list(expected)  # first-appearance order
 
 
+@settings(max_examples=200, deadline=None)
+@given(audit_inputs())
+@example((EARLIER_OFFENDER, DeterministicProcedure(), "region"))
+@example((EARLIER_OFFENDER, REGION_A, "sex"))
+@example((EARLIER_OFFENDER, global_procedure(Fraction(1, 2), Fraction(1, 4)), "sex"))
+def test_audit_matches_member_sums(inputs):
+    pop, proc, attribute = inputs
+    overall = oracle_exact_rates(proc, pop.members)
+    assume(not (is_error(overall) and overall[0] is AmbiguousRateError))
+    expected = oracle_audit(proc, pop, attribute)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        population, procedure = Path(tmp, "pop.csv"), Path(tmp, "proc.json")
+        population.write_text(dump_population(pop), encoding="utf-8")
+        procedure.write_text(json.dumps(procedure_doc(proc)), encoding="utf-8")
+        argv = ["audit", "--population", str(population), "--procedure", str(procedure)]
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + ["--attribute", attribute, "--format", "json"])
+    if isinstance(expected, tuple):
+        assert (code, err.getvalue()) == (1, f"error: {expected[1]}\n")
+        return
+    assert (code, err.getvalue()) == (0, "")
+    doc = json.loads(out.getvalue())
+    by_group = {
+        value: tuple(None if r[key] is None else Fraction(r[key]["ratio"]) for key in "hk")
+        for value, r in doc["rates"]["by_group"].items()
+    }
+    assert by_group == {value: (h, k) for value, (h, k, _) in expected.items()}
+    assert list(by_group) == list(expected)
+    pairs = list(combinations(expected, 2))
+    assert len(doc["verdicts"]) == len(pairs)
+    fair = []
+    for verdict, (a, b) in zip(doc["verdicts"], pairs):
+        assert (verdict["group_a"]["value"], verdict["group_b"]["value"]) == (a, b)
+        rates = zip(expected[a][:2], expected[b][:2])
+        fair.append(all(x is None or y is None or x == y for x, y in rates))
+        assert verdict["fair"] == fair[-1]
+    assert doc["fair"] == all(fair)
+
+
 @settings(max_examples=60, deadline=None)
 @given(populations(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+@example(EARLIER_OFFENDER, 3, 7)
 def test_empirical_rates_merit_counts_and_values_match_member_counts(pop, trials, seed):
     outcomes = np.random.default_rng(seed).integers(0, 2, (trials, len(pop)))
     simulation = Simulation(seed, trials, (outcomes == 0).sum(axis=0))

@@ -20,8 +20,8 @@ from procfair.population import (
     Population,
     Singleton,
     dump_population,
-    group_cells,
     group_members,
+    group_rows,
     load_population,
     merit_counts,
 )
@@ -247,12 +247,12 @@ def test_loaded_ids_are_built_only_when_asked():
     assert pop.ids() == built.ids()
     assert pop.by_id == built.by_id
     chosen = ExplicitIdSet(["m3", "m999", "m0"])
-    assert np.array_equal(group_cells(pop, chosen), group_cells(built, chosen))
+    assert np.array_equal(group_rows(pop, chosen), group_rows(built, chosen))
     for unknown in (Singleton("m1000"), ExplicitIdSet(["m1", "x", "y"])):
         messages = []
         for each in (pop, built):
             with pytest.raises(UnknownIdError) as raised:
-                group_cells(each, unknown)
+                group_rows(each, unknown)
             messages.append(str(raised.value))
         assert messages[0] == messages[1]
 
