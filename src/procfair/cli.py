@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -30,7 +29,7 @@ from .fairness import (
     expected_contingency,
     justice_metrics,
 )
-from .population import GUILTY, INNOCENT, AttributeEquals, load_population
+from .population import GUILTY, INNOCENT, AttributeEquals, _file_text, load_population
 from .procedure import (
     ConditionalRates,
     _parse_json,
@@ -50,8 +49,9 @@ EXIT_VIOLATION = 2
 EMPIRICAL_DEFAULT_TOLERANCE = Fraction(1, 10**9)
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _read(path: str) -> bytes:
+    """The bytes of the file at ``path``: every input file is read here."""
+    return Path(path).read_bytes()
 
 
 # --- renderers ---------------------------------------------------------------
@@ -60,7 +60,7 @@ def _read_text(path: str) -> str:
 
 
 def _json(doc, args) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return serialize.json_text(doc) + "\n"
 
 
 def _cells(r) -> list[str]:
@@ -84,8 +84,8 @@ def _cmd_audit(args):
     empirical = args.trials is not None
     default = EMPIRICAL_DEFAULT_TOLERANCE if empirical else 0
     tolerance = _checked_tolerance(default if args.tolerance is None else args.tolerance)
-    pop = load_population(_read_text(args.population))
-    proc = load_procedure(_read_text(args.procedure))
+    pop = load_population(_read(args.population))
+    proc = load_procedure(_file_text(_read(args.procedure)))
     values = pop.attribute_values(args.attribute)
     if not values:
         raise ProcfairError(f"no member has a value for attribute {args.attribute!r}")
@@ -187,7 +187,7 @@ def _classify_text(doc, args) -> str:
 
 def _cmd_witness(args):
     _check_search_limit(args.max_n)
-    pop = load_population(_read_text(args.population))
+    pop = load_population(_read(args.population))
     report = construct_witness(pop)
     searched = len(pop) <= args.max_n
     found = exhaustive_search(pop, max_n=args.max_n) if searched else ()
@@ -231,8 +231,8 @@ def _witness_text(doc, args) -> str:
 
 
 def _cmd_simulate(args):
-    pop = load_population(_read_text(args.population))
-    proc = load_procedure(_read_text(args.procedure))
+    pop = load_population(_read(args.population))
+    proc = load_procedure(_file_text(_read(args.procedure)))
     simulation = simulate(proc, pop, seed=args.seed, trials=args.trials)
     # the mean member conviction probability per merit class: the configured
     # pair whenever every member has the same one
@@ -330,7 +330,7 @@ def _cmd_roc_export(args):
     eps = _checked_eps(args.eps)
     points = []
     if args.points:
-        entries = _parse_json(_read_text(args.points))
+        entries = _parse_json(_file_text(_read(args.points)))
         if not isinstance(entries, list):
             raise ProcfairError("points file must be a JSON list of {label, h, k} objects")
         for i, entry in enumerate(entries):

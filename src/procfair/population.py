@@ -17,7 +17,9 @@ population order:
   indexing them, ``-1`` where the member has no value.
 
 :func:`load_population` fills these columns directly, in two stages. First
-every cell is located as a byte range of the text's UTF-8 encoding: in plain
+every cell is located as a byte range of the text's UTF-8 encoding (a
+file's bytes without a CR are that encoding already; others are decoded
+first, as ``Path.read_text`` decodes them): in plain
 text (the bare header first, three commas on every later line, no quote, CR
 or NUL) numpy finds the commas and line feeds; anything else is read by
 :func:`csv.reader` and its cells are encoded one after another. Then each
@@ -39,6 +41,7 @@ use.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import itertools
@@ -682,7 +685,13 @@ class _IdRanges:
         return map(partial(_decode, self.raw), self.starts.tolist(), self.ends.tolist())
 
 
-def load_population(source: str | IO[str]) -> Population:
+def _file_text(raw: bytes) -> str:
+    """The bytes of a file as ``Path.read_text(encoding="utf-8")`` reads them:
+    strictly decoded, every CRLF and lone CR read as LF."""
+    return raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def load_population(source: str | bytes | IO[str]) -> Population:
     """Parse the population CSV format (header ``id,J,X,attrs``).
 
     ``X`` may be empty; ``attrs`` is a semicolon-separated list of
@@ -692,6 +701,11 @@ def load_population(source: str | IO[str]) -> Population:
     line on any malformed row, duplicate id, out-of-range label, or field
     longer than ``csv.field_size_limit()``.
 
+    ``bytes`` are a file's contents and load as the text that
+    ``Path.read_text(encoding="utf-8")`` reads from it (see :func:`_file_text`):
+    bytes without a CR are that text's encoding already and, once checked to
+    be UTF-8, are cut as they are; bytes with a CR are decoded first.
+
     Two stages: the text's cells are located as byte ranges of its UTF-8
     encoding, by :func:`_plain_cells` or else :func:`_csv_cells`; then whole
     columns are validated and encoded. The error raised is the first
@@ -699,11 +713,17 @@ def load_population(source: str | IO[str]) -> Population:
     duplicate), ``J``, ``X`` and ``attrs`` in that order. The member ids are
     decoded only when first asked for.
     """
-    text = source if isinstance(source, str) else source.read()
-    if text.startswith("\ufeff"):
-        text = text[1:]
+    if isinstance(source, bytes) and b"\r" not in source:
+        if not source.isascii():
+            source.decode("utf-8")  # refuses what Path.read_text refuses
+        raw, text = source.removeprefix(codecs.BOM_UTF8), None
+    else:
+        if isinstance(source, bytes):
+            source = _file_text(source)
+        text = (source if isinstance(source, str) else source.read()).removeprefix("\ufeff")
+        raw = text.encode("utf-8", "surrogatepass")
     errors: list[_RowError] = []
-    cells = _plain_cells(text.encode("utf-8", "surrogatepass")) or _csv_cells(text, errors)
+    cells = _plain_cells(raw) or _csv_cells(raw.decode("utf-8") if text is None else text, errors)
     ids = _id_bounds(cells, errors)
     merit = _labels(cells, 1, errors)
     criterion = _labels(cells, 2, errors)

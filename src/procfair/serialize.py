@@ -4,16 +4,20 @@ Every exact rational is rendered by :func:`rational_json` as an object carrying
 both the ``"a/b"`` ratio string and a float approximation, e.g. ``{"ratio":
 "3/4", "approx": 0.75}``, so downstream tools can choose exactness or
 convenience. All dictionaries are built in a deterministic order; serializing
-the same report twice produces identical text. :func:`csv_text` writes every
-CSV report, the CLI's and ``roc-export``'s. ``fairness`` and ``theorem`` types
-appear only in annotations, so ``roc`` can import this module at its top.
+the same report twice produces identical text. :func:`json_text` owns JSON
+text as :func:`csv_text` owns CSV text: the one writes every ``--format json``
+report, byte for byte what ``json.dumps(doc, indent=2)`` writes, and the other
+every CSV report, the CLI's and ``roc-export``'s. ``fairness`` and ``theorem``
+types appear only in annotations, so ``roc`` can import this module at its top.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .population import AttributeEquals, CriterionEquals
@@ -35,6 +39,72 @@ def csv_text(rows: Iterable[Sequence]) -> str:
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
+
+
+def json_text(doc: Any) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, and the same ``TypeError``
+    for a value or key it cannot write.
+
+    With an ``indent``, ``json.dumps`` runs CPython's pure-Python encoder; this
+    writer joins each container's parts in one ``str.join`` instead, and writes
+    a string item without a call of its own.
+    """
+    return _json_value(doc, "\n")
+
+
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_key(key: Any) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, float):
+        key = _json_float(key)
+    elif key is True or key is False or key is None:
+        key = _json_value(key, "")
+    elif isinstance(key, int):
+        key = int.__repr__(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return encode_basestring_ascii(key)
+
+
+def _json_value(value: Any, indent: str) -> str:
+    """``value`` as JSON text whose lines start with ``indent`` (LF first)."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [
+            encode_basestring_ascii(item) if type(item) is str else _json_value(item, inner)
+            for item in value
+        ]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_json_key(key) + ": " + _json_value(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def rational_json(value: Fraction | None) -> dict[str, Any] | None:

@@ -12,13 +12,18 @@ witnesses that the procedure is group-unfair. Only a perfect procedure
 quantifier at desk scale by enumerating all bipartitions of a small
 population, which doubles as an independent check of the constructed
 witness. The enumeration is :func:`_bipartition_violations`, the one
-bipartition loop of the package, which
+bipartition enumerator of the package, which
 ``fairness.check_absolute_fairness(mode="bipartitions")`` shares: it takes
 the caller's probability codes and yields each violating split as two sorted
-id tuples. Every probability becomes an integer numerator over a common
-denominator, and class means are compared by cross multiplication against an
-integer tolerance bound. :func:`_check_search_limit` owns the size rule of
-both callers, of :func:`verify_theorem` and of ``witness --max-n``.
+id tuples, in increasing order of the split's bitmask. Every probability
+becomes an integer numerator over a common denominator, and class means are
+compared by cross multiplication against an integer tolerance bound. numpy
+makes that test for a chunk of ``BIPARTITION_CHUNK`` masks at a time, in
+``int64`` when the products fit and on exact Python ints otherwise, and a
+chunk's violations are yielded before the next chunk is tested, so a caller
+that stops early pays only for the chunks it read. :func:`_check_search_limit`
+owns the size rule of both callers, of :func:`verify_theorem` and of
+``witness --max-n``.
 """
 
 from __future__ import annotations
@@ -143,6 +148,47 @@ class Bipartition:
     violated_merit_classes: tuple[int, ...]
 
 
+# Bipartition masks tested per numpy pass of :func:`_bipartition_violations`.
+BIPARTITION_CHUNK = 1 << 12
+# Violated merit classes by the class bits of :func:`_violated_classes`.
+_CLASSES_BY_BITS = ((), (GUILTY,), (INNOCENT,), (GUILTY, INNOCENT))
+
+
+def _subset_sums(weights: np.ndarray) -> np.ndarray:
+    """Column ``m`` is the sum of the columns ``i`` of ``weights`` whose bit
+    ``i`` is set in ``m``, built by doubling: ``2 ** weights.shape[1]`` columns."""
+    table = np.zeros((len(weights), 1), dtype=weights.dtype)
+    for column in weights.T:
+        table = np.concatenate((table, table + column[:, None]), axis=1)
+    return table
+
+
+def _subset_tuples(items: Sequence[str]) -> list[tuple[str, ...]]:
+    """Entry ``m`` is the tuple of the ``items[k]`` whose bit ``k`` is set in
+    ``m``, in order, built by doubling: ``2 ** len(items)`` entries."""
+    table: list[tuple[str, ...]] = [()]
+    for item in items:
+        table += [entry + (item,) for entry in table]
+    return table
+
+
+def _violated_classes(sums: np.ndarray, totals: np.ndarray, tol_units: int) -> np.ndarray:
+    """For each column ``(c_0, c_1, t_0, t_1, ...)`` of one side's counts
+    ``c_j`` and numerator sums ``t_j`` per merit class, the bits ``1 << j`` of
+    the classes whose two sides' means differ by more than ``tol_units`` over
+    the common denominator; ``totals`` is the same column for the whole
+    population.
+
+    A class on one side only has ``t_j * c'_j == t'_j * c_j == 0`` and is never
+    violated.
+    """
+    count, total = sums[0:2], sums[2:4]
+    count_other, total_other = totals[0:2] - count, totals[2:4] - total
+    difference = np.abs(total * count_other - total_other * count)
+    violated = difference > tol_units * (count * count_other)
+    return violated[0] | violated[1] << 1
+
+
 def _bipartition_violations(
     pop: Population, codes: np.ndarray, probs: Sequence[Fraction], tolerance: Fraction = Fraction(0)
 ) -> Iterator[tuple[tuple[str, ...], tuple[str, ...], tuple[int, ...]]]:
@@ -154,6 +200,13 @@ def _bipartition_violations(
     bipartition is tested once, in increasing order of the subset's bitmask
     over population order. A merit class with members on both sides is
     violated when its mean conviction probabilities differ by more than ``tolerance``.
+
+    numpy tests ``BIPARTITION_CHUNK`` masks per pass, and a chunk's violations
+    are yielded before the next chunk is tested, so a caller that stops early
+    tests no further chunk. A mask's per-class counts and numerator sums, and
+    its subset as a bitmask over sorted id order, are the sum of two table
+    columns, one for its low bits and one for its high bits; each side's
+    sorted ids are likewise two table entries joined.
     """
     n = len(pop)
     if n < 2:
@@ -163,37 +216,48 @@ def _bipartition_violations(
     # other is violated iff |t_a * c_b - t_b * c_a| > tol_units * c_a * c_b.
     denom = math.lcm(tolerance.denominator, *(p.denominator for p in probs))
     numer_by_code = [p.numerator * (denom // p.denominator) for p in probs]
-    numer = [numer_by_code[c] for c in codes.tolist()]
     tol_units = tolerance.numerator * (denom // tolerance.denominator)
-    merit = pop.merit.tolist()
+    # Both products are at most max(numerator, tol_units) * n^2 / 4, so int64
+    # holds them and their difference below 2^62; larger ones are computed
+    # exactly on Python ints in object arrays, by the same code.
+    fits = max(numer_by_code + [tol_units]) * n * n < 1 << 62
+    dtype = np.int64 if fits else object
     ids = pop.ids()
-    class_total_count = [merit.count(GUILTY), merit.count(INNOCENT)]
-    class_total_sum = [sum(v for v, m in zip(numer, merit) if m == j) for j in (GUILTY, INNOCENT)]
+    order = sorted(range(n), key=ids.__getitem__)
+    sorted_bit = [0] * n
+    for position, i in enumerate(order):
+        sorted_bit[i] = 1 << position
+    in_class = np.eye(2, dtype=dtype)[pop.merit]
+    numer = np.array(numer_by_code, dtype=dtype)[codes, None]
+    # one column per member: its class counts, class numerators and sorted-order bit
+    weights = np.concatenate(
+        (in_class, in_class * numer, np.array(sorted_bit, dtype=dtype)[:, None]), axis=1
+    ).T
+    totals = weights.sum(axis=1, keepdims=True)
+    # Mask bit i is member i + 1, as the first member always stays in the
+    # complement; bit k of a side is sorted position k. Each table covers the
+    # bits below ``half`` or those from it on.
+    half = n // 2
+    low = _subset_sums(weights[:, 1 : 1 + half])
+    high = _subset_sums(weights[:, 1 + half :])
+    first = _subset_tuples([ids[i] for i in order[:half]])
+    second = _subset_tuples([ids[i] for i in order[half:]])
+    below, everyone = (1 << half) - 1, (1 << n) - 1
 
-    for mask in range(1, 1 << (n - 1)):
-        subset_mask = mask << 1  # first member always stays in the complement
-        count = [0, 0]
-        total = [0, 0]
-        bits = subset_mask
-        while bits:
-            low = bits & -bits
-            i = low.bit_length() - 1
-            count[merit[i]] += 1
-            total[merit[i]] += numer[i]
-            bits ^= low
-        violated = []
-        for j in (GUILTY, INNOCENT):
-            count_other = class_total_count[j] - count[j]
-            if count[j] and count_other:
-                total_other = class_total_sum[j] - total[j]
-                difference = total[j] * count_other - total_other * count[j]
-                if abs(difference) > tol_units * count[j] * count_other:
-                    violated.append(j)
-        if violated:
-            sides = ([], [])
-            for i in range(n):
-                sides[subset_mask >> i & 1].append(ids[i])
-            yield tuple(sorted(sides[1])), tuple(sorted(sides[0])), tuple(violated)
+    end = 1 << (n - 1)
+    for start in range(1, end, BIPARTITION_CHUNK):
+        masks = np.arange(start, min(start + BIPARTITION_CHUNK, end))
+        sums = np.take(low, masks & below, axis=1)
+        sums += np.take(high, masks >> half, axis=1)
+        bits = _violated_classes(sums, totals, tol_units)
+        hits = np.flatnonzero(bits)
+        for side, classes in zip(sums[4, hits].tolist(), bits[hits].tolist()):
+            other = everyone ^ side
+            yield (
+                first[side & below] + second[side >> half],
+                first[other & below] + second[other >> half],
+                _CLASSES_BY_BITS[classes],
+            )
 
 
 def exhaustive_search(

@@ -677,7 +677,7 @@ def test_argument_errors_exit_1_before_any_file_is_read(capsys, monkeypatch, arg
     def no_read(path):
         raise AssertionError(f"{path} was read")
 
-    monkeypatch.setattr(cli, "_read_text", no_read)
+    monkeypatch.setattr(cli, "_read", no_read)
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert single_error_line(err)

@@ -5,7 +5,10 @@ The reference is the row-by-row loader the column-at-a-time one replaced:
 Generated texts mix the plain form the loader reads from its bytes with
 everything that has to go through :func:`csv.reader` (quoted fields, CRLF,
 blank lines, a BOM, wrong column counts), and both loaders must build equal
-populations or raise the same exception type with the same message.
+populations or raise the same exception type with the same message. Each
+text is given as a ``str``, as a text file, or as the bytes of a file, which
+the reference reads through :class:`io.TextIOWrapper` as ``Path.read_text``
+does: universal newlines turn every CRLF and lone CR into LF.
 """
 
 from __future__ import annotations
@@ -102,17 +105,26 @@ def reference_load(source):
     return Population(members)
 
 
-def outcome(load, text, as_file):
-    """The population ``load`` builds from ``text``, or (error type, message)."""
+FORMS = ("str", "file", "bytes")
+
+
+def outcome(load, source):
+    """The population ``load`` builds from ``source``, or (error type, message)."""
     try:
-        return load(io.StringIO(text) if as_file else text)
+        return load(source)
     except PopulationParseError as exc:
         return type(exc), str(exc)
 
 
-def assert_same(text, as_file=False):
-    expected = outcome(reference_load, text, as_file)
-    got = outcome(load_population, text, as_file)
+def assert_same(text, form="str"):
+    if form == "bytes":
+        raw = text.encode("utf-8")
+        expected = outcome(reference_load, io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        got = outcome(load_population, raw)
+    else:
+        source = (lambda: io.StringIO(text)) if form == "file" else (lambda: text)
+        expected = outcome(reference_load, source())
+        got = outcome(load_population, source())
     assert got == expected
     if isinstance(expected, Population):
         assert got.members == expected.members
@@ -173,9 +185,9 @@ def texts(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(texts(), st.booleans())
-def test_loader_matches_the_row_by_row_reference(text, as_file):
-    assert_same(text, as_file)
+@given(texts(), st.sampled_from(FORMS))
+def test_loader_matches_the_row_by_row_reference(text, form):
+    assert_same(text, form)
 
 
 @pytest.mark.parametrize(
@@ -205,11 +217,13 @@ def test_loader_matches_the_row_by_row_reference(text, as_file):
         "id,J,X,attrs\na,1,0,sex=M\nb,1,0,sex=M\nc,1,0,bad\nd,1,0,bad\n",
         # spaced labels fall back to the strict parser and load
         "id,J,X,attrs\na, 1,0 ,sex=M\nb,0, ,\n",
+        # from bytes, a lone CR ends a line and a quoted CRLF reads as LF
+        'id,J,X,attrs\na,1,0,"sex=M\r\nx"\rb,0,1,\n',
     ],
 )
 def test_loader_edge_cases_match_the_reference(text):
-    assert_same(text)
-    assert_same(text, as_file=True)
+    for form in FORMS:
+        assert_same(text, form)
 
 
 def test_field_size_limit_is_kept():
@@ -260,6 +274,7 @@ def test_text_longer_than_a_chunk_matches_the_reference(eol, final_eol, bad_row)
     assert len(text) > 3 * _LINES_CHUNK
     assert list(_lines(text)) == io.StringIO(text).readlines()
     assert_same(text)
+    assert_same(text, "bytes")
 
 
 # --- plain texts, read from their bytes ---------------------------------------------
@@ -299,6 +314,7 @@ def plain_texts(draw):
 def test_byte_path_matches_the_reference(text):
     assert _plain_cells(text.encode()) is not None
     assert_same(text)
+    assert_same(text, "bytes")
 
 
 @pytest.mark.parametrize(
@@ -345,3 +361,24 @@ def test_quoted_text_goes_through_csv_reader(monkeypatch):
     quoted = plain.replace("town=x;sex=F", '"town=x;sex=F"')
     assert load_population(plain) == load_population(quoted)
     assert len(calls) == 1
+
+
+def test_file_bytes_load_as_the_text_a_file_reads_as(monkeypatch):
+    """Bytes are read as ``Path.read_text`` reads them, not cut as they stand:
+    csv.reader would refuse the CR of the first row's quoted CRLF."""
+    pop = load_population(b'id,J,X,attrs\na,1,0,"sex=M\r\nx"\rb,0,1,\n')
+    assert pop.ids() == ("a", "b")
+    assert pop.attribute_values("sex") == ("M\nx",)
+    # bytes without a CR are cut as they are, a BOM dropped, never decoded first
+    monkeypatch.setattr(population, "_file_text", None)
+    assert load_population(b"id,J,X,attrs\na,1,0,sex=M\n").ids() == ("a",)
+    assert load_population("\ufeffid,J,X,attrs\né,1,0,\n".encode()).ids() == ("é",)
+
+
+@pytest.mark.parametrize("raw", [b"id,J,X,attrs\na\xff,1,0,\n", b"id,J,X,attrs\r\n\xe9,1,0,\r\n"])
+def test_file_bytes_that_are_not_utf8_fail_as_read_text_fails(raw):
+    with pytest.raises(UnicodeDecodeError) as expected:
+        io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+    with pytest.raises(UnicodeDecodeError) as got:
+        load_population(raw)
+    assert str(got.value) == str(expected.value)

@@ -3,9 +3,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from procfair import theorem
 from procfair.errors import MissingCriterionError, SizeLimitError
 from procfair.fairness import check_absolute_fairness, check_pairwise_fairness
 from procfair.population import (
@@ -256,12 +257,29 @@ def audited_populations(draw):
     return pop, proc
 
 
+# Rates about 10^-78 apart with 40-digit denominators: the integer test outgrows
+# int64 here and is made on Python ints.
+NEAR = per_group_procedure(
+    "sex",
+    {
+        "M": (Fraction(1, 10**39 + 1), Fraction(1, 10**39 + 3)),
+        "F": (Fraction(1, 10**39 + 3), Fraction(1, 10**39 + 1)),
+    },
+)
+NEAR_POP = Population(
+    Individual(ident, merit, 0, {"sex": sex})
+    for ident, merit, sex in [("a", 1, "M"), ("b", 1, "F"), ("c", 0, "F"), ("d", 0, "M"), ("e", 1, "F")]
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     audited_populations(),
     st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)]),
     st.integers(1, 4),
 )
+@example((NEAR_POP, NEAR), Fraction(0), 2)
+@example((NEAR_POP, NEAR), Fraction(1, 10), 1)
 def test_bipartition_mode_matches_brute_force_oracle(case, tolerance, max_violations):
     pop, proc = case
     ids = pop.ids()
@@ -296,6 +314,30 @@ def test_bipartition_mode_matches_brute_force_oracle(case, tolerance, max_violat
         assert full.fair == check_absolute_fairness(proc, pop, "singletons").fair
         found = exhaustive_search(pop, max_n=8, proc=proc)
         assert [(mask(b.subset), b.violated_merit_classes) for b in found] == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_bipartition_oracle_holds_across_chunk_seams(monkeypatch, chunk):
+    """Chunks of 1 and 3 masks put seams between every few masks tested."""
+    monkeypatch.setattr(theorem, "BIPARTITION_CHUNK", chunk)
+    test_bipartition_mode_matches_brute_force_oracle()
+
+
+def test_truncated_verdict_tests_only_the_chunks_it_lists_from(monkeypatch):
+    chunks = []
+
+    def counted(*args):
+        chunks.append(args)
+        return violated_classes(*args)
+
+    violated_classes = theorem._violated_classes
+    monkeypatch.setattr(theorem, "_violated_classes", counted)
+    pop = pop_of([(i % 2, i // 2 % 2) for i in range(20)])
+    report = check_absolute_fairness(
+        DeterministicProcedure(), pop, mode="bipartitions", max_n=20, max_violations=1
+    )
+    assert not report.fair and report.truncated and len(report.violations) == 1
+    assert len(chunks) == 1
 
 
 # --- verify_theorem -------------------------------------------------------------
