@@ -4,11 +4,12 @@ Subcommands: ``audit``, ``classify``, ``witness``, ``simulate``,
 ``example1``, ``roc-export``. Each command builds one report document, the
 dict that ``--format json`` prints; its CSV and text formats (and
 ``roc-export``'s SVG) are renderings of that document, and :func:`main`
-writes the result to ``--out`` or standard output. Every command is
-deterministic given identical inputs (including the seed). Exit codes: 0
-success, 1 operational failure (a bad argument included), 2 reserved for
-``witness`` when a fairness violation is found, so shell pipelines can branch
-on the result.
+writes the result to ``--out`` or standard output. :func:`_audit_document`
+builds the ``audit`` document, and ``example1`` reads each of its two stages
+off one. Every command is deterministic given identical inputs (including the
+seed). Exit codes: 0 success, 1 operational failure (a bad argument
+included), 2 reserved for ``witness`` when a fairness violation is found, so
+shell pipelines can branch on the result.
 """
 
 from __future__ import annotations
@@ -86,8 +87,7 @@ def _cmd_audit(args):
     tolerance = _checked_tolerance(default if args.tolerance is None else args.tolerance)
     pop = load_population(_read(args.population))
     proc = load_procedure(_file_text(_read(args.procedure)))
-    values = pop.attribute_values(args.attribute)
-    if not values:
+    if not pop.attribute_values(args.attribute):
         raise ProcfairError(f"no member has a value for attribute {args.attribute!r}")
 
     if empirical and tolerance == 0:
@@ -96,10 +96,15 @@ def _cmd_audit(args):
             "sampling noise will fail almost every comparison",
             file=sys.stderr,
         )
+    simulation = simulate(proc, pop, seed=args.seed, trials=args.trials) if empirical else None
+    return _audit_document(pop, proc, args.attribute, tolerance, simulation), EXIT_OK
 
-    groups = {value: AttributeEquals(args.attribute, value) for value in values}
-    if empirical:
-        simulation = simulate(proc, pop, seed=args.seed, trials=args.trials)
+
+def _audit_document(pop, proc, attribute, tolerance, simulation=None) -> dict:
+    """The ``audit`` document: exact rates, or those of ``simulation`` if one is given."""
+    values = pop.attribute_values(attribute)
+    groups = {value: AttributeEquals(attribute, value) for value in values}
+    if simulation is not None:
         rates_of = functools.partial(empirical_rates, pop, simulation)
     else:
         rates_of = functools.partial(exact_rates, proc, pop)
@@ -112,7 +117,7 @@ def _cmd_audit(args):
         )
         for a, b in combinations(values, 2)
     ]
-    table = expected_contingency(pop, proc, args.attribute)
+    table = expected_contingency(pop, proc, attribute)
     n_guilty, n_innocent = overall.support
 
     doc = {
@@ -121,8 +126,8 @@ def _cmd_audit(args):
             "merit_counts": {"guilty": n_guilty, "innocent": n_innocent},
         },
         "procedure": serialize.procedure_json(proc),
-        "attribute": args.attribute,
-        "rate_source": "empirical" if empirical else "exact",
+        "attribute": attribute,
+        "rate_source": "empirical" if simulation is not None else "exact",
         "tolerance": serialize.rational_json(tolerance),
         "rates": {
             "overall": serialize.rates_json(overall),
@@ -133,9 +138,9 @@ def _cmd_audit(args):
         "contingency": serialize.contingency_json(table),
         "justice": serialize.justice_json(justice_metrics(table)),
     }
-    if empirical:
-        doc["simulation"] = {"seed": args.seed, "trials": args.trials}
-    return doc, EXIT_OK
+    if simulation is not None:
+        doc["simulation"] = {"seed": simulation.seed, "trials": simulation.trials}
+    return doc
 
 
 def _audit_csv(doc, args) -> str:

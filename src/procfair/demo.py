@@ -9,6 +9,7 @@ that fixes those same rates per sex. The expected tables come out exact:
 375/350 for women, so among convicted women barely half are guilty while for
 men 400 of 1900 convictions are mistaken. The scenario shows fairness and
 imperfect justice coexisting when only a limited set of groups is protected.
+Each stage is read off the ``audit --attribute sex`` document of the population.
 """
 
 from __future__ import annotations
@@ -18,17 +19,8 @@ from typing import Mapping
 
 import numpy as np
 
-from . import serialize
-from .fairness import check_pairwise_fairness, expected_contingency, justice_metrics
-from .population import (
-    GUILTY,
-    INNOCENT,
-    MISSING,
-    AttributeColumn,
-    AttributeEquals,
-    Population,
-)
-from .procedure import RandomizedProcedure, exact_rates, global_procedure, make_group_fair
+from .population import GUILTY, INNOCENT, MISSING, AttributeColumn, Population
+from .procedure import RandomizedProcedure, global_procedure, make_group_fair
 from .roc import RocPoint, classify
 
 SEX = "sex"
@@ -75,33 +67,26 @@ def demo_group_fair_procedure() -> RandomizedProcedure:
 
 
 def demo_report() -> dict:
-    """Run both stages of the demonstration: the ``example1`` report document."""
+    """The ``example1`` report: each stage is read off its ``audit --attribute sex`` document."""
+    from .cli import _audit_document  # cli imports this module at its top
+
     pop = demo_population()
-    groups = {value: AttributeEquals(SEX, value) for value in GROUP_SIZES}
     stages = []
     for name, proc in (
         ("global", demo_global_procedure()),
         ("group-fair", demo_group_fair_procedure()),
     ):
-        rates = {value: exact_rates(proc, pop, g) for value, g in groups.items()}
-        verdict = check_pairwise_fairness(
-            rates["M"], rates["F"], 0, group_a=groups["M"], group_b=groups["F"]
-        )
-        table = expected_contingency(pop, proc, SEX)
-        totals = table.totals()
-        point = RocPoint(
-            totals[GUILTY].expected_convictions / totals[GUILTY].count,
-            totals[INNOCENT].expected_convictions / totals[INNOCENT].count,
-        )
+        audit = _audit_document(pop, proc, SEX, Fraction(0))
+        h, k = (audit["rates"]["overall"][rate]["ratio"] for rate in "hk")
         stages.append(
             {
                 "name": name,
-                "procedure": serialize.procedure_json(proc),
-                "rates_by_group": {value: serialize.rates_json(r) for value, r in rates.items()},
-                "verdict": serialize.verdict_json(verdict),
-                "contingency": serialize.contingency_json(table),
-                "justice": serialize.justice_json(justice_metrics(table)),
-                "classification": classify(point).value,
+                "procedure": audit["procedure"],
+                "rates_by_group": audit["rates"]["by_group"],
+                "verdict": audit["verdicts"][0],
+                "contingency": audit["contingency"],
+                "justice": audit["justice"],
+                "classification": classify(RocPoint(h, k)).value,
             }
         )
     return {

@@ -47,7 +47,9 @@ def json_text(doc: Any) -> str:
 
     With an ``indent``, ``json.dumps`` runs CPython's pure-Python encoder; this
     writer joins each container's parts in one ``str.join`` instead, and writes
-    a string item without a call of its own.
+    a string item without a call of its own. One divergence: a container that
+    holds itself raises ``RecursionError`` here, where ``json.dumps`` raises
+    ``ValueError``; no command builds one, so it is not checked for.
     """
     return _json_value(doc, "\n")
 

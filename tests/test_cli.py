@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +12,11 @@ from hypothesis import strategies as st
 from procfair.cli import build_parser, main
 from procfair.demo import demo_population
 from procfair.population import dump_population
-from procfair.roc import RocPoint, export_diagram
+from procfair.roc import RocPoint, classify, export_diagram
 
 PERFECT_CSV = "id,J,X,attrs\na,1,1,\nb,0,0,\n"
 IMPERFECT_CSV = "id,J,X,attrs\na,1,1,\nb,1,0,\nc,0,0,\n"
+GLOBAL_PROC = '{"type": "randomized", "rates": {"global": ["3/4", "1/10"]}}'
 GROUP_FAIR_PROC = (
     '{"type": "randomized", "attribute": "sex",'
     ' "rates": {"M": ["3/4", "1/10"], "F": ["3/4", "1/10"]}}'
@@ -91,6 +96,48 @@ def test_example1_json(capsys):
     assert totals["0"]["expected_convictions"]["ratio"] == "1875/1"
     assert totals["1"]["expected_convictions"]["ratio"] == "750/1"
     assert doc["stages"][1]["verdict"]["fair"] is True
+
+
+def test_example1_stages_are_the_sex_audits_of_its_population(capsys, tmp_path):
+    pop_file = tmp_path / "population.csv"
+    pop_file.write_text(dump_population(demo_population()), encoding="utf-8")
+    _, out, _ = run(capsys, "example1", "--format", "json")
+    stages = json.loads(out)["stages"]
+    assert [stage["name"] for stage in stages] == ["global", "group-fair"]
+    for stage, procedure in zip(stages, (GLOBAL_PROC, GROUP_FAIR_PROC)):
+        proc_file = tmp_path / f"{stage['name']}.json"
+        proc_file.write_text(procedure, encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            "audit",
+            "--population", str(pop_file),
+            "--procedure", str(proc_file),
+            "--attribute", "sex",
+            "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        audit = json.loads(out)
+        assert stage["procedure"] == audit["procedure"]
+        assert stage["rates_by_group"] == audit["rates"]["by_group"]
+        assert stage["verdict"] == audit["verdicts"][0]
+        assert stage["contingency"] == audit["contingency"]
+        assert stage["justice"] == audit["justice"]
+        overall = audit["rates"]["overall"]
+        point = RocPoint(overall["h"]["ratio"], overall["k"]["ratio"])
+        assert stage["classification"] == classify(point).value
+
+
+@pytest.mark.parametrize(
+    "modules", [("procfair.demo", "procfair.cli"), ("procfair.cli", "procfair.demo")]
+)
+def test_demo_and_cli_import_in_either_order(modules):
+    """A fresh interpreter imports both modules in either order and runs example1."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    script = "".join(f"import {name}\n" for name in modules) + "procfair.demo.demo_report()\n"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 # --- audit -------------------------------------------------------------------

@@ -319,12 +319,25 @@ def test_audit_matches_member_sums(inputs):
         return
     assert (code, err.getvalue()) == (0, "")
     doc = json.loads(out.getvalue())
-    by_group = {
-        value: tuple(None if r[key] is None else Fraction(r[key]["ratio"]) for key in "hk")
-        for value, r in doc["rates"]["by_group"].items()
-    }
+
+    def ratios(r):
+        return tuple(None if r[key] is None else Fraction(r[key]["ratio"]) for key in "hk")
+
+    by_group = {value: ratios(r) for value, r in doc["rates"]["by_group"].items()}
     assert by_group == {value: (h, k) for value, (h, k, _) in expected.items()}
     assert list(by_group) == list(expected)
+    support = doc["rates"]["overall"]["support"]
+    assert ratios(doc["rates"]["overall"]) + ((support["guilty"], support["innocent"]),) == overall
+    table = {
+        value: [
+            (cell["count"], Fraction(cell["expected_convictions"]["ratio"]))
+            for cell in (by_merit["0"], by_merit["1"])
+        ]
+        for value, by_merit in doc["contingency"]["groups"].items()
+    }
+    contingency = oracle_contingency(proc, pop.members, attribute)
+    assert table == contingency
+    assert list(table) == list(contingency)
     pairs = list(combinations(expected, 2))
     assert len(doc["verdicts"]) == len(pairs)
     fair = []

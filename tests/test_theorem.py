@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 from fractions import Fraction
 from itertools import combinations
 
@@ -371,6 +372,46 @@ def test_verify_theorem_rejects_out_of_range_sizes():
         verify_theorem(0, 1, seed=0)
     with pytest.raises(ValueError):
         verify_theorem(3, 0, seed=0)
+
+
+def _stray(pop, max_n):
+    """One violation whose side is no member's."""
+    return (theorem.Bipartition(("nobody",), (), (0,)),)
+
+
+def _split_on_other_classes(pop, max_n):
+    """The criterion split, reported as violating class 1 only."""
+    first = pop.members[0].criterion
+    split = sorted(ind.id for ind in pop if ind.criterion != first)
+    return (theorem.Bipartition(tuple(split), (), (1,)),)
+
+
+@pytest.mark.parametrize(
+    ("perfect", "violated", "search", "reasons", "kind"),
+    [
+        (True, (0,), lambda pop, max_n: (), ["perfect instance reported violated classes"], 0),
+        (True, (), _stray, ["perfect instance has violating bipartitions"], 0),
+        (False, (0,), lambda pop, max_n: (),
+         ["witnessed instance but exhaustive search found nothing",
+          "criterion split missing from exhaustive search results"], 1),
+        (False, (0,), _stray, ["criterion split missing from exhaustive search results"], 1),
+        (False, (0,), _split_on_other_classes,
+         ["criterion split violates different classes than the witness"], 1),
+        (False, (), _stray, ["unwitnessable instance still has violating bipartitions"], 2),
+    ],
+)
+def test_verify_theorem_reports_each_failure(monkeypatch, perfect, violated, search, reasons, kind):
+    witness = SimpleNamespace(perfect=perfect, violated_merit_classes=violated)
+    monkeypatch.setattr(theorem, "construct_witness", lambda pop: witness)
+    monkeypatch.setattr(theorem, "exhaustive_search", search)
+    report = verify_theorem(4, 2, seed=3)
+    assert report.passed is False
+    got = [(c.split(" labels=")[0], c.split(": ", 1)[1]) for c in report.counterexamples]
+    assert got == [(f"trial {trial}", reason) for trial in range(2) for reason in reasons]
+    counters = [
+        report.perfect_instances, report.witnessed_instances, report.unwitnessable_instances
+    ]
+    assert counters == [2 if i == kind else 0 for i in range(3)]
 
 
 # one probability-code pass per bipartition search
