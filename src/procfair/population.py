@@ -217,22 +217,21 @@ class Population:
         """Member ``i``'s id, decoded alone unless the ids are already built."""
         return self._ids[i] if "_ids" in self.__dict__ else self._id_source[i]
 
-    def _member(self, i: int) -> Individual:
-        """Member ``i``, built from the columns."""
-        attrs = {}
+    def _members(self, rows: np.ndarray) -> tuple[Individual, ...]:
+        """The members at ``rows``, built from the columns, each read once."""
+        attrs = [{} for _ in range(len(rows))]
         for name, column in self.attributes.items():
-            code = int(column.codes[i])
-            if code != MISSING:
-                attrs[name] = column.values[code]
-        criterion = int(self.criterion[i])
-        return Individual(
-            self._id(i), int(self.merit[i]), None if criterion == MISSING else criterion, attrs
-        )
+            for member_attrs, code in zip(attrs, column.codes[rows].tolist()):
+                if code != MISSING:
+                    member_attrs[name] = column.values[code]
+        ids = map(self._id, rows.tolist())
+        criteria = (None if c == MISSING else c for c in self.criterion[rows].tolist())
+        return tuple(map(Individual, ids, self.merit[rows].tolist(), criteria, attrs))
 
     @cached_property
     def members(self) -> tuple[Individual, ...]:
-        self.ids()  # decoded in bulk, so that each _member looks its id up
-        return tuple(self._member(i) for i in range(len(self)))
+        self.ids()  # decoded in bulk, so that _members looks each id up
+        return self._members(np.arange(len(self)))
 
     @cached_property
     def by_id(self) -> Mapping[str, Individual]:
@@ -316,7 +315,7 @@ def group_members(pop: Population, g: GroupSpec | None) -> tuple[Individual, ...
     rows = group_rows(pop, g)
     if rows is None:
         return pop.members
-    return tuple(pop._member(i) for i in rows.tolist())
+    return pop._members(rows)
 
 
 def cell_counts(

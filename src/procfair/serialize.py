@@ -5,17 +5,16 @@ both the ``"a/b"`` ratio string and a float approximation, e.g. ``{"ratio":
 "3/4", "approx": 0.75}``, so downstream tools can choose exactness or
 convenience. All dictionaries are built in a deterministic order; serializing
 the same report twice produces identical text. :func:`json_text` owns JSON
-text as :func:`csv_text` owns CSV text: the one writes every ``--format json``
-report, byte for byte what ``json.dumps(doc, indent=2)`` writes, and the other
-every CSV report, the CLI's and ``roc-export``'s. ``fairness`` and ``theorem``
-types appear only in annotations, so ``roc`` can import this module at its top.
+text as :func:`csv_text` owns CSV text: the one writes every report document,
+byte for byte as ``json.dumps(doc, indent=2)`` would, and the other every CSV
+report, the CLI's and ``roc-export``'s. ``fairness`` and ``theorem`` types
+appear only in annotations, so ``roc`` can import this module at its top.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
@@ -42,40 +41,15 @@ def csv_text(rows: Iterable[Sequence]) -> str:
 
 
 def json_text(doc: Any) -> str:
-    """``json.dumps(doc, indent=2)``, byte for byte, and the same ``TypeError``
-    for a value or key it cannot write.
+    """A report document as ``json.dumps(doc, indent=2)`` writes it, byte for byte.
 
+    A report document is built of dicts with string keys, lists, strings, ints,
+    finite floats, booleans and ``None``; anything else raises ``TypeError``.
     With an ``indent``, ``json.dumps`` runs CPython's pure-Python encoder; this
     writer joins each container's parts in one ``str.join`` instead, and writes
-    a string item without a call of its own. One divergence: a container that
-    holds itself raises ``RecursionError`` here, where ``json.dumps`` raises
-    ``ValueError``; no command builds one, so it is not checked for.
+    a string item without a call of its own.
     """
     return _json_value(doc, "\n")
-
-
-def _json_float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _json_key(key: Any) -> str:
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, float):
-        key = _json_float(key)
-    elif key is True or key is False or key is None:
-        key = _json_value(key, "")
-    elif isinstance(key, int):
-        key = int.__repr__(key)
-    else:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-    return encode_basestring_ascii(key)
 
 
 def _json_value(value: Any, indent: str) -> str:
@@ -91,9 +65,9 @@ def _json_value(value: Any, indent: str) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        return _json_float(value)
+        return float.__repr__(value)
     inner = indent + "  "
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         if not value:
             return "[]"
         items = [
@@ -104,7 +78,9 @@ def _json_value(value: Any, indent: str) -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [_json_key(key) + ": " + _json_value(item, inner) for key, item in value.items()]
+        items = [
+            encode_basestring_ascii(key) + ": " + _json_value(item, inner) for key, item in value.items()
+        ]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 

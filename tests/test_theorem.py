@@ -1,7 +1,7 @@
 import random
 from types import SimpleNamespace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -412,6 +412,34 @@ def test_verify_theorem_reports_each_failure(monkeypatch, perfect, violated, sea
         report.perfect_instances, report.witnessed_instances, report.unwitnessable_instances
     ]
     assert counters == [2 if i == kind else 0 for i in range(3)]
+
+
+def test_theorem_holds_on_every_label_profile_up_to_ten_members():
+    """Under U = X a population's verdict depends only on its counts n(J, X),
+    so checking one population per profile covers every population of 2..10."""
+    profiles = 0
+    for n in range(2, 11):
+        for counts in product(range(n + 1), repeat=3):
+            if sum(counts) > n:
+                continue
+            count = dict(zip([(0, 0), (0, 1), (1, 0)], counts))
+            count[1, 1] = n - sum(counts)
+            profiles += 1
+            pop = pop_of([jx for jx in sorted(count) for _ in range(count[jx])])
+            violated = tuple(j for j in (GUILTY, INNOCENT) if count[j, 0] and count[j, 1])
+            witness = construct_witness(pop)
+            assert witness.violated_merit_classes == violated, count
+            assert witness.perfect == (count[GUILTY, 1] == count[INNOCENT, 0] == 0), count
+            verdict = check_absolute_fairness(
+                DeterministicProcedure(), pop, "bipartitions", max_n=10, max_violations=0
+            )
+            assert verdict.fair == (not violated), count
+            if violated:
+                first = pop.members[0].criterion
+                split = tuple(ind.id for ind in pop if ind.criterion != first)
+                found = {b.subset: b.violated_merit_classes for b in exhaustive_search(pop, max_n=10)}
+                assert found[split] == violated, count
+    assert profiles == 996
 
 
 # one probability-code pass per bipartition search
