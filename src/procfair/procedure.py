@@ -236,10 +236,6 @@ def conviction_sums(
 
 # --- simulation ------------------------------------------------------------
 
-# Draws per block of trials: the uniform doubles and their comparison stay
-# cache-sized, and memory does not grow with the number of trials.
-SIMULATION_BLOCK_DRAWS = 1 << 16
-
 
 @dataclass(frozen=True, eq=False)  # an array field has no single truth value to compare by
 class Simulation:
@@ -247,7 +243,8 @@ class Simulation:
 
     ``convictions[i]`` is how many of the trials convicted member ``i`` of
     the population the simulation was drawn for, in population order; the
-    array is read-only.
+    array is read-only. The ``n × trials`` member-trials must fit in int64,
+    the range in which counts are drawn and summed.
     """
 
     seed: int
@@ -255,44 +252,40 @@ class Simulation:
     convictions: np.ndarray
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
         convictions = np.array(self.convictions, dtype=np.int64)
         if convictions.ndim != 1:
             raise ValueError("one conviction count required per member")
+        self._check_trials(convictions.size, self.trials)
         if convictions.size and not 0 <= convictions.min() <= convictions.max() <= self.trials:
             raise ValueError(f"conviction counts must lie in [0, {self.trials}]")
         convictions.flags.writeable = False
         object.__setattr__(self, "convictions", convictions)
+
+    @staticmethod
+    def _check_trials(n: int, trials: int) -> None:
+        """Refuse ``trials`` below 1, or so many that ``n × trials`` member-trials
+        (``trials`` alone for an empty population) exceed 2**63 - 1."""
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+        if max(n, 1) * trials > np.iinfo(np.int64).max:
+            raise ValueError(f"{trials} trials of {n} members exceed 2**63 - 1 member-trials")
 
 
 def simulate(proc: Procedure, pop: Population, seed: int, trials: int) -> Simulation:
     """Count each member's convictions over ``trials`` independent trials.
 
     Each individual is convicted with probability equal to their applicable
-    rate, independently across individuals and trials. The generator is
-    numpy's seeded PCG64, so identical (procedure, population, seed, trials)
-    inputs reproduce bit-identical counts. Trials are drawn a block at a time
-    (about ``SIMULATION_BLOCK_DRAWS`` doubles, at least one trial); PCG64
-    yields its doubles in order, so the counts equal those of one
-    ``(trials, n)`` draw.
+    rate, independently across individuals and trials, so a member's count
+    is one ``binomial(trials, p)`` draw and time and memory are O(n) whatever
+    ``trials`` is. The generator is numpy's seeded PCG64, so identical
+    (procedure, population, seed, trials) inputs reproduce identical counts.
+    ``trials`` is checked against :class:`Simulation`'s rule before anything
+    is drawn.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    Simulation._check_trials(len(pop), trials)
     codes, exact = _probability_codes(proc, pop)
     probs = np.array([float(p) for p in exact])[codes]
-    rng = np.random.default_rng(seed)
-    n = len(pop)
-    rows = min(trials, max(1, SIMULATION_BLOCK_DRAWS // max(n, 1)))
-    draws = np.empty((rows, n))
-    convicted = np.empty((rows, n), dtype=bool)
-    counts = np.zeros(n, dtype=np.int64)
-    for start in range(0, trials, rows):
-        block = min(rows, trials - start)
-        rng.random(out=draws[:block])
-        np.less(draws[:block], probs, out=convicted[:block])
-        counts += convicted[:block].sum(axis=0)
-    return Simulation(seed, trials, counts)
+    return Simulation(seed, trials, np.random.default_rng(seed).binomial(trials, probs))
 
 
 # --- conditional rates -----------------------------------------------------

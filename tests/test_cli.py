@@ -127,16 +127,22 @@ def test_example1_stages_are_the_sex_audits_of_its_population(capsys, tmp_path):
         assert stage["classification"] == classify(point).value
 
 
+def _checkout_env() -> dict:
+    """The environment for a fresh interpreter that imports this checkout's ``src/``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 @pytest.mark.parametrize(
     "modules", [("procfair.demo", "procfair.cli"), ("procfair.cli", "procfair.demo")]
 )
 def test_demo_and_cli_import_in_either_order(modules):
     """A fresh interpreter imports both modules in either order and runs example1."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     script = "".join(f"import {name}\n" for name in modules) + "procfair.demo.demo_report()\n"
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=_checkout_env(), capture_output=True, text=True
+    )
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
@@ -378,6 +384,23 @@ def test_simulate_expected_is_mean_member_probability_for_unequal_rates(capsys, 
         assert expected["support"] == {"guilty": 2, "innocent": 2}
     else:
         assert out.splitlines()[-2:] == ["expected_h,5/8,0.62500000", "expected_k,3/20,0.15000000"]
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["audit", "--attribute", "sex"]])
+def test_trials_past_int64_member_trials_are_an_error(tmp_path, command):
+    """A fresh interpreter refuses 10^30 trials of 3 members at once, before drawing."""
+    pop_file = tmp_path / "population.csv"
+    pop_file.write_text("id,J,X,attrs\na,1,,sex=M\nb,0,,sex=F\nc,0,,sex=F\n", encoding="utf-8")
+    proc_file = tmp_path / "procedure.json"
+    proc_file.write_text(GLOBAL_PROC, encoding="utf-8")
+    argv = [*command, "--population", str(pop_file), "--procedure", str(proc_file)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "procfair.cli", *argv, "--trials", str(10**30)],
+        env=_checkout_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert single_error_line(proc.stderr)
+    assert "member-trials" in proc.stderr
 
 
 # --- roc-export --------------------------------------------------------------

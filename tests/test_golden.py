@@ -2,9 +2,11 @@
 
 Each case runs ``procfair.cli.main`` and compares its output with the file of
 the same name under ``tests/golden/``. The goldens pin the exact text of the
-JSON and CSV reports (including float approximations) and the bit-identical
-seed contract of ``simulate``, so an internal rewrite must reproduce them
-exactly. After an intended output change, regenerate them with::
+JSON and CSV reports (including float approximations) and the seed contract
+of ``simulate``: each member's count is one binomial draw from numpy's PCG64
+seeded with ``--seed``, so the same seed gives the same counts. An internal
+rewrite must reproduce them exactly. After an intended output change,
+regenerate them with::
 
     PYTHONPATH=src python tests/test_golden.py
 """

@@ -22,7 +22,6 @@ from procfair.population import (
     load_population,
 )
 from procfair.procedure import (
-    SIMULATION_BLOCK_DRAWS,
     ConditionalRates,
     DeterministicProcedure,
     PerGroupRates,
@@ -248,15 +247,6 @@ def test_simulate_provenance_and_order():
     assert not sim.convictions.flags.writeable
 
 
-def _one_shot_counts(proc, pop, seed, trials):
-    """Reference: every trial's doubles in one ``(trials, n)`` draw, then a
-    conviction count per member."""
-    codes, exact = _probability_codes(proc, pop)
-    probs = np.array([float(p) for p in exact])[codes]
-    draws = np.random.default_rng(seed).random((trials, len(pop)))
-    return (draws < probs).sum(axis=0)
-
-
 RATES = ["0", "1", "1/10", "1/3", "1/2", "3/4"]
 SIM_PROCEDURES = st.one_of(
     st.just(DeterministicProcedure()),
@@ -277,16 +267,10 @@ SIM_PROCEDURES = st.one_of(
 
 
 @st.composite
-def block_cases(draw):
-    """(population, trials) with n at the block edges and trials cut mid-block."""
-    n = draw(st.sampled_from([0, 1, 7, SIMULATION_BLOCK_DRAWS, SIMULATION_BLOCK_DRAWS + 3]))
-    rows = max(1, SIMULATION_BLOCK_DRAWS // max(n, 1))
-    if rows == 1:
-        trials = draw(st.integers(1, 3))
-    else:
-        trials = draw(st.integers(0, 2)) * rows + draw(st.integers(1, rows - 1))
+def sim_populations(draw):
+    """Populations of up to 30 members, rarely one without X or without a value of "g"."""
+    n = draw(st.integers(0, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    # rarely a member without X or without a value of "g"
     holes = draw(st.sampled_from([0.0, 0.0, 1 / max(n, 1)]))
     lines = ["id,J,X,attrs"]
     for i, (j, x, v, hole) in enumerate(
@@ -294,7 +278,7 @@ def block_cases(draw):
     ):
         x_text, attrs = ("", "") if hole < holes else (str(x), f"g={'abc'[v]}")
         lines.append(f"m{i},{j},{x_text},{attrs}")
-    return load_population("\n".join(lines) + "\n"), trials
+    return load_population("\n".join(lines) + "\n")
 
 
 def _outcome(f):
@@ -304,13 +288,64 @@ def _outcome(f):
         return type(exc), str(exc)
 
 
-@settings(max_examples=40, deadline=None)
-@given(SIM_PROCEDURES, block_cases(), st.integers(0, 2**32 - 1))
-def test_block_draws_count_as_one_shot_draw(proc, case, seed):
-    pop, trials = case
-    expected = _outcome(lambda: _one_shot_counts(proc, pop, seed, trials).tolist())
-    got = _outcome(lambda: simulate(proc, pop, seed, trials).convictions.tolist())
-    assert got == expected
+@settings(max_examples=60, deadline=None)
+@given(
+    SIM_PROCEDURES,
+    sim_populations(),
+    st.integers(1, 2**40) | st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+)
+def test_simulate_counts_lie_in_range_and_follow_the_seed(proc, pop, trials, seed):
+    expected = _outcome(lambda: _probability_codes(proc, pop))
+    got = _outcome(lambda: simulate(proc, pop, seed, trials).convictions)
+    if isinstance(expected[0], type):  # the member without a probability
+        assert isinstance(got, tuple) and got == expected
+        return
+    assert isinstance(got, np.ndarray)
+    codes, probs = expected
+    p = np.array(probs, dtype=object)[codes]
+    assert ((got >= 0) & (got <= trials)).all()
+    assert (got[p == 0] == 0).all()
+    assert (got[p == 1] == trials).all()
+    assert np.array_equal(simulate(proc, pop, seed, trials).convictions, got)
+
+
+def test_simulate_counts_follow_the_binomial_distribution():
+    # 30,000 members at p = 1/3 over 50 trials: the counts' mean and variance
+    # are those of Binomial(50, 1/3), which a count of 0 or 50 (one Bernoulli
+    # draw scaled by the trials) or a rounded mean would not have
+    n, trials, p = 30_000, 50, 1 / 3
+    pop = load_population("id,J,X,attrs\n" + "".join(f"m{i},{i % 2},,\n" for i in range(n)))
+    counts = simulate(global_procedure("1/3", "1/3"), pop, seed=8, trials=trials).convictions
+    mean, variance = trials * p, trials * p * (1 - p)
+    assert abs(counts.mean() - mean) < 6 * (variance / n) ** 0.5
+    assert abs(counts.var(ddof=1) - variance) < 0.05 * variance
+
+
+INT64_MAX = 2**63 - 1
+
+
+def test_simulation_refuses_member_trials_past_int64():
+    with pytest.raises(ValueError, match="member-trials"):
+        Simulation(0, 2**62, [2**62] * 3)
+    with pytest.raises(ValueError, match="member-trials"):
+        simulate(global_procedure("1/2", "1/2"), _tiny_pop(), seed=0, trials=10**30)
+    # an empty population still needs trials within int64
+    with pytest.raises(ValueError, match="member-trials"):
+        Simulation(0, INT64_MAX + 1, [])
+
+
+def test_simulate_just_inside_the_member_trial_bound():
+    pop = Population([Individual("a", 0), Individual("b", 1), Individual("c", 1)])
+    trials = INT64_MAX // 3
+    proc = global_procedure(1, "1/2")
+    sim = simulate(proc, pop, seed=4, trials=trials)
+    assert sim.convictions[0] == trials
+    with pytest.raises(ValueError, match="member-trials"):
+        simulate(proc, pop, seed=4, trials=trials + 1)
+    assert ((sim.convictions >= 0) & (sim.convictions <= trials)).all()
+    full = empirical_rates(pop, Simulation(0, trials, [trials] * 3))
+    assert (full.h, full.k) == (1, 1)
 
 
 def test_simulate_rejects_zero_trials():
