@@ -8,142 +8,21 @@ demonstrates that every imperfect deterministic procedure admits morally
 arbitrary groups witnessing unfairness.
 """
 
-from .errors import (
-    AmbiguousRateError,
-    MissingCriterionError,
-    MissingRateError,
-    PopulationParseError,
-    ProcedureSpecError,
-    ProcfairError,
-    SizeLimitError,
-    UnknownIdError,
-)
-from .fairness import (
-    AbsoluteFairnessReport,
-    ClassComparison,
-    ContingencyCell,
-    ContingencyTable,
-    FairnessVerdict,
-    GroupJustice,
-    GroupPairViolation,
-    JusticeMetrics,
-    check_absolute_fairness,
-    check_pairwise_fairness,
-    expected_contingency,
-    justice_metrics,
-)
-from .population import (
-    GUILTY,
-    INNOCENT,
-    AttributeEquals,
-    CriterionEquals,
-    ExplicitIdSet,
-    GroupSpec,
-    Individual,
-    Population,
-    Singleton,
-    dump_population,
-    group_members,
-    load_population,
-    merit_counts,
-)
-from .procedure import (
-    ConditionalRates,
-    DeterministicProcedure,
-    GlobalRates,
-    PerGroupRates,
-    Procedure,
-    RandomizedProcedure,
-    Simulation,
-    as_probability,
-    as_rational,
-    empirical_rates,
-    exact_rates,
-    global_procedure,
-    load_procedure,
-    make_group_fair,
-    per_group_procedure,
-    simulate,
-)
-from .roc import (
-    ProcedureClass,
-    RocPoint,
-    classify,
-    export_diagram,
-    is_merit_agnostic,
-    to_diamond,
-)
-from .theorem import (
-    Bipartition,
-    PropertyReport,
-    WitnessReport,
-    construct_witness,
-    exhaustive_search,
-    verify_theorem,
-)
+from . import errors, fairness, population, procedure, roc, theorem
+from .errors import *
+from .fairness import *
+from .population import *
+from .procedure import *
+from .roc import *
+from .theorem import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GUILTY",
-    "INNOCENT",
-    "AbsoluteFairnessReport",
-    "AmbiguousRateError",
-    "AttributeEquals",
-    "Bipartition",
-    "ClassComparison",
-    "ConditionalRates",
-    "ContingencyCell",
-    "ContingencyTable",
-    "CriterionEquals",
-    "DeterministicProcedure",
-    "ExplicitIdSet",
-    "FairnessVerdict",
-    "GlobalRates",
-    "GroupJustice",
-    "GroupPairViolation",
-    "GroupSpec",
-    "Individual",
-    "JusticeMetrics",
-    "MissingCriterionError",
-    "MissingRateError",
-    "PerGroupRates",
-    "Population",
-    "PopulationParseError",
-    "Procedure",
-    "ProcedureClass",
-    "ProcedureSpecError",
-    "ProcfairError",
-    "PropertyReport",
-    "RandomizedProcedure",
-    "RocPoint",
-    "Simulation",
-    "Singleton",
-    "SizeLimitError",
-    "UnknownIdError",
-    "WitnessReport",
-    "as_probability",
-    "as_rational",
-    "check_absolute_fairness",
-    "check_pairwise_fairness",
-    "classify",
-    "construct_witness",
-    "dump_population",
-    "empirical_rates",
-    "exact_rates",
-    "exhaustive_search",
-    "expected_contingency",
-    "export_diagram",
-    "global_procedure",
-    "group_members",
-    "is_merit_agnostic",
-    "justice_metrics",
-    "load_population",
-    "load_procedure",
-    "make_group_fair",
-    "merit_counts",
-    "per_group_procedure",
-    "simulate",
-    "to_diamond",
-    "verify_theorem",
+    *errors.__all__,
+    *fairness.__all__,
+    *population.__all__,
+    *procedure.__all__,
+    *roc.__all__,
+    *theorem.__all__,
 ]

@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ProcfairError",
+    "PopulationParseError",
+    "UnknownIdError",
+    "MissingCriterionError",
+    "AmbiguousRateError",
+    "MissingRateError",
+    "SizeLimitError",
+    "ProcedureSpecError",
+]
+
 
 class ProcfairError(Exception):
     """Base class for every error raised by this package."""

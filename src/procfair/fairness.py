@@ -50,7 +50,6 @@ __all__ = [
     "ContingencyTable",
     "GroupJustice",
     "JusticeMetrics",
-    "ConditionalRates",
     "check_pairwise_fairness",
     "check_absolute_fairness",
     "expected_contingency",

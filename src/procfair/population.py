@@ -22,7 +22,8 @@ file's bytes without a CR are that encoding already; others are decoded
 first, as ``Path.read_text`` decodes them): in plain
 text (the bare header first, three commas on every later line, no quote, CR
 or NUL) numpy finds the commas and line feeds; anything else is read by
-:func:`csv.reader` and its cells are encoded one after another. Then each
+:func:`csv.reader`, which decodes those bytes a chunk at a time, and its
+cells are encoded one after another. Then each
 column is validated and encoded as a whole from those bytes, raising the
 error of the first offending row: labels that are exactly ``0`` or ``1`` are
 read from their byte, attrs strings are grouped by a key mixed from their
@@ -44,8 +45,6 @@ from __future__ import annotations
 import codecs
 import csv
 import io
-import itertools
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
@@ -53,6 +52,22 @@ from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import PopulationParseError, UnknownIdError
+
+__all__ = [
+    "GUILTY",
+    "INNOCENT",
+    "Individual",
+    "Population",
+    "AttributeEquals",
+    "CriterionEquals",
+    "ExplicitIdSet",
+    "Singleton",
+    "GroupSpec",
+    "group_members",
+    "merit_counts",
+    "load_population",
+    "dump_population",
+]
 
 # Merit labels: 1 means the individual deserves the favorable outcome
 # (acquittal), 0 means they deserve the unfavorable one (conviction).
@@ -444,37 +459,19 @@ def _plain_cells(raw: bytes) -> _Cells | None:
     return _Cells(raw, bounds[3:], range(2, len(bounds) // 4 + 1))
 
 
-_LINES_CHUNK = 1 << 16  # characters cut into lines at a time
-
-
-def _lines(text: str) -> Iterator[str]:
-    """``text`` cut after every LF, the lines a text file yields.
-
-    Chunks of whole lines are cut with ``str.split``, so no copy of the whole
-    text is made and no line is found by a search of its own.
-    """
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _LINES_CHUNK) + 1 or len(text)
-        lines = text[start:end].split("\n")
-        last = lines.pop()  # empty when the chunk ends with its LF
-        yield from map(operator.add, lines, itertools.repeat("\n"))
-        if last:
-            yield last
-        start = end
-
-
-def _csv_cells(text: str, errors: list[_RowError]) -> _Cells:
-    """The cells of ``text`` as read by :func:`csv.reader`, which handles
-    RFC-4180 quoting, CRLF and blank lines. The error that ends the rows early,
-    a row with the wrong number of columns or a :class:`csv.Error` such as a
-    field longer than ``csv.field_size_limit()``, goes to ``errors`` at the row
-    after the last one read.
+def _csv_cells(raw: bytes, errors: list[_RowError]) -> _Cells:
+    """The cells of the UTF-8 text ``raw`` as read by :func:`csv.reader`, which
+    handles RFC-4180 quoting, CRLF and blank lines. :class:`io.TextIOWrapper`
+    decodes ``raw`` a chunk at a time and cuts a line only after LF, changing
+    no line break, so the whole text is never held decoded. The error that
+    ends the rows early, a row with the wrong number of columns or a
+    :class:`csv.Error` such as a field longer than ``csv.field_size_limit()``,
+    goes to ``errors`` at the row after the last one read.
     """
     cells: list[str] = []
     lines: list[int] = []
     header_seen = False
-    reader = csv.reader(_lines(text))
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), "utf-8", "surrogatepass", newline="\n"))
     start = 1  # the physical line the next record starts on
     try:
         for row in reader:
@@ -706,7 +703,8 @@ def load_population(source: str | bytes | IO[str]) -> Population:
     be UTF-8, are cut as they are; bytes with a CR are decoded first.
 
     Two stages: the text's cells are located as byte ranges of its UTF-8
-    encoding, by :func:`_plain_cells` or else :func:`_csv_cells`; then whole
+    encoding, by :func:`_plain_cells` or else by :func:`_csv_cells`, whose
+    :func:`csv.reader` decodes those bytes a chunk at a time; then whole
     columns are validated and encoded. The error raised is the first
     offending row's, checking each row's column count, id (empty, then
     duplicate), ``J``, ``X`` and ``attrs`` in that order. The member ids are
@@ -715,14 +713,14 @@ def load_population(source: str | bytes | IO[str]) -> Population:
     if isinstance(source, bytes) and b"\r" not in source:
         if not source.isascii():
             source.decode("utf-8")  # refuses what Path.read_text refuses
-        raw, text = source.removeprefix(codecs.BOM_UTF8), None
+        raw = source.removeprefix(codecs.BOM_UTF8)
     else:
         if isinstance(source, bytes):
             source = _file_text(source)
         text = (source if isinstance(source, str) else source.read()).removeprefix("\ufeff")
         raw = text.encode("utf-8", "surrogatepass")
     errors: list[_RowError] = []
-    cells = _plain_cells(raw) or _csv_cells(raw.decode("utf-8") if text is None else text, errors)
+    cells = _plain_cells(raw) or _csv_cells(raw, errors)
     ids = _id_bounds(cells, errors)
     merit = _labels(cells, 1, errors)
     criterion = _labels(cells, 2, errors)

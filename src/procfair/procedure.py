@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import operator
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -40,6 +41,25 @@ from .population import (
     cell_counts,
     group_rows,
 )
+
+__all__ = [
+    "as_rational",
+    "as_probability",
+    "DeterministicProcedure",
+    "GlobalRates",
+    "PerGroupRates",
+    "RandomizedProcedure",
+    "Procedure",
+    "global_procedure",
+    "per_group_procedure",
+    "make_group_fair",
+    "Simulation",
+    "simulate",
+    "ConditionalRates",
+    "exact_rates",
+    "empirical_rates",
+    "load_procedure",
+]
 
 MAX_DECIMAL_DIGITS = 4300  # sys.int_info.default_max_str_digits, which bounds "a/b" too
 
@@ -255,20 +275,25 @@ class Simulation:
         convictions = np.array(self.convictions, dtype=np.int64)
         if convictions.ndim != 1:
             raise ValueError("one conviction count required per member")
-        self._check_trials(convictions.size, self.trials)
+        object.__setattr__(self, "trials", self._check_trials(convictions.size, self.trials))
         if convictions.size and not 0 <= convictions.min() <= convictions.max() <= self.trials:
             raise ValueError(f"conviction counts must lie in [0, {self.trials}]")
         convictions.flags.writeable = False
         object.__setattr__(self, "convictions", convictions)
 
     @staticmethod
-    def _check_trials(n: int, trials: int) -> None:
-        """Refuse ``trials`` below 1, or so many that ``n × trials`` member-trials
-        (``trials`` alone for an empty population) exceed 2**63 - 1."""
+    def _check_trials(n: int, trials: int) -> int:
+        """``trials`` as a Python int. Refuse a ``bool`` or non-integer ``trials``
+        (``TypeError``), one below 1, or so many that ``n × trials``
+        member-trials (``trials`` alone for an empty population) exceed 2**63 - 1."""
+        if isinstance(trials, bool):
+            raise TypeError("trials must be an integer, got a bool")
+        trials = operator.index(trials)
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
         if max(n, 1) * trials > np.iinfo(np.int64).max:
             raise ValueError(f"{trials} trials of {n} members exceed 2**63 - 1 member-trials")
+        return trials
 
 
 def simulate(proc: Procedure, pop: Population, seed: int, trials: int) -> Simulation:
@@ -282,7 +307,7 @@ def simulate(proc: Procedure, pop: Population, seed: int, trials: int) -> Simula
     ``trials`` is checked against :class:`Simulation`'s rule before anything
     is drawn.
     """
-    Simulation._check_trials(len(pop), trials)
+    trials = Simulation._check_trials(len(pop), trials)
     codes, exact = _probability_codes(proc, pop)
     probs = np.array([float(p) for p in exact])[codes]
     return Simulation(seed, trials, np.random.default_rng(seed).binomial(trials, probs))
@@ -345,15 +370,15 @@ def exact_rates(
     rows = group_rows(pop, g)
     codes, probs = _probability_codes(proc, pop, rows)
     by_merit = cell_counts(_gather(pop.merit, rows), codes, len(probs))[0].tolist()
-    if isinstance(proc, RandomizedProcedure) and isinstance(proc.rates, PerGroupRates):
-        # codes 2 * pair and 2 * pair + 1 belong to one configured pair
-        present = [code // 2 for code, n in enumerate(map(sum, zip(*by_merit))) if n]
-        pairs = {probs[2 * pair : 2 * pair + 2] for pair in present}
-        if len(pairs) > 1:
-            raise AmbiguousRateError(
-                "group spans members with different configured rates: "
-                + ", ".join(f"({h}, {k})" for h, k in sorted(pairs))
-            )
+    # codes 2 * pair and 2 * pair + 1 belong to one configured pair; deterministic
+    # and global codes are 0 and 1, so only a per-group procedure can span two
+    present = [code // 2 for code, n in enumerate(map(sum, zip(*by_merit))) if n]
+    pairs = {probs[2 * pair : 2 * pair + 2] for pair in present}
+    if len(pairs) > 1:
+        raise AmbiguousRateError(
+            "group spans members with different configured rates: "
+            + ", ".join(f"({h}, {k})" for h, k in sorted(pairs))
+        )
     return ConditionalRates.from_sums(_count_and_sum(row, probs) for row in by_merit)
 
 
@@ -432,7 +457,9 @@ def load_procedure(source: str | IO[str]) -> Procedure:
             )
         h, k = pair(rates["global"], "global")
         return global_procedure(h, k)
+    if not isinstance(attribute, str) or not attribute:
+        raise ProcedureSpecError(f"'attribute' must be a non-empty string, got {attribute!r}")
     if "global" in rates:
         raise ProcedureSpecError("per-attribute rates cannot also contain 'global'")
     table = {value: pair(raw, f"{attribute}={value}") for value, raw in rates.items()}
-    return per_group_procedure(str(attribute), table)
+    return per_group_procedure(attribute, table)

@@ -29,6 +29,15 @@ from typing import Sequence
 from .procedure import as_probability, as_rational
 from .serialize import csv_text, rational_json
 
+__all__ = [
+    "ProcedureClass",
+    "is_merit_agnostic",
+    "RocPoint",
+    "classify",
+    "to_diamond",
+    "export_diagram",
+]
+
 
 class ProcedureClass(Enum):
     PERFECTLY_JUST = "PerfectlyJust"

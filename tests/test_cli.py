@@ -575,6 +575,18 @@ def test_procedure_overflowing_rate_is_an_error(capsys, tmp_path):
     assert single_error_line(err)
 
 
+def test_audit_procedure_attribute_that_is_not_a_string_is_an_error(capsys, tmp_path):
+    pop_file = tmp_path / "population.csv"
+    pop_file.write_text("id,J,X,attrs\na,0,,5=x\nb,1,,5=y\n", encoding="utf-8")
+    proc_file = tmp_path / "procedure.json"
+    proc_file.write_text('{"type": "randomized", "attribute": 5, "rates": {"x": [0.1, 0.2], "y": [0.1, 0.2]}}')
+    code, out, err = run(
+        capsys, "audit", "--population", str(pop_file), "--procedure", str(proc_file), "--attribute", "5"
+    )
+    assert code == 1 and out == ""
+    assert err == "error: 'attribute' must be a non-empty string, got 5\n"
+
+
 def test_witness_max_n_above_ceiling_is_refused(capsys, tmp_path, monkeypatch):
     import procfair.theorem as theorem
 

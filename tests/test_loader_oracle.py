@@ -24,11 +24,9 @@ from hypothesis import strategies as st
 from procfair import population
 from procfair.errors import PopulationParseError
 from procfair.population import (
-    _LINES_CHUNK,
     CSV_HEADER,
     Individual,
     Population,
-    _lines,
     _plain_cells,
     load_population,
 )
@@ -263,7 +261,7 @@ def test_errors_name_the_line_a_record_starts_on(eol):
 @pytest.mark.parametrize("final_eol", [True, False])
 @pytest.mark.parametrize("bad_row", [None, 5000])
 def test_text_longer_than_a_chunk_matches_the_reference(eol, final_eol, bad_row):
-    """csv.reader's lines are cut a chunk at a time; quoted line breaks span the cuts."""
+    """csv.reader's text is decoded a chunk at a time; quoted line breaks span the cuts."""
     body = [
         f'm{i},{i % 2},{i // 2 % 2},"sex={"MF"[i % 2]};town=t{i % 7}' + ("\nx" if i % 9 else "") + '"'
         for i in range(8000)
@@ -271,10 +269,22 @@ def test_text_longer_than_a_chunk_matches_the_reference(eol, final_eol, bad_row)
     if bad_row is not None:
         body[bad_row] = f"m{bad_row},2,0,"
     text = eol.join(["id,J,X,attrs"] + body) + (eol if final_eol else "")
-    assert len(text) > 3 * _LINES_CHUNK
-    assert list(_lines(text)) == io.StringIO(text).readlines()
+    assert len(text.encode()) > 3 * io.DEFAULT_BUFFER_SIZE
     assert_same(text)
     assert_same(text, "bytes")
+
+
+@pytest.mark.parametrize("shift", range(-4, 2))
+def test_lone_surrogate_across_a_decoder_chunk_matches_the_reference(shift):
+    """A quoted id ending in a lone surrogate, whose three surrogatepass bytes lie
+    before, across and after the end of the first chunk csv.reader's text is
+    decoded from."""
+    head = 'id,J,X,attrs\n"'
+    text = head + "x" * (io.DEFAULT_BUFFER_SIZE + shift - len(head)) + '\ud800",0,1,sex=M\nb,1,,sex=F\n'
+    assert len(text.encode("utf-8", "surrogatepass")) > io.DEFAULT_BUFFER_SIZE
+    assert load_population(text).ids()[0].endswith("\ud800")
+    assert_same(text)
+    assert_same(text, "file")
 
 
 # --- plain texts, read from their bytes ---------------------------------------------

@@ -335,6 +335,23 @@ def test_simulation_refuses_member_trials_past_int64():
         Simulation(0, INT64_MAX + 1, [])
 
 
+def test_simulation_checks_numpy_integer_trials_as_python_ints():
+    # 3 * np.int64(2**62) would wrap around to a small int64 and pass the bound
+    with pytest.raises(ValueError, match="member-trials"):
+        Simulation(0, np.int64(2**62), [2**62] * 3)
+    sim = Simulation(0, np.int64(5), [0, 5])
+    assert sim.trials == 5 and type(sim.trials) is int
+    assert type(simulate(global_procedure(0, 0), _tiny_pop(), seed=1, trials=np.int64(5)).trials) is int
+
+
+@pytest.mark.parametrize("trials", [3.5, "3", True])
+def test_simulation_refuses_trials_that_are_not_integers(trials):
+    with pytest.raises(TypeError):
+        Simulation(0, trials, [1])
+    with pytest.raises(TypeError):
+        simulate(global_procedure(0, 0), _tiny_pop(), seed=1, trials=trials)
+
+
 def test_simulate_just_inside_the_member_trial_bound():
     pop = Population([Individual("a", 0), Individual("b", 1), Individual("c", 1)])
     trials = INT64_MAX // 3
@@ -429,6 +446,13 @@ def test_load_procedure_per_group():
 )
 def test_load_procedure_rejects_malformed(text):
     with pytest.raises(ProcedureSpecError):
+        load_procedure(text)
+
+
+@pytest.mark.parametrize("attribute", ["5", "true", '["sex"]', '""'])
+def test_load_procedure_refuses_an_attribute_that_is_not_a_non_empty_string(attribute):
+    text = f'{{"type": "randomized", "attribute": {attribute}, "rates": {{"M": [0.1, 0.2]}}}}'
+    with pytest.raises(ProcedureSpecError, match="'attribute' must be a non-empty string"):
         load_procedure(text)
 
 
