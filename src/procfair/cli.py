@@ -448,7 +448,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(text)
     except (ProcfairError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # one line, even where argparse repeats a word as typed
+        print("error:", str(exc).replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
         return EXIT_ERROR
     return code
 

@@ -14,30 +14,19 @@ population order:
 - ``criterion``, an ``int8`` array of criterion labels, ``-1`` where missing;
 - ``attributes``, one :class:`AttributeColumn` per attribute name: the
   distinct values in first-appearance order and an ``int32`` code per member
-  indexing them, ``-1`` where the member has no value.
+  indexing them, ``-1`` where the member has no value;
 
-:func:`load_population` fills these columns directly, in two stages. First
-every cell is located as a byte range of the text's UTF-8 encoding (a
-file's bytes without a CR are that encoding already; others are decoded
-first, as ``Path.read_text`` decodes them): in plain
-text (the bare header first, three commas on every later line, no quote, CR
-or NUL) numpy finds the commas and line feeds; anything else is read by
-:func:`csv.reader`, which decodes those bytes a chunk at a time, and its
-cells are encoded one after another. Then each
-column is validated and encoded as a whole from those bytes, raising the
-error of the first offending row: labels that are exactly ``0`` or ``1`` are
-read from their byte, attrs strings are grouped by a key mixed from their
-8-byte words and then compared word for word, and ids are checked for
-duplicates by sorting their keys and comparing the ids whose keys repeat.
-The ids of a loaded population stay byte ranges until something asks for
+and nothing else, whether :func:`load_population` filled them from a text's
+bytes or ``Population(members)`` encoded them from the given members. The
+ids of a loaded population stay byte ranges until something asks for
 ``ids()``, ``by_id`` or an id-based group; an error or violation that names
-one member decodes only that member's id. Its member view (``members``,
-iteration) is built from the columns only when something asks for it.
-``Population(members)`` encodes the columns once, when it is constructed, and
-keeps the given tuple as ``members``. Every exact aggregate downstream is a count per
-(cell, merit class, code) from :func:`cell_counts`. Everything here is
-read-only, so every operation is a pure function and safe under concurrent
-use.
+one member decodes only that member's id. The member view (``members``,
+``by_id``, iteration) is built from the columns only when something asks for
+it, without checking each member again, since :class:`Individual` accepts
+exactly the members that the loader can return. Every exact aggregate
+downstream is a count per (cell, merit class, code) from :func:`cell_counts`.
+Everything here is read-only, so every operation is a pure function and safe
+under concurrent use.
 """
 
 from __future__ import annotations
@@ -45,6 +34,7 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
@@ -73,7 +63,6 @@ __all__ = [
 # (acquittal), 0 means they deserve the unfavorable one (conviction).
 GUILTY = 0
 INNOCENT = 1
-MERIT_VALUES = (GUILTY, INNOCENT)
 
 CSV_HEADER = ("id", "J", "X", "attrs")
 MISSING = -1  # criterion or attribute code of a member without a value
@@ -81,14 +70,23 @@ MISSING = -1  # criterion or attribute code of a member without a value
 
 @dataclass(frozen=True)
 class Individual:
-    """One subject of a decision procedure.
+    """One subject of a decision procedure: one row of the population CSV format.
 
-    ``merit`` is the ground-truth label: 1 deserving acquittal, 0 deserving
+    ``merit`` is the ground-truth label, 1 deserving acquittal and 0
     conviction. ``criterion`` is the binary fact label a deterministic
-    procedure evaluates; it is ``None`` for individuals only ever handled by
-    randomized procedures. ``attributes`` maps attribute names to categorical
-    values; names must not contain ``=`` or ``;`` and values must not contain
-    ``;`` (both are structural in the CSV format).
+    procedure evaluates, ``None`` for individuals only ever handled by
+    randomized procedures. ``attributes`` maps names to categorical values.
+
+    An individual builds exactly when :func:`load_population` can return it,
+    so every population dumps and loads back unchanged. The loader strips
+    every id, label, name and value, so the id, each name and each value must
+    be a non-empty ``str`` that ``str.strip`` leaves as it is, a name must not
+    hold ``=`` or ``;`` and a value not ``;``; each label is the ``int`` 0 or
+    1 (not a ``bool``), and ``criterion`` may be ``None``. Neither the id nor
+    the joined ``name=value;...`` text may be longer than
+    ``csv.field_size_limit()``, or hold NUL before Python 3.11, whose
+    :mod:`csv` cannot read it. Anything else raises :class:`ValueError`
+    naming the field.
     """
 
     id: str
@@ -97,18 +95,46 @@ class Individual:
     attributes: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("individual id must be a non-empty string")
-        if self.merit not in MERIT_VALUES:
+        if not _is_stripped_text(self.id):
+            message = f"individual id must be a non-empty string without edge whitespace, got {self.id!r}"
+            raise ValueError(message)
+        if not _is_label(self.merit):
             raise ValueError(f"merit must be 0 or 1, got {self.merit!r}")
-        if self.criterion is not None and self.criterion not in (0, 1):
+        if self.criterion is not None and not _is_label(self.criterion):
             raise ValueError(f"criterion must be 0, 1 or None, got {self.criterion!r}")
         for name, value in self.attributes.items():
-            if not name or not isinstance(name, str) or "=" in name or ";" in name:
+            if not _is_stripped_text(name) or "=" in name or ";" in name:
                 raise ValueError(f"bad attribute name {name!r}")
-            if not value or not isinstance(value, str) or ";" in value:
+            if not _is_stripped_text(value) or ";" in value:
                 raise ValueError(f"bad value {value!r} for attribute {name!r}")
-        object.__setattr__(self, "attributes", dict(self.attributes))
+        attributes = dict(self.attributes)
+        attrs_text = ";".join(map("=".join, attributes.items())) if attributes else ""
+        for what, text in ("individual id", self.id), ("attrs text", attrs_text):
+            if len(text) > csv.field_size_limit():
+                raise ValueError(f"{what} of {len(text)} characters exceeds csv.field_size_limit()")
+            if _CSV_REFUSES_NUL and "\0" in text:
+                raise ValueError(f"{what} must not hold NUL before Python 3.11, got {text!r}")
+        object.__setattr__(self, "attributes", attributes)
+
+
+def _is_stripped_text(text) -> bool:
+    """Whether ``text`` is a non-empty ``str`` that ``str.strip`` leaves as it is."""
+    return isinstance(text, str) and text != "" and text == text.strip()
+
+
+def _is_label(label) -> bool:
+    """Whether ``label`` is the ``int`` 0 or 1; a ``bool`` is not a label."""
+    return type(label) is int and label in (0, 1)
+
+
+_CSV_REFUSES_NUL = sys.version_info < (3, 11)  # csv reads and writes NUL from 3.11 on
+
+
+def _trusted(ident: str, merit: int, criterion: int | None, attributes: dict[str, str]) -> Individual:
+    """An individual made of fields already checked, without :meth:`Individual.__post_init__`."""
+    ind = object.__new__(Individual)
+    ind.__dict__.update(id=ident, merit=merit, criterion=criterion, attributes=attributes)
+    return ind
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -170,12 +196,13 @@ class Population:
             index[ind.id] = len(index)
         n = len(members)
         criterion = (MISSING if ind.criterion is None else ind.criterion for ind in members)
-        self.__dict__.update(
-            members=members, _index=index, _ids=tuple(index),
-            merit=_frozen(np.fromiter((ind.merit for ind in members), np.int8, n)),
-            criterion=_frozen(np.fromiter(criterion, np.int8, n)),
-            attributes=_encode_attributes([ind.attributes for ind in members]),
+        columns = Population._from_columns(
+            tuple(index),
+            np.fromiter((ind.merit for ind in members), np.int8, n),
+            np.fromiter(criterion, np.int8, n),
+            _encode_attributes([ind.attributes for ind in members]),
         )
+        self.__dict__.update(vars(columns))  # what a loaded population holds, and only that
 
     @classmethod
     def _from_columns(
@@ -232,16 +259,20 @@ class Population:
         """Member ``i``'s id, decoded alone unless the ids are already built."""
         return self._ids[i] if "_ids" in self.__dict__ else self._id_source[i]
 
-    def _members(self, rows: np.ndarray) -> tuple[Individual, ...]:
-        """The members at ``rows``, built from the columns, each read once."""
+    def _attribute_dicts(self, rows: np.ndarray) -> list[dict[str, str]]:
+        """The attributes of the members at ``rows``, names in column order."""
         attrs = [{} for _ in range(len(rows))]
         for name, column in self.attributes.items():
             for member_attrs, code in zip(attrs, column.codes[rows].tolist()):
                 if code != MISSING:
                     member_attrs[name] = column.values[code]
+        return attrs
+
+    def _members(self, rows: np.ndarray) -> tuple[Individual, ...]:
+        """The members at ``rows``, built from the columns, each read once."""
         ids = map(self._id, rows.tolist())
         criteria = (None if c == MISSING else c for c in self.criterion[rows].tolist())
-        return tuple(map(Individual, ids, self.merit[rows].tolist(), criteria, attrs))
+        return tuple(map(_trusted, ids, self.merit[rows].tolist(), criteria, self._attribute_dicts(rows)))
 
     @cached_property
     def members(self) -> tuple[Individual, ...]:
@@ -390,6 +421,7 @@ def _parse_attrs(text: str, line: int) -> dict[str, str]:
         return attrs
     for pair in text.split(";"):
         name, sep, value = pair.partition("=")
+        name, value = name.strip(), value.strip()
         if not sep or not name or not value:
             raise PopulationParseError(f"bad attribute pair {pair!r}", line)
         if name in attrs:
@@ -442,21 +474,25 @@ def _plain_cells(raw: bytes) -> _Cells | None:
     # one more position, the end of the text, ends a last line without LF
     is_separator = np.empty(len(data) + 1, dtype=bool)
     np.equal(data, ord(","), out=is_separator[:-1])
-    is_separator[:-1] |= data == ord("\n")
+    is_line_feed = data == ord("\n")
+    is_separator[:-1] |= is_line_feed
+    line_feeds = np.count_nonzero(is_line_feed)
+    del is_line_feed
     is_separator[-1] = not raw.endswith(b"\n")
     # 32-bit positions halve the memory of every position array that follows
     bounds = np.flatnonzero(is_separator).astype(np.int32 if len(data) < 2**31 else np.int64)
     del is_separator
-    # the header's three commas and LF, then the same four on every line
-    if len(bounds) < 8 or len(bounds) % 4:
+    # the header's three commas and LF, then the same four on every line: as
+    # many LFs as line ends before the last, and each is a fourth separator
+    lines = len(bounds) // 4
+    if len(bounds) < 8 or len(bounds) % 4 or line_feeds - raw.endswith(b"\n") != lines - 1:
         return None
-    kinds = data[bounds[:-1]]
-    if not (kinds[3::4] == ord("\n")).all() or np.count_nonzero(kinds == ord("\n")) != len(kinds) // 4:
+    if not (data[bounds[3:-1:4]] == ord("\n")).all():
         return None
     # csv.reader refuses a longer field; a UTF-8 byte count bounds the characters
     if (bounds[7::4] - bounds[3:-1:4]).max() > csv.field_size_limit() + 1:
         return None
-    return _Cells(raw, bounds[3:], range(2, len(bounds) // 4 + 1))
+    return _Cells(raw, bounds[3:], range(2, lines + 1))
 
 
 def _csv_cells(raw: bytes, errors: list[_RowError]) -> _Cells:
@@ -741,11 +777,10 @@ def load_population(source: str | bytes | IO[str]) -> Population:
 
 
 def dump_population(pop: Population) -> str:
-    """Serialize back to the population CSV format (LF line endings).
+    """Serialize to the population CSV format (LF line endings), straight
+    from the columns. ``load_population(dump_population(p)) == p`` for every
+    population, and each member's attributes are written in column order.
 
-    ``load_population(dump_population(p))`` reproduces ``p`` exactly; since the
-    loader strips ids and attrs texts, a member whose id or joined ``name=value``
-    text starts or ends with whitespace raises :class:`ValueError` instead.
     Fields are quoted as needed, and every field of a row whose id or attrs
     holds a carriage return is quoted, since the loader refuses an unquoted one.
     """
@@ -754,11 +789,11 @@ def dump_population(pop: Population) -> str:
     # the minimal quoting quotes "\n", the line terminator, but not a bare "\r"
     quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(CSV_HEADER)
-    for ind in pop.members:
-        attrs = ";".join(f"{name}={value}" for name, value in ind.attributes.items())
-        if ind.id != ind.id.strip() or attrs != attrs.strip():
-            raise ValueError(f"member {ind.id!r}: the loader would strip its id or attrs {attrs!r}")
-        criterion = "" if ind.criterion is None else str(ind.criterion)
-        row = [ind.id, str(ind.merit), criterion, attrs]
-        (quoted if "\r" in ind.id + attrs else writer).writerow(row)
+    labels = ("0", "1", "")  # by label, and MISSING (-1) last
+    for ident, merit, criterion, attrs in zip(
+        pop.ids(), pop.merit.tolist(), pop.criterion.tolist(), pop._attribute_dicts(np.arange(len(pop)))
+    ):
+        attrs = ";".join(map("=".join, attrs.items()))
+        row = [ident, labels[merit], labels[criterion], attrs]
+        (quoted if "\r" in ident + attrs else writer).writerow(row)
     return out.getvalue()

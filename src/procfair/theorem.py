@@ -336,9 +336,7 @@ def verify_theorem(n_individuals: int, n_trials: int, seed: int) -> PropertyRepo
             witnessed += 1
             if not found:
                 fail("witnessed instance but exhaustive search found nothing")
-            split = frozenset(
-                ind.id for ind in pop if ind.criterion != pop.members[0].criterion
-            )
+            split = frozenset(ident for ident, (_, x) in zip(pop.ids(), labels) if x != labels[0][1])
             matches = [b for b in found if frozenset(b.subset) == split]
             if not matches:
                 fail("criterion split missing from exhaustive search results")

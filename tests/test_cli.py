@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from procfair.cli import build_parser, main
@@ -772,3 +774,104 @@ def test_help_still_exits_0(capsys, argv):
         main(argv)
     assert exited.value.code == 0
     assert capsys.readouterr().out.startswith("usage: procfair")
+
+
+# --- the error contract, over generated argv and files ---------------------------
+
+CONTRACT_FILES = {
+    "{pop}": st.one_of(
+        st.sampled_from([
+            SEXED_CSV, PERFECT_CSV, IMPERFECT_CSV, "id,J,X,attrs\n", "id,J,X,attrs\na,2,1,sex=M\n",
+            "id,J,X,attrs\r\na,1,,sex=M\r\nb,0,1,sex=F\r\n", '\ufeffid,J,X,attrs\na,1,0,"sex=M"\n',
+            "id,J,X,attrs\na,1,0,sex=M\na,0,1,sex=F\n", "id,J,X,attrs\na,1,0,sex = M ; age=1\n",
+        ]),
+        st.text(max_size=30),
+    ),
+    "{proc}": st.one_of(
+        st.sampled_from([
+            GLOBAL_PROC, GROUP_FAIR_PROC, '{"type": "deterministic"}', "[]", "{", "[" * 3000,
+            '{"type": "randomized", "attribute": "sex", "rates": {"M": ["3/4", "1/10"], "F": ["1/2", "0"]}}',
+            '{"type": "randomized", "rates": {"global": ["2", "0"]}}',
+        ]),
+        st.text(max_size=30),
+    ),
+    "{points}": st.one_of(
+        st.sampled_from([
+            '[{"label": "a", "h": "1/2", "k": "0"}]', "[]", "{}", '[{"label": 1, "h": 0, "k": 0}]',
+            '[{"label": "a", "h": "x", "k": "0"}]', '[{"label": "a", "h": "1/2", "k": "0"}, {"label": "a"}]',
+        ]),
+        st.text(max_size=30),
+    ),
+}
+# any text, with line breaks and the characters of numbers and options drawn often
+WORDS = st.text(st.one_of(st.sampled_from("\n\r\t -=/.01x"), st.characters()), max_size=6)
+# "{missing}" names no file and "{dir}" a directory
+PATHS = ["{missing}", "{dir}"]
+NUMBERS = ["0", "1/10", "3/4", "1", "1.5", "-1", "1e400", "nan", "inf", "1/0", "0.1", "x", ""]
+INTEGERS = ["0", "1", "3", "-1", "x", "", "1e3", "99999999999999999999999"]
+FORMATS = ["json", "csv", "text", "svg", "xml"]
+OUTS = ["{out}", "{missing}/report", "{dir}"]
+CONTRACT_OPTIONS = {
+    "audit": {"--population": ["{pop}", *PATHS], "--procedure": ["{proc}", *PATHS],
+              "--attribute": ["sex", "age", ""], "--tolerance": NUMBERS, "--trials": INTEGERS,
+              "--seed": INTEGERS},
+    "witness": {"--population": ["{pop}", *PATHS], "--max-n": INTEGERS},
+    "simulate": {"--population": ["{pop}", *PATHS], "--procedure": ["{proc}", *PATHS],
+                 "--trials": INTEGERS, "--seed": INTEGERS},
+    "classify": {"--h": NUMBERS, "--k": NUMBERS, "--eps": NUMBERS},
+    "roc-export": {"": ["{points}", *PATHS], "--eps": NUMBERS},  # "" is the positional points file
+}
+# the one warning a failing command may print before its error line
+WARNINGS = ("warning: comparing simulated rates at tolerance 0 is degenerate",)
+
+
+@st.composite
+def command_lines(draw):
+    """An argv: a command and most of its options, --format and now and then
+    --out, each with a value from its pool or any text, and now and then a
+    stray word."""
+    command = draw(st.sampled_from(sorted(CONTRACT_OPTIONS)))
+    argv = [command]
+    for option, pool in {**CONTRACT_OPTIONS[command], "--format": FORMATS, "--out": OUTS}.items():
+        if draw(st.integers(0, 3)) < (3 if option == "--out" else 1):
+            continue
+        argv += [option] if option else []
+        argv.append(draw(st.one_of(st.sampled_from(pool), WORDS)))
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(WORDS))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines(), st.fixed_dictionaries(CONTRACT_FILES))
+# argparse repeats an unrecognized word or an ambiguous option as typed, line breaks included
+@example(["roc-export", "{points}", "\n"], {"{pop}": "", "{proc}": "", "{points}": "[]"})
+@example(["audit", "--p=\rx"], {"{pop}": "", "{proc}": "", "{points}": ""})
+def test_every_command_keeps_the_error_contract(tmp_path_factory, argv, files):
+    """``main`` returns 0, 1 or 2, never raises, exits 2 only from ``witness``,
+    and on exit 1 prints nothing to stdout and one ``error:`` line to stderr,
+    after at most the documented warnings."""
+    work = tmp_path_factory.mktemp("contract")
+    names = {"{missing}": str(work / "missing"), "{dir}": str(work), "{out}": str(work / "report")}
+    for placeholder, text in files.items():
+        names[placeholder] = str(work / placeholder.strip("{}"))
+        Path(names[placeholder]).write_text(text, encoding="utf-8", errors="surrogatepass")
+    argv = [names.get(word, word).replace("{missing}", names["{missing}"]) for word in argv]
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(work)  # so that an --out of any text writes there
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    lines = err.getvalue().split("\n")
+    assert lines.pop() == ""  # stderr is empty or ends with a line feed
+    warnings = [line for line in lines if line.startswith(WARNINGS)]
+    assert code in (0, 1, 2)
+    assert code != 2 or argv[0] == "witness"
+    if code == 1:
+        assert out.getvalue() == ""
+        assert len(lines) == len(warnings) + 1 and lines[-1].startswith("error: "), err.getvalue()
+    else:
+        assert lines == warnings, err.getvalue()

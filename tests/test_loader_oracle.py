@@ -52,6 +52,7 @@ def _parse_attrs(text, line):
         return attrs
     for pair in text.split(";"):
         name, sep, value = pair.partition("=")
+        name, value = name.strip(), value.strip()
         if not sep or not name or not value:
             raise PopulationParseError(f"bad attribute pair {pair!r}", line)
         if name in attrs:
@@ -135,7 +136,7 @@ IDS = ["a", "b", "c", "d", "é", " a", "b ", "", "  ", "x,y", "n\0ul"]
 LABELS = ["0", "1", " 1", "0 ", "2", ""]
 ATTRS = [
     "", "sex=M", "sex=F", "sex=M;age=old", "k=v=w", " sex=F ", "sex=M;sex=F", "bad", "=x",
-    "sex=", "sex=M;", "town=a,b", "c\rr",
+    "sex=", "sex=M;", "town=a,b", "c\rr", "sex = M ; age=old", "sex= ;age=old", "sex=M;sex =F",
 ]
 
 
@@ -346,6 +347,20 @@ def test_equal_keys_are_told_apart_by_their_bytes(monkeypatch, text):
 
 
 # --- which inputs reach csv.reader --------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "id,J,X,attrs\na,1,0\nb,1,0,,\n",
+        "id,J,X,attrs\na,1,0,,\nb,1,0",
+        # a blank line and two commas: as many separators as two plain lines
+        "id,J,X,attrs\n\na,1,0\n",
+    ],
+)
+def test_lines_without_three_commas_each_go_to_csv_reader(text):
+    assert _plain_cells(text.encode()) is None
+    assert_same(text)
 
 
 def test_plain_text_loads_without_csv_reader(monkeypatch):

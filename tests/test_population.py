@@ -1,3 +1,4 @@
+import csv
 import re
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from procfair import population
 from procfair.errors import (
     MissingCriterionError,
     MissingRateError,
@@ -103,11 +105,53 @@ def test_individual_rejects_structural_characters():
     "args,message",
     [(("", 1), "id must be a non-empty string"),
      (("a", 2), "merit must be 0 or 1, got 2"),
-     (("a", 1, -1), "criterion must be 0, 1 or None, got -1")],
+     (("a", 1, -1), "criterion must be 0, 1 or None, got -1"),
+     # each of these built once, and then did not load back as it was dumped
+     (("a", True), "merit must be 0 or 1, got True"),
+     (("a", 1.0), "merit must be 0 or 1, got 1.0"),
+     (("a", 1, True), "criterion must be 0, 1 or None, got True"),
+     ((5, 0), "individual id must be a non-empty string without edge whitespace, got 5"),
+     ((" a", 0), "individual id must be a non-empty string without edge whitespace, got ' a'"),
+     (("a", 0, None, {"x": "1 "}), "bad value '1 ' for attribute 'x'")],
 )
 def test_individual_rejects_a_bad_id_merit_or_criterion(args, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         Individual(*args)
+
+
+def test_individual_refuses_a_field_csv_cannot_read_back(monkeypatch):
+    limit = csv.field_size_limit()
+    try:
+        csv.field_size_limit(8)
+        with pytest.raises(ValueError, match=re.escape("individual id of 9 characters exceeds csv.field_size_limit()")):
+            Individual("a" * 9, 0)
+        with pytest.raises(ValueError, match=re.escape("attrs text of 9 characters exceeds csv.field_size_limit()")):
+            Individual("a", 0, None, {"sex": "M", "x": "y"})
+        pop = Population([Individual("a" * 8, 0, None, {"sex": "Male"})])
+        assert load_population(dump_population(pop)) == pop
+    finally:
+        csv.field_size_limit(limit)
+    # before Python 3.11, csv can neither write nor read NUL
+    monkeypatch.setattr(population, "_CSV_REFUSES_NUL", True)
+    with pytest.raises(ValueError, match=re.escape("individual id must not hold NUL before Python 3.11")):
+        Individual("a\0", 0)
+    with pytest.raises(ValueError, match=re.escape("attrs text must not hold NUL before Python 3.11")):
+        Individual("a", 0, None, {"sex": "\0"})
+
+
+def test_a_population_holds_only_columns_and_builds_members_without_checking_them(monkeypatch):
+    members = (Individual("a", 1, 0, {"sex": "M"}), Individual("b", 0, None, {"town": "x"}))
+    pops = [load_population(HEADER + "a,1,0,sex=M\nb,0,,town=x\n"), Population(members)]
+    for pop in pops:
+        assert set(vars(pop)) == {"_id_source", "merit", "criterion", "attributes"}
+
+    def refuse(ind):
+        raise AssertionError(f"member {ind.id!r} checked again")
+
+    monkeypatch.setattr(Individual, "__post_init__", refuse)
+    for pop in pops:
+        assert pop.members == members and tuple(pop) == members and pop.by_id["b"] == members[1]
+        assert group_members(pop, AttributeEquals("town", "x")) == members[1:]
 
 
 def test_criterion_group_value_must_be_binary():
@@ -126,38 +170,54 @@ def test_population_rejects_duplicate_ids():
         Population([Individual("a", 1), Individual("a", 0)])
 
 
-# round trip: parse then serialize is a fixed point
+# round trip: every member that builds dumps and loads back as it was
 
-_ids = st.lists(
-    st.text(alphabet="abcdefgh123", min_size=1, max_size=6), unique=True, min_size=1, max_size=8
+# any character, with the ones that are structural in CSV, in attrs or to
+# str.strip drawn often
+_text = st.text(
+    st.one_of(st.sampled_from(" \t\r\n\",;=\0\x85\u2028\ufeffé"), st.characters()), min_size=1, max_size=6
 )
 
 
-@st.composite
-def populations(draw):
-    members = []
-    for ident in draw(_ids):
-        attrs = draw(
-            st.dictionaries(
-                st.sampled_from(["sex", "age", "town"]),
-                st.text(alphabet="xyzXYZ09", min_size=1, max_size=4),
-                max_size=2,
-            )
-        )
-        members.append(
-            Individual(
-                ident,
-                merit=draw(st.integers(0, 1)),
-                criterion=draw(st.sampled_from([None, 0, 1])),
-                attributes=attrs,
-            )
-        )
-    return Population(members)
+def _built(fields):
+    """The individual made of ``fields``, or ``None`` if it does not build."""
+    try:
+        return Individual(*fields)
+    except ValueError:
+        return None
 
 
-@given(populations())
-def test_dump_load_round_trip(pop):
+_members = st.tuples(
+    _text, st.integers(0, 1), st.sampled_from([None, 0, 1]), st.dictionaries(_text, _text, max_size=3)
+).map(_built).filter(lambda ind: ind is not None)
+
+
+@given(st.lists(_members, unique_by=lambda ind: ind.id, max_size=8))
+def test_dump_load_round_trip(members):
+    pop = Population(members)
     assert load_population(dump_population(pop)) == pop
+    assert load_population(dump_population(pop)).members == pop.members
+
+
+# a plain file: LF lines of three commas, no quote, CR or NUL, nothing to strip,
+# each member's attribute names in the order in which they first appear
+_plain_id = st.text("xy9é… ", min_size=1, max_size=4).filter(lambda ident: ident == ident.strip())
+_plain_row = st.tuples(
+    st.sampled_from("01"),
+    st.sampled_from(["0", "1", ""]),
+    st.lists(st.text("xy9é…=", min_size=1, max_size=3), max_size=3),
+)
+
+
+@given(st.lists(_plain_id, min_size=1, max_size=8, unique=True), st.data())
+def test_a_plain_file_dumps_as_it_was_read(ids, data):
+    rows = []
+    for ident in ids:
+        merit, criterion, values = data.draw(_plain_row)
+        attrs = ";".join(f"{name}={value}" for name, value in zip(["sex", "age", "town"], values))
+        rows.append(f"{ident},{merit},{criterion},{attrs}\n")
+    text = HEADER + "".join(rows)
+    assert dump_population(load_population(text)) == text
 
 
 # group selection and merit counts against the built-in scenario
@@ -293,35 +353,41 @@ def test_naming_one_member_decodes_only_its_id():
     ]
 
 
-# dump refuses exactly the members whose text the loader would strip
+# Individual refuses exactly the members whose text the loader would strip
 
 _padded_text = st.text(alphabet="ab1 \t\r\n\",", min_size=1, max_size=4)
+_padded_fields = st.tuples(
+    _padded_text,
+    st.integers(0, 1),
+    st.sampled_from([None, 0, 1]),
+    st.dictionaries(st.sampled_from(["sex", " age", "town\t"]), _padded_text, max_size=2),
+)
 
 
-@st.composite
-def padded_populations(draw):
-    members = []
-    for ident in draw(st.lists(_padded_text, unique=True, min_size=1, max_size=6)):
-        attrs = draw(
-            st.dictionaries(st.sampled_from(["sex", " age", "town\t"]), _padded_text, max_size=2)
-        )
-        merit, criterion = draw(st.integers(0, 1)), draw(st.sampled_from([None, 0, 1]))
-        members.append(Individual(ident, merit, criterion, attrs))
-    return Population(members)
+def _padding_error(ident, attrs):
+    """The start of the error that names the first padded text of a member, if any."""
+    if ident != ident.strip():
+        return "individual id must be a non-empty string without edge whitespace"
+    for name, value in attrs.items():
+        if name != name.strip():
+            return f"bad attribute name {name!r}"
+        if value != value.strip():
+            return f"bad value {value!r}"
+    return None
 
 
-@given(padded_populations())
-def test_dump_round_trips_or_names_the_member_the_loader_would_strip(pop):
-    def edged(ind):
-        attrs = ";".join(f"{name}={value}" for name, value in ind.attributes.items())
-        return ind.id != ind.id.strip() or attrs != attrs.strip()
-
-    first_edged = next((ind.id for ind in pop if edged(ind)), None)
-    if first_edged is None:
-        assert load_population(dump_population(pop)) == pop
-    else:
-        with pytest.raises(ValueError, match=re.escape(repr(first_edged))):
-            dump_population(pop)
+@given(st.lists(_padded_fields, unique_by=lambda fields: fields[0], max_size=6))
+def test_dump_round_trips_or_names_the_member_the_loader_would_strip(members):
+    built = []
+    for fields in members:
+        error = _padding_error(fields[0], fields[3])
+        if error is None:
+            built.append(Individual(*fields))
+        else:
+            with pytest.raises(ValueError, match=re.escape(error)):
+                Individual(*fields)
+    pop = Population(built)
+    assert load_population(dump_population(pop)) == pop
 
 
 def test_dump_quotes_a_carriage_return_inside_an_id_or_value():
