@@ -30,7 +30,7 @@ from .fairness import (
     expected_contingency,
     justice_metrics,
 )
-from .population import GUILTY, INNOCENT, AttributeEquals, _file_text, load_population
+from .population import GUILTY, INNOCENT, AttributeEquals, load_population
 from .procedure import (
     ConditionalRates,
     _parse_json,
@@ -53,6 +53,12 @@ EMPIRICAL_DEFAULT_TOLERANCE = Fraction(1, 10**9)
 def _read(path: str) -> bytes:
     """The bytes of the file at ``path``: every input file is read here."""
     return Path(path).read_bytes()
+
+
+def _read_text(path: str) -> str:
+    """The file at ``path`` as ``Path.read_text(encoding="utf-8")`` reads it:
+    strictly decoded, every CRLF and lone CR read as LF."""
+    return _read(path).decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
 # --- renderers ---------------------------------------------------------------
@@ -86,7 +92,7 @@ def _cmd_audit(args):
     default = EMPIRICAL_DEFAULT_TOLERANCE if empirical else 0
     tolerance = _checked_tolerance(default if args.tolerance is None else args.tolerance)
     pop = load_population(_read(args.population))
-    proc = load_procedure(_file_text(_read(args.procedure)))
+    proc = load_procedure(_read_text(args.procedure))
     if not pop.attribute_values(args.attribute):
         raise ProcfairError(f"no member has a value for attribute {args.attribute!r}")
 
@@ -237,7 +243,7 @@ def _witness_text(doc, args) -> str:
 
 def _cmd_simulate(args):
     pop = load_population(_read(args.population))
-    proc = load_procedure(_file_text(_read(args.procedure)))
+    proc = load_procedure(_read_text(args.procedure))
     simulation = simulate(proc, pop, seed=args.seed, trials=args.trials)
     # the mean member conviction probability per merit class: the configured
     # pair whenever every member has the same one
@@ -335,7 +341,7 @@ def _cmd_roc_export(args):
     eps = _checked_eps(args.eps)
     points = []
     if args.points:
-        entries = _parse_json(_file_text(_read(args.points)))
+        entries = _parse_json(_read_text(args.points))
         if not isinstance(entries, list):
             raise ProcfairError("points file must be a JSON list of {label, h, k} objects")
         for i, entry in enumerate(entries):

@@ -17,7 +17,8 @@ population order:
   indexing them, ``-1`` where the member has no value;
 
 and nothing else, whether :func:`load_population` filled them from a text's
-bytes or ``Population(members)`` encoded them from the given members. The
+bytes or ``Population(members)`` encoded them from the given members. Every
+text loads as its UTF-8 file, and no member holds what a file cannot. The
 ids of a loaded population stay byte ranges until something asks for
 ``ids()``, ``by_id`` or an id-based group; an error or violation that names
 one member decodes only that member's id. The member view (``members``,
@@ -36,7 +37,7 @@ import csv
 import io
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -78,15 +79,16 @@ class Individual:
     randomized procedures. ``attributes`` maps names to categorical values.
 
     An individual builds exactly when :func:`load_population` can return it,
-    so every population dumps and loads back unchanged. The loader strips
-    every id, label, name and value, so the id, each name and each value must
-    be a non-empty ``str`` that ``str.strip`` leaves as it is, a name must not
-    hold ``=`` or ``;`` and a value not ``;``; each label is the ``int`` 0 or
-    1 (not a ``bool``), and ``criterion`` may be ``None``. Neither the id nor
-    the joined ``name=value;...`` text may be longer than
-    ``csv.field_size_limit()``, or hold NUL before Python 3.11, whose
-    :mod:`csv` cannot read it. Anything else raises :class:`ValueError`
-    naming the field.
+    so every population dumps and loads back unchanged, from its text or from
+    that text's UTF-8 file. The loader strips every id, label, name and value,
+    so the id, each name and each value must be a non-empty ``str`` that
+    ``str.strip`` leaves as it is, a name must not hold ``=`` or ``;`` and a
+    value not ``;``; each label is the ``int`` 0 or 1 (not a ``bool``), and
+    ``criterion`` may be ``None``. Neither the id nor the joined
+    ``name=value;...`` text may be longer than ``csv.field_size_limit()``,
+    hold NUL before Python 3.11, whose :mod:`csv` cannot read it, hold a CR,
+    which a file reads as LF, or hold a lone surrogate, which has no UTF-8
+    form. Anything else raises :class:`ValueError` naming the field.
     """
 
     id: str
@@ -114,6 +116,10 @@ class Individual:
                 raise ValueError(f"{what} of {len(text)} characters exceeds csv.field_size_limit()")
             if _CSV_REFUSES_NUL and "\0" in text:
                 raise ValueError(f"{what} must not hold NUL before Python 3.11, got {text!r}")
+            if "\r" in text:
+                raise ValueError(f"{what} must not hold CR, which a file reads as LF, got {text!r}")
+            if not text.isascii() and any("\ud800" <= char <= "\udfff" for char in text):
+                raise ValueError(f"{what} has no UTF-8 form, got {text!r}")
         object.__setattr__(self, "attributes", attributes)
 
 
@@ -450,11 +456,7 @@ class _Cells(NamedTuple):
 
     def text(self, column: int, row: int) -> str:
         cell = 4 * row + column
-        return _decode(self.raw, self.bounds[cell] + 1, self.bounds[cell + 1])
-
-
-def _decode(raw: bytes, start: int, end: int) -> str:
-    return raw[start:end].decode("utf-8", "surrogatepass")
+        return self.raw[self.bounds[cell] + 1 : self.bounds[cell + 1]].decode()
 
 
 _HEADER_LINE = ",".join(CSV_HEADER).encode() + b"\n"
@@ -464,11 +466,11 @@ def _plain_cells(raw: bytes) -> _Cells | None:
     """The cells of the UTF-8 text ``raw``, found by numpy, or ``None`` unless
     ``raw`` is plain: the bare header line, then at least one line, each with
     exactly three commas and no more bytes than ``csv.field_size_limit()``,
-    and no quote, CR or NUL anywhere.
+    and no quote or NUL anywhere.
 
     LF is the only line break, and a final LF ends the last line.
     """
-    if not raw.startswith(_HEADER_LINE) or any(byte in raw for byte in (b'"', b"\r", b"\0")):
+    if not raw.startswith(_HEADER_LINE) or any(byte in raw for byte in (b'"', b"\0")):
         return None
     data = np.frombuffer(raw, dtype=np.uint8)
     # one more position, the end of the text, ends a last line without LF
@@ -496,10 +498,10 @@ def _plain_cells(raw: bytes) -> _Cells | None:
 
 
 def _csv_cells(raw: bytes, errors: list[_RowError]) -> _Cells:
-    """The cells of the UTF-8 text ``raw`` as read by :func:`csv.reader`, which
-    handles RFC-4180 quoting, CRLF and blank lines. :class:`io.TextIOWrapper`
-    decodes ``raw`` a chunk at a time and cuts a line only after LF, changing
-    no line break, so the whole text is never held decoded. The error that
+    """The cells of the UTF-8 text ``raw``, whose line breaks are LF, as read
+    by :func:`csv.reader`, which handles RFC-4180 quoting and blank lines.
+    :class:`io.TextIOWrapper` decodes ``raw`` a chunk at a time and cuts a
+    line only after LF, so the whole text is never held decoded. The error that
     ends the rows early, a row with the wrong number of columns or a
     :class:`csv.Error` such as a field longer than ``csv.field_size_limit()``,
     goes to ``errors`` at the row after the last one read.
@@ -507,7 +509,7 @@ def _csv_cells(raw: bytes, errors: list[_RowError]) -> _Cells:
     cells: list[str] = []
     lines: list[int] = []
     header_seen = False
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), "utf-8", "surrogatepass", newline="\n"))
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), "utf-8", newline="\n"))
     start = 1  # the physical line the next record starts on
     try:
         for row in reader:
@@ -531,7 +533,7 @@ def _csv_cells(raw: bytes, errors: list[_RowError]) -> _Cells:
         errors.append((len(lines), 0, PopulationParseError(str(exc), start)))
     if not header_seen and not errors:
         raise PopulationParseError("empty input: missing header", 1)
-    encoded = [cell.encode("utf-8", "surrogatepass") for cell in cells]
+    encoded = [cell.encode() for cell in cells]
     lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
     bounds = np.cumsum(np.concatenate(([7], lengths + 1)))
     return _Cells(bytes(8) + b",".join(encoded) + bytes(1), bounds, lines)
@@ -681,8 +683,8 @@ def _id_bounds(cells: _Cells, errors: list[_RowError]) -> _IdRanges:
     for row in np.flatnonzero(edge).tolist():
         cell = cells.text(0, row)
         ident = cell.strip()
-        starts[row] += len(cell[: len(cell) - len(cell.lstrip())].encode("utf-8", "surrogatepass"))
-        ends[row] = starts[row] + len(ident.encode("utf-8", "surrogatepass"))
+        starts[row] += len(cell[: len(cell) - len(cell.lstrip())].encode())
+        ends[row] = starts[row] + len(ident.encode())
     empty = np.flatnonzero(starts == ends)
     if empty.size:
         row = int(empty[0])
@@ -695,7 +697,7 @@ def _id_bounds(cells: _Cells, errors: list[_RowError]) -> _IdRanges:
     for row in suspects:
         ident = raw[starts[row] : ends[row]]
         if ident in seen:
-            message = f"duplicate id {_decode(raw, starts[row], ends[row])!r}"
+            message = f"duplicate id {ident.decode()!r}"
             errors.append((row, 0, PopulationParseError(message, cells.lines[row])))
             break
         seen.add(ident)
@@ -711,16 +713,10 @@ class _IdRanges:
     ends: np.ndarray
 
     def __getitem__(self, i: int) -> str:
-        return _decode(self.raw, self.starts[i], self.ends[i])
+        return self.raw[self.starts[i] : self.ends[i]].decode()
 
     def __iter__(self) -> Iterator[str]:
-        return map(partial(_decode, self.raw), self.starts.tolist(), self.ends.tolist())
-
-
-def _file_text(raw: bytes) -> str:
-    """The bytes of a file as ``Path.read_text(encoding="utf-8")`` reads them:
-    strictly decoded, every CRLF and lone CR read as LF."""
-    return raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        return (self.raw[s:e].decode() for s, e in zip(self.starts.tolist(), self.ends.tolist()))
 
 
 def load_population(source: str | bytes | IO[str]) -> Population:
@@ -733,10 +729,11 @@ def load_population(source: str | bytes | IO[str]) -> Population:
     line on any malformed row, duplicate id, out-of-range label, or field
     longer than ``csv.field_size_limit()``.
 
-    ``bytes`` are a file's contents and load as the text that
-    ``Path.read_text(encoding="utf-8")`` reads from it (see :func:`_file_text`):
-    bytes without a CR are that text's encoding already and, once checked to
-    be UTF-8, are cut as they are; bytes with a CR are decoded first.
+    Every source loads as its UTF-8 file, read as
+    ``Path.read_text(encoding="utf-8")`` reads it: ``bytes`` are a file's
+    contents, checked to be UTF-8, and a ``str`` or a text file's text is
+    encoded strictly, so a lone surrogate raises :class:`UnicodeEncodeError`.
+    Every CRLF and lone CR, quoted or not, then becomes LF, on the bytes.
 
     Two stages: the text's cells are located as byte ranges of its UTF-8
     encoding, by :func:`_plain_cells` or else by :func:`_csv_cells`, whose
@@ -746,15 +743,13 @@ def load_population(source: str | bytes | IO[str]) -> Population:
     duplicate), ``J``, ``X`` and ``attrs`` in that order. The member ids are
     decoded only when first asked for.
     """
-    if isinstance(source, bytes) and b"\r" not in source:
-        if not source.isascii():
-            source.decode("utf-8")  # refuses what Path.read_text refuses
-        raw = source.removeprefix(codecs.BOM_UTF8)
-    else:
-        if isinstance(source, bytes):
-            source = _file_text(source)
-        text = (source if isinstance(source, str) else source.read()).removeprefix("\ufeff")
-        raw = text.encode("utf-8", "surrogatepass")
+    if not isinstance(source, bytes):
+        source = (source if isinstance(source, str) else source.read()).encode()
+    elif not source.isascii():
+        source.decode()  # refuses what Path.read_text refuses, at the same position
+    if b"\r" in source:  # replace copies the whole text even when it holds no CR
+        source = source.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    raw = source.removeprefix(codecs.BOM_UTF8)
     errors: list[_RowError] = []
     cells = _plain_cells(raw) or _csv_cells(raw, errors)
     ids = _id_bounds(cells, errors)
@@ -778,22 +773,19 @@ def load_population(source: str | bytes | IO[str]) -> Population:
 
 def dump_population(pop: Population) -> str:
     """Serialize to the population CSV format (LF line endings), straight
-    from the columns. ``load_population(dump_population(p)) == p`` for every
-    population, and each member's attributes are written in column order.
-
-    Fields are quoted as needed, and every field of a row whose id or attrs
-    holds a carriage return is quoted, since the loader refuses an unquoted one.
+    from the columns, quoting a field only when it holds a comma, a quote or
+    an LF. ``load_population(dump_population(p)) == p`` for every population,
+    also from the text's UTF-8 bytes with LF or CRLF line ends, since no member
+    holds a CR or a lone surrogate. Each member's attributes are written in
+    column order.
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    # the minimal quoting quotes "\n", the line terminator, but not a bare "\r"
-    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(CSV_HEADER)
     labels = ("0", "1", "")  # by label, and MISSING (-1) last
     for ident, merit, criterion, attrs in zip(
         pop.ids(), pop.merit.tolist(), pop.criterion.tolist(), pop._attribute_dicts(np.arange(len(pop)))
     ):
         attrs = ";".join(map("=".join, attrs.items()))
-        row = [ident, labels[merit], labels[criterion], attrs]
-        (quoted if "\r" in ident + attrs else writer).writerow(row)
+        writer.writerow([ident, labels[merit], labels[criterion], attrs])
     return out.getvalue()

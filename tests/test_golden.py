@@ -5,8 +5,9 @@ the same name under ``tests/golden/``. The goldens pin the exact text of the
 JSON and CSV reports (including float approximations) and the seed contract
 of ``simulate``: each member's count is one binomial draw from numpy's PCG64
 seeded with ``--seed``, so the same seed gives the same counts. An internal
-rewrite must reproduce them exactly. After an intended output change,
-regenerate them with::
+rewrite must reproduce them exactly, also when every input file has CRLF line
+ends and the population file a byte-order mark. After an intended output
+change, regenerate them with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -92,13 +93,22 @@ CASES = {
 }
 
 
+def _write_inputs(directory: Path, crlf: bool = False) -> None:
+    """The population, procedure and points files; with ``crlf``, every line
+    ends in CRLF and the population starts with a byte-order mark."""
+    texts = {"population.csv": population_csv(), "points.json": json.dumps(POINTS, indent=2)}
+    texts.update((f"{name}.json", json.dumps(doc, indent=2)) for name, doc in PROCEDURES.items())
+    if crlf:
+        texts = {name: text.replace("\n", "\r\n") for name, text in texts.items()}
+        texts["population.csv"] = "\ufeff" + texts["population.csv"]
+    for name, text in texts.items():
+        (directory / name).write_bytes(text.encode())
+
+
 def _argv(case: str, directory: Path) -> list[str]:
     pop = directory / "population.csv"
     if not pop.exists():
-        pop.write_text(population_csv(), encoding="utf-8")
-        for name, doc in PROCEDURES.items():
-            (directory / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
-        (directory / "points.json").write_text(json.dumps(POINTS), encoding="utf-8")
+        _write_inputs(directory)
     argv = []
     for arg in CASES[case]:
         if arg.startswith("{proc:"):
@@ -119,6 +129,20 @@ def _run(case: str, directory: Path) -> bytes:
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_golden(case, tmp_path):
+    assert _run(case, tmp_path) == (GOLDEN / case).read_bytes()
+
+
+READS_A_FILE = sorted(
+    case for case, argv in CASES.items() if argv[0] in ("audit", "witness", "simulate") or PTS in argv
+)
+
+
+@pytest.mark.parametrize("case", READS_A_FILE)
+def test_crlf_and_bom_input_files_print_the_same_golden(case, tmp_path):
+    """The CLI reads each input file as ``Path.read_text`` reads it, so CRLF
+    line ends and a byte-order mark change no output byte."""
+    _write_inputs(tmp_path, crlf=True)
+    assert b"\r\n" in (tmp_path / "equal.json").read_bytes()
     assert _run(case, tmp_path) == (GOLDEN / case).read_bytes()
 
 

@@ -3,12 +3,13 @@
 The reference is the row-by-row loader the column-at-a-time one replaced:
 :func:`csv.reader` over the whole text, every check made per row in order.
 Generated texts mix the plain form the loader reads from its bytes with
-everything that has to go through :func:`csv.reader` (quoted fields, CRLF,
-blank lines, a BOM, wrong column counts), and both loaders must build equal
-populations or raise the same exception type with the same message. Each
-text is given as a ``str``, as a text file, or as the bytes of a file, which
-the reference reads through :class:`io.TextIOWrapper` as ``Path.read_text``
-does: universal newlines turn every CRLF and lone CR into LF.
+everything that has to go through :func:`csv.reader` (quoted fields, CRLF and
+lone CR line ends, blank lines, a BOM, wrong column counts), and both loaders
+must build equal populations or raise the same exception type with the same
+message. Each text is given as a ``str``, as a text file, or as the bytes of a
+file, and every form means what the text's UTF-8 file means: the reference
+reads those bytes through :class:`io.TextIOWrapper` as ``Path.read_text``
+does, whose universal newlines turn every CRLF and lone CR into LF.
 """
 
 from __future__ import annotations
@@ -116,14 +117,9 @@ def outcome(load, source):
 
 
 def assert_same(text, form="str"):
-    if form == "bytes":
-        raw = text.encode("utf-8")
-        expected = outcome(reference_load, io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
-        got = outcome(load_population, raw)
-    else:
-        source = (lambda: io.StringIO(text)) if form == "file" else (lambda: text)
-        expected = outcome(reference_load, source())
-        got = outcome(load_population, source())
+    raw = text.encode("utf-8")
+    expected = outcome(reference_load, io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    got = outcome(load_population, {"str": text, "file": io.StringIO(text), "bytes": raw}[form])
     assert got == expected
     if isinstance(expected, Population):
         assert got.members == expected.members
@@ -174,7 +170,7 @@ def texts(draw):
     body = draw(st.lists(rows(plain), max_size=8))
     if draw(st.booleans()):  # distinct ids, so that more texts load
         body = [f"m{i}{row}" for i, row in enumerate(body)]
-    eol = "\n" if plain else draw(st.sampled_from(["\n", "\r\n"]))
+    eol = "\n" if plain else draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = eol.join([draw(st.sampled_from(headers))] + body)
     if draw(st.booleans()):
         text += eol
@@ -216,7 +212,7 @@ def test_loader_matches_the_row_by_row_reference(text, form):
         "id,J,X,attrs\na,1,0,sex=M\nb,1,0,sex=M\nc,1,0,bad\nd,1,0,bad\n",
         # spaced labels fall back to the strict parser and load
         "id,J,X,attrs\na, 1,0 ,sex=M\nb,0, ,\n",
-        # from bytes, a lone CR ends a line and a quoted CRLF reads as LF
+        # a lone CR ends a line and a quoted CRLF reads as LF
         'id,J,X,attrs\na,1,0,"sex=M\r\nx"\rb,0,1,\n',
     ],
 )
@@ -276,16 +272,17 @@ def test_text_longer_than_a_chunk_matches_the_reference(eol, final_eol, bad_row)
 
 
 @pytest.mark.parametrize("shift", range(-4, 2))
-def test_lone_surrogate_across_a_decoder_chunk_matches_the_reference(shift):
-    """A quoted id ending in a lone surrogate, whose three surrogatepass bytes lie
-    before, across and after the end of the first chunk csv.reader's text is
-    decoded from."""
+def test_a_character_across_a_decoder_chunk_matches_the_reference(shift):
+    """A quoted id ending in a character of two, three or four UTF-8 bytes,
+    which lie before, across and after the end of the first chunk csv.reader's
+    text is decoded from."""
     head = 'id,J,X,attrs\n"'
-    text = head + "x" * (io.DEFAULT_BUFFER_SIZE + shift - len(head)) + '\ud800",0,1,sex=M\nb,1,,sex=F\n'
-    assert len(text.encode("utf-8", "surrogatepass")) > io.DEFAULT_BUFFER_SIZE
-    assert load_population(text).ids()[0].endswith("\ud800")
-    assert_same(text)
-    assert_same(text, "file")
+    for char in "é…😀":
+        text = head + "x" * (io.DEFAULT_BUFFER_SIZE + shift - len(head)) + char + '",0,1,sex=M\nb,1,,sex=F\n'
+        assert len(text.encode()) > io.DEFAULT_BUFFER_SIZE
+        assert load_population(text).ids()[0].endswith(char)
+        for form in FORMS:
+            assert_same(text, form)
 
 
 # --- plain texts, read from their bytes ---------------------------------------------
@@ -368,9 +365,12 @@ def test_plain_text_loads_without_csv_reader(monkeypatch):
         raise AssertionError("csv.reader called for plain text")
 
     monkeypatch.setattr(csv, "reader", refuse)
-    pop = load_population("id,J,X,attrs\na,1,0,sex=M\nb,0,,town=x;sex=F\n")
+    text = "id,J,X,attrs\na,1,0,sex=M\nb,0,,town=x;sex=F\n"
+    pop = load_population(text)
     assert pop.ids() == ("a", "b")
     assert pop.attribute_values("sex") == ("M", "F")
+    # a str reads as its file, so CRLF line ends are LF before the text is cut
+    assert load_population(text.replace("\n", "\r\n")) == pop
 
 
 def test_quoted_text_goes_through_csv_reader(monkeypatch):
@@ -388,16 +388,27 @@ def test_quoted_text_goes_through_csv_reader(monkeypatch):
     assert len(calls) == 1
 
 
-def test_file_bytes_load_as_the_text_a_file_reads_as(monkeypatch):
+def test_file_bytes_load_as_the_text_a_file_reads_as():
     """Bytes are read as ``Path.read_text`` reads them, not cut as they stand:
-    csv.reader would refuse the CR of the first row's quoted CRLF."""
-    pop = load_population(b'id,J,X,attrs\na,1,0,"sex=M\r\nx"\rb,0,1,\n')
+    csv.reader would refuse the CR of the first row's quoted CRLF. A ``str``
+    and a text file load as their bytes do."""
+    text = 'id,J,X,attrs\na,1,0,"sex=M\r\nx"\rb,0,1,\n'
+    pop = load_population(text.encode())
     assert pop.ids() == ("a", "b")
     assert pop.attribute_values("sex") == ("M\nx",)
-    # bytes without a CR are cut as they are, a BOM dropped, never decoded first
-    monkeypatch.setattr(population, "_file_text", None)
-    assert load_population(b"id,J,X,attrs\na,1,0,sex=M\n").ids() == ("a",)
+    assert load_population(text) == load_population(io.StringIO(text)) == pop
     assert load_population("\ufeffid,J,X,attrs\né,1,0,\n".encode()).ids() == ("é",)
+
+
+def test_text_without_a_utf8_form_is_refused_as_encoding_refuses_it():
+    """A lone surrogate has no UTF-8 file, so neither a ``str`` nor a text file holding one loads."""
+    text = "id,J,X,attrs\na\ud800,1,0,\n"
+    with pytest.raises(UnicodeEncodeError) as expected:
+        text.encode()
+    for source in (text, io.StringIO(text)):
+        with pytest.raises(UnicodeEncodeError) as got:
+            load_population(source)
+        assert str(got.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("raw", [b"id,J,X,attrs\na\xff,1,0,\n", b"id,J,X,attrs\r\n\xe9,1,0,\r\n"])

@@ -112,7 +112,13 @@ def test_individual_rejects_structural_characters():
      (("a", 1, True), "criterion must be 0, 1 or None, got True"),
      ((5, 0), "individual id must be a non-empty string without edge whitespace, got 5"),
      ((" a", 0), "individual id must be a non-empty string without edge whitespace, got ' a'"),
-     (("a", 0, None, {"x": "1 "}), "bad value '1 ' for attribute 'x'")],
+     (("a", 0, None, {"x": "1 "}), "bad value '1 ' for attribute 'x'"),
+     # each of these loaded back from its dump's text, but not from that text's UTF-8 file
+     (("a\rb", 0), "individual id must not hold CR, which a file reads as LF, got 'a\\rb'"),
+     (("a", 0, None, {"t\rx": "1"}), "attrs text must not hold CR, which a file reads as LF, got 't\\rx=1'"),
+     (("a", 0, None, {"t": "x\ry"}), "attrs text must not hold CR, which a file reads as LF, got 't=x\\ry'"),
+     (("\ud800", 0), "individual id has no UTF-8 form, got '\\ud800'"),
+     (("a", 0, None, {"t": "\udfff"}), "attrs text has no UTF-8 form, got 't=\\udfff'")],
 )
 def test_individual_rejects_a_bad_id_merit_or_criterion(args, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -194,9 +200,12 @@ _members = st.tuples(
 
 @given(st.lists(_members, unique_by=lambda ind: ind.id, max_size=8))
 def test_dump_load_round_trip(members):
+    """From the dump's text, and from its UTF-8 file with LF or CRLF line ends."""
     pop = Population(members)
-    assert load_population(dump_population(pop)) == pop
-    assert load_population(dump_population(pop)).members == pop.members
+    text = dump_population(pop)
+    for source in (text, text.encode(), text.replace("\n", "\r\n").encode()):
+        assert load_population(source) == pop
+        assert load_population(source).members == pop.members
 
 
 # a plain file: LF lines of three commas, no quote, CR or NUL, nothing to strip,
@@ -353,7 +362,8 @@ def test_naming_one_member_decodes_only_its_id():
     ]
 
 
-# Individual refuses exactly the members whose text the loader would strip
+# Individual refuses exactly the members whose text the loader would strip or
+# whose file would read a CR as LF
 
 _padded_text = st.text(alphabet="ab1 \t\r\n\",", min_size=1, max_size=4)
 _padded_fields = st.tuples(
@@ -365,7 +375,8 @@ _padded_fields = st.tuples(
 
 
 def _padding_error(ident, attrs):
-    """The start of the error that names the first padded text of a member, if any."""
+    """The start of the error that names the first padded text of a member,
+    or else its first text with a CR, if any."""
     if ident != ident.strip():
         return "individual id must be a non-empty string without edge whitespace"
     for name, value in attrs.items():
@@ -373,6 +384,9 @@ def _padding_error(ident, attrs):
             return f"bad attribute name {name!r}"
         if value != value.strip():
             return f"bad value {value!r}"
+    for what, text in ("individual id", ident), ("attrs text", ";".join(map("=".join, attrs.items()))):
+        if "\r" in text:
+            return f"{what} must not hold CR"
     return None
 
 
@@ -388,10 +402,17 @@ def test_dump_round_trips_or_names_the_member_the_loader_would_strip(members):
                 Individual(*fields)
     pop = Population(built)
     assert load_population(dump_population(pop)) == pop
+    assert load_population(dump_population(pop).encode()) == pop
 
 
 def test_dump_quotes_a_carriage_return_inside_an_id_or_value():
-    pop = Population(
-        [Individual("a\rb", 0, None, {"town": "x\ry"}), Individual("c", 1, 1, {})]
-    )
-    assert load_population(dump_population(pop)) == pop
+    """No member holds a CR, since a file reads it as LF; the CRLF file of a
+    dump holds one inside each quoted id or value with a line break, and it
+    loads back as LF."""
+    for ident, attrs in ("a\rb", {}), ("a", {"town": "x\ry"}), ("a\r\nb", {"town": "x\r\ny"}):
+        with pytest.raises(ValueError, match="must not hold CR"):
+            Individual(ident, 0, None, attrs)
+    pop = Population([Individual("a\nb", 0, None, {"town": "x\ny"}), Individual("c", 1, 1, {})])
+    crlf = dump_population(pop).replace("\n", "\r\n")
+    assert crlf == 'id,J,X,attrs\r\n"a\r\nb",0,,"town=x\r\ny"\r\nc,1,1,\r\n'
+    assert load_population(crlf.encode()) == load_population(crlf) == pop

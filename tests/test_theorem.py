@@ -1,7 +1,7 @@
 import random
 from types import SimpleNamespace
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -440,6 +440,27 @@ def test_theorem_holds_on_every_label_profile_up_to_ten_members():
                 found = {b.subset: b.violated_merit_classes for b in exhaustive_search(pop, max_n=10)}
                 assert found[split] == violated, count
     assert profiles == 996
+
+
+def test_a_lottery_is_fair_to_every_group_exactly_when_each_merit_class_has_one_probability():
+    """Every population of 1..7 members over (merit, conviction probability),
+    the probability 0, 1/2 or 1 set per member by a per-group procedure: a
+    population is one multiset of those six kinds, and every nontrivial
+    bipartition of it is checked."""
+    levels = ("0", "1/2", "1")
+    proc = per_group_procedure("level", {level: (level, level) for level in levels})
+    profiles = 0
+    for n in range(1, 8):
+        for kinds in combinations_with_replacement(list(product((GUILTY, INNOCENT), levels)), n):
+            profiles += 1
+            pop = Population(
+                Individual(f"m{i}", merit, None, {"level": level}) for i, (merit, level) in enumerate(kinds)
+            )
+            levels_by_class = [{level for merit, level in kinds if merit == j} for j in (GUILTY, INNOCENT)]
+            one_each = all(len(class_levels) <= 1 for class_levels in levels_by_class)
+            verdict = check_absolute_fairness(proc, pop, "bipartitions", max_n=7, max_violations=0)
+            assert verdict.fair == one_each, kinds
+    assert profiles == 1715
 
 
 # one probability-code pass per bipartition search
