@@ -4,9 +4,10 @@ Subcommands: ``audit``, ``classify``, ``witness``, ``simulate``,
 ``example1``, ``roc-export``. Each command builds one report document, the
 dict that ``--format json`` prints; its CSV and text formats (and
 ``roc-export``'s SVG) are renderings of that document, and :func:`main`
-writes the result to ``--out`` or standard output. :func:`_audit_document`
-builds the ``audit`` document, and ``example1`` reads each of its two stages
-off one. Every command is deterministic given identical inputs (including the
+writes the result to ``--out`` or standard output. Every input file is read
+as bytes by :func:`_read` and handed to the library, which reads it as its
+UTF-8 file. :func:`_audit_document` builds the ``audit`` document, and
+``example1`` reads each of its two stages off one. Every command is deterministic given identical inputs (including the
 seed). Exit codes: 0 success, 1 operational failure (a bad argument
 included), 2 reserved for ``witness`` when a fairness violation is found, so
 shell pipelines can branch on the result.
@@ -55,12 +56,6 @@ def _read(path: str) -> bytes:
     return Path(path).read_bytes()
 
 
-def _read_text(path: str) -> str:
-    """The file at ``path`` as ``Path.read_text(encoding="utf-8")`` reads it:
-    strictly decoded, every CRLF and lone CR read as LF."""
-    return _read(path).decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-
-
 # --- renderers ---------------------------------------------------------------
 # Each reads only the command's document, plus ``args`` for values the
 # document does not hold.
@@ -92,7 +87,7 @@ def _cmd_audit(args):
     default = EMPIRICAL_DEFAULT_TOLERANCE if empirical else 0
     tolerance = _checked_tolerance(default if args.tolerance is None else args.tolerance)
     pop = load_population(_read(args.population))
-    proc = load_procedure(_read_text(args.procedure))
+    proc = load_procedure(_read(args.procedure))
     if not pop.attribute_values(args.attribute):
         raise ProcfairError(f"no member has a value for attribute {args.attribute!r}")
 
@@ -243,7 +238,7 @@ def _witness_text(doc, args) -> str:
 
 def _cmd_simulate(args):
     pop = load_population(_read(args.population))
-    proc = load_procedure(_read_text(args.procedure))
+    proc = load_procedure(_read(args.procedure))
     simulation = simulate(proc, pop, seed=args.seed, trials=args.trials)
     # the mean member conviction probability per merit class: the configured
     # pair whenever every member has the same one
@@ -341,7 +336,7 @@ def _cmd_roc_export(args):
     eps = _checked_eps(args.eps)
     points = []
     if args.points:
-        entries = _parse_json(_read_text(args.points))
+        entries = _parse_json(_read(args.points))
         if not isinstance(entries, list):
             raise ProcfairError("points file must be a JSON list of {label, h, k} objects")
         for i, entry in enumerate(entries):

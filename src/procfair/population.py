@@ -719,7 +719,22 @@ class _IdRanges:
         return (self.raw[s:e].decode() for s, e in zip(self.starts.tolist(), self.ends.tolist()))
 
 
-def load_population(source: str | bytes | IO[str]) -> Population:
+def _file_bytes(source: str | bytes | IO[str] | IO[bytes]) -> bytes:
+    """``source`` as the bytes of its UTF-8 file, read as
+    ``Path.read_text(encoding="utf-8")`` reads one: a file object is read
+    whole, ``bytes`` are checked to be UTF-8 and a ``str`` is encoded strictly;
+    every CRLF and lone CR becomes LF, and one leading byte-order mark is dropped."""
+    source = source if isinstance(source, (str, bytes)) else source.read()
+    if isinstance(source, str):
+        source = source.encode()  # a lone surrogate raises UnicodeEncodeError
+    elif not source.isascii():
+        source.decode()  # refuses what Path.read_text refuses, at the same position
+    if b"\r" in source:  # replace copies the whole text even when it holds no CR
+        source = source.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return source.removeprefix(codecs.BOM_UTF8)
+
+
+def load_population(source: str | bytes | IO[str] | IO[bytes]) -> Population:
     """Parse the population CSV format (header ``id,J,X,attrs``).
 
     ``X`` may be empty; ``attrs`` is a semicolon-separated list of
@@ -729,11 +744,8 @@ def load_population(source: str | bytes | IO[str]) -> Population:
     line on any malformed row, duplicate id, out-of-range label, or field
     longer than ``csv.field_size_limit()``.
 
-    Every source loads as its UTF-8 file, read as
-    ``Path.read_text(encoding="utf-8")`` reads it: ``bytes`` are a file's
-    contents, checked to be UTF-8, and a ``str`` or a text file's text is
-    encoded strictly, so a lone surrogate raises :class:`UnicodeEncodeError`.
-    Every CRLF and lone CR, quoted or not, then becomes LF, on the bytes.
+    ``source`` is a ``str``, ``bytes``, a text file or a binary file, and each
+    loads as its UTF-8 file (:func:`_file_bytes`), so a quoted CRLF reads as LF.
 
     Two stages: the text's cells are located as byte ranges of its UTF-8
     encoding, by :func:`_plain_cells` or else by :func:`_csv_cells`, whose
@@ -743,13 +755,7 @@ def load_population(source: str | bytes | IO[str]) -> Population:
     duplicate), ``J``, ``X`` and ``attrs`` in that order. The member ids are
     decoded only when first asked for.
     """
-    if not isinstance(source, bytes):
-        source = (source if isinstance(source, str) else source.read()).encode()
-    elif not source.isascii():
-        source.decode()  # refuses what Path.read_text refuses, at the same position
-    if b"\r" in source:  # replace copies the whole text even when it holds no CR
-        source = source.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    raw = source.removeprefix(codecs.BOM_UTF8)
+    raw = _file_bytes(source)
     errors: list[_RowError] = []
     cells = _plain_cells(raw) or _csv_cells(raw, errors)
     ids = _id_bounds(cells, errors)

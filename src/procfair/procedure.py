@@ -37,6 +37,7 @@ from .population import (
     MISSING,
     GroupSpec,
     Population,
+    _file_bytes,
     _gather,
     cell_counts,
     group_rows,
@@ -409,16 +410,27 @@ def empirical_rates(
 # --- procedure description files -------------------------------------------
 
 
-def _parse_json(text: str, error: type[ProcfairError] = ProcfairError):
-    """The package's one JSON reader of input documents: malformed text, or
-    nesting too deep for the parser, raises ``error`` with a one-line message."""
+def _parse_json(source: str | bytes | IO[str] | IO[bytes], error: type[ProcfairError] = ProcfairError):
+    """The package's one JSON reader of input documents, which reads ``source``
+    as its UTF-8 file (:func:`~procfair.population._file_bytes`). Malformed text,
+    nesting too deep for the parser, or a name given twice in one object raises
+    ``error`` with a one-line message."""
+
+    def unique_names(pairs):
+        doc = {}
+        for name, value in pairs:
+            if name in doc:
+                raise error(f"invalid JSON: name {name!r} given twice in one object")
+            doc[name] = value
+        return doc
+
     try:
-        return json.loads(text)
+        return json.loads(_file_bytes(source).decode(), object_pairs_hook=unique_names)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise error(f"invalid JSON: {exc}") from exc
 
 
-def load_procedure(source: str | IO[str]) -> Procedure:
+def load_procedure(source: str | bytes | IO[str] | IO[bytes]) -> Procedure:
     """Parse a procedure description document.
 
     Accepted forms::
@@ -428,8 +440,10 @@ def load_procedure(source: str | IO[str]) -> Procedure:
         {"type": "randomized", "attribute": "sex", "rates": {"M": [h, k], "F": [h, k]}}
 
     Probabilities may be JSON numbers, decimal strings, or ``"a/b"`` strings.
+    ``source`` is a ``str``, ``bytes``, a text file or a binary file, read as
+    its UTF-8 file, as :func:`~procfair.population.load_population` reads one.
     """
-    doc = _parse_json(source if isinstance(source, str) else source.read(), ProcedureSpecError)
+    doc = _parse_json(source, ProcedureSpecError)
     if not isinstance(doc, dict):
         raise ProcedureSpecError("procedure description must be a JSON object")
     kind = doc.get("type")

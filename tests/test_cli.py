@@ -439,6 +439,7 @@ def test_roc_export_bad_points_file(capsys, tmp_path):
         ('{"label": "a", "h": "3/2", "k": "0"}', "probability out of range [0, 1]: '3/2'"),
         ('{"label": "a", "h": "0", "k": "x"}', "cannot interpret 'x' as a rational"),
         ('{"label": true, "h": "0", "k": "0"}', "points entry 0 label must be a string"),
+        ('{"label": "a", "h": "0", "h": "1", "k": "0"}', "invalid JSON: name 'h' given twice in one object"),
     ]:
         points.write_text(f"[{entry}]", encoding="utf-8")
         code, out, err = run(capsys, "roc-export", str(points))

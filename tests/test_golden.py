@@ -6,8 +6,8 @@ JSON and CSV reports (including float approximations) and the seed contract
 of ``simulate``: each member's count is one binomial draw from numpy's PCG64
 seeded with ``--seed``, so the same seed gives the same counts. An internal
 rewrite must reproduce them exactly, also when every input file has CRLF line
-ends and the population file a byte-order mark. After an intended output
-change, regenerate them with::
+ends and a byte-order mark. After an intended output change, regenerate them
+with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -95,12 +95,11 @@ CASES = {
 
 def _write_inputs(directory: Path, crlf: bool = False) -> None:
     """The population, procedure and points files; with ``crlf``, every line
-    ends in CRLF and the population starts with a byte-order mark."""
+    ends in CRLF and every file starts with a byte-order mark."""
     texts = {"population.csv": population_csv(), "points.json": json.dumps(POINTS, indent=2)}
     texts.update((f"{name}.json", json.dumps(doc, indent=2)) for name, doc in PROCEDURES.items())
     if crlf:
-        texts = {name: text.replace("\n", "\r\n") for name, text in texts.items()}
-        texts["population.csv"] = "\ufeff" + texts["population.csv"]
+        texts = {name: "\ufeff" + text.replace("\n", "\r\n") for name, text in texts.items()}
     for name, text in texts.items():
         (directory / name).write_bytes(text.encode())
 
@@ -139,10 +138,11 @@ READS_A_FILE = sorted(
 
 @pytest.mark.parametrize("case", READS_A_FILE)
 def test_crlf_and_bom_input_files_print_the_same_golden(case, tmp_path):
-    """The CLI reads each input file as ``Path.read_text`` reads it, so CRLF
-    line ends and a byte-order mark change no output byte."""
+    """The CLI reads each input file, population, procedure or points, as
+    ``Path.read_text`` reads it and drops one byte-order mark, so CRLF line
+    ends and a leading byte-order mark change no output byte."""
     _write_inputs(tmp_path, crlf=True)
-    assert b"\r\n" in (tmp_path / "equal.json").read_bytes()
+    assert (tmp_path / "equal.json").read_bytes().startswith(b"\xef\xbb\xbf{\r\n")
     assert _run(case, tmp_path) == (GOLDEN / case).read_bytes()
 
 

@@ -105,7 +105,7 @@ def reference_load(source):
     return Population(members)
 
 
-FORMS = ("str", "file", "bytes")
+FORMS = ("str", "file", "bytes", "binary")
 
 
 def outcome(load, source):
@@ -119,7 +119,8 @@ def outcome(load, source):
 def assert_same(text, form="str"):
     raw = text.encode("utf-8")
     expected = outcome(reference_load, io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
-    got = outcome(load_population, {"str": text, "file": io.StringIO(text), "bytes": raw}[form])
+    forms = {"str": text, "file": io.StringIO(text), "bytes": raw, "binary": io.BytesIO(raw)}
+    got = outcome(load_population, forms[form])
     assert got == expected
     if isinstance(expected, Population):
         assert got.members == expected.members

@@ -1,3 +1,5 @@
+import io
+import json
 from decimal import Decimal
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from procfair.errors import (
     MissingCriterionError,
     MissingRateError,
     ProcedureSpecError,
+    ProcfairError,
 )
 from procfair.population import (
     AttributeEquals,
@@ -442,6 +445,8 @@ def test_load_procedure_per_group():
         '{"type": "randomized", "rates": {"M": [0.1, 0.2]}}',  # attribute missing
         '{"type": "randomized", "attribute": "sex", "rates": {"global": [0.1, 0.2]}}',
         '{"type": "randomized", "rates": {"global": [0.1]}}',
+        '{"type": "randomized", "attribute": "sex", "rates": {"M": [1, 0], "M": [0, 1]}}',
+        '{"type": "randomized", "rates": {"global": [0, 1]}, "type": "deterministic"}',
     ],
 )
 def test_load_procedure_rejects_malformed(text):
@@ -454,6 +459,45 @@ def test_load_procedure_refuses_an_attribute_that_is_not_a_non_empty_string(attr
     text = f'{{"type": "randomized", "attribute": {attribute}, "rates": {{"M": [0.1, 0.2]}}}}'
     with pytest.raises(ProcedureSpecError, match="'attribute' must be a non-empty string"):
         load_procedure(text)
+
+
+RATE_PAIRS = st.lists(st.sampled_from([0, 1, 0.1, "3/4", "1e-3", 2, "x", None]), min_size=1, max_size=3)
+PROCEDURE_DOCS = st.one_of(
+    st.just({"type": "deterministic"}),
+    st.builds(lambda pair: {"type": "randomized", "rates": {"global": pair}}, RATE_PAIRS),
+    st.builds(
+        lambda attribute, rates: {"type": "randomized", "attribute": attribute, "rates": rates},
+        st.sampled_from(["sex", "région", "", 5]),
+        st.dictionaries(st.sampled_from(["M", "F", "é", "global", "x\ny"]), RATE_PAIRS, max_size=3),
+    ),
+)
+PROCEDURE_TEXTS = st.one_of(
+    st.builds(json.dumps, PROCEDURE_DOCS, indent=st.sampled_from([None, 2]), ensure_ascii=st.booleans()),
+    st.text(max_size=40),
+)
+
+
+def _load_outcome(source):
+    """The procedure ``load_procedure`` builds from ``source``, or (error type, message)."""
+    try:
+        return load_procedure(source)
+    except (ProcfairError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(PROCEDURE_TEXTS)
+def test_every_form_of_a_procedure_text_loads_as_its_utf8_file(text):
+    """A ``str``, ``bytes``, text file and binary file of one text give the
+    same procedure or the same error; the CRLF, lone-CR and byte-order-mark
+    variants of a valid text give the same procedure."""
+    expected = _load_outcome(text)
+    raw = text.encode()
+    for source in (raw, io.StringIO(text), io.BytesIO(raw)):
+        assert _load_outcome(source) == expected
+    if not isinstance(expected, tuple):
+        for variant in (text.replace("\n", "\r\n"), text.replace("\n", "\r"), "\ufeff" + text):
+            assert _load_outcome(variant) == expected
+            assert _load_outcome(variant.encode()) == expected
 
 
 def test_criterion_groups_see_same_global_rates():
