@@ -7,10 +7,13 @@ dict that ``--format json`` prints; its CSV and text formats (and
 writes the result to ``--out`` or standard output. Every input file is read
 as bytes by :func:`_read` and handed to the library, which reads it as its
 UTF-8 file. :func:`_audit_document` builds the ``audit`` document, and
-``example1`` reads each of its two stages off one. Every command is deterministic given identical inputs (including the
-seed). Exit codes: 0 success, 1 operational failure (a bad argument
-included), 2 reserved for ``witness`` when a fairness violation is found, so
-shell pipelines can branch on the result.
+``example1`` reads each of its two stages off one. ``witness`` builds its
+listing of violating bipartitions straight from the tuples of the one
+enumerator behind ``theorem.exhaustive_search``. Every command is
+deterministic given identical inputs (including the seed). Exit codes: 0
+success, 1 operational failure (a bad argument included), 2 reserved for
+``witness`` when a fairness violation is found, so shell pipelines can branch
+on the result.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .procedure import (
     simulate,
 )
 from .roc import RocPoint, _checked_eps, classify, diagram_rows, is_merit_agnostic, render_diagram
-from .theorem import DEFAULT_MAX_N, _check_search_limit, construct_witness, exhaustive_search
+from .theorem import DEFAULT_MAX_N, _check_search_limit, _exhaustive_violations, construct_witness
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -196,14 +199,21 @@ def _cmd_witness(args):
     pop = load_population(_read(args.population))
     report = construct_witness(pop)
     searched = len(pop) <= args.max_n
-    found = exhaustive_search(pop, max_n=args.max_n) if searched else ()
+    found = _exhaustive_violations(pop, max_n=args.max_n) if searched else ()
 
     doc = {
         "witness": serialize.witness_json(report),
         "exhaustive": {
             "searched": searched,
             "note": None if searched else f"population exceeds --max-n {args.max_n}; skipped",
-            "violations": [serialize.bipartition_json(b) for b in found],
+            "violations": [
+                {
+                    "subset": list(subset),
+                    "complement": list(complement),
+                    "violated_merit_classes": list(classes),
+                }
+                for subset, complement, classes in found
+            ],
         },
     }
     return doc, EXIT_VIOLATION if report.violated_merit_classes else EXIT_OK

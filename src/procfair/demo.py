@@ -15,7 +15,7 @@ Each stage is read off the ``audit --attribute sex`` document of the population.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -39,22 +39,37 @@ POPULATION_NOTE = (
 )
 
 
+class _DemoIds:
+    """The member ids of :func:`demo_population`: per group, its lower-case
+    value and a four-digit serial from 1 (``m0001`` … ``m6000``, ``f0001`` …
+    ``f4000``), each formatted only when it is read."""
+
+    def __getitem__(self, i: int) -> str:
+        row = i
+        for value, by_merit in GROUP_SIZES.items():
+            size = sum(by_merit.values())
+            if row < size:
+                return f"{value.lower()}{row + 1:04d}"
+            row -= size
+        raise IndexError(f"no member {i}")
+
+    def __iter__(self) -> Iterator[str]:
+        for value, by_merit in GROUP_SIZES.items():
+            prefix = value.lower()
+            yield from (f"{prefix}{serial:04d}" for serial in range(1, sum(by_merit.values()) + 1))
+
+
 def demo_population() -> Population:
-    """The 10000-member population, grouped by sex with fixed guilt counts."""
-    ids, merit, sex = [], [], []
-    for code, (value, by_merit) in enumerate(GROUP_SIZES.items()):
-        serial = 0
-        for label in (GUILTY, INNOCENT):
-            for _ in range(by_merit[label]):
-                serial += 1
-                ids.append(f"{value.lower()}{serial:04d}")
-                merit.append(label)
-                sex.append(code)
+    """The 10000-member population, grouped by sex with fixed guilt counts:
+    each group's guilty members, then its innocent ones."""
+    labels = (GUILTY, INNOCENT)
+    counts = [by_merit[label] for by_merit in GROUP_SIZES.values() for label in labels]
+    sizes = [sum(by_merit.values()) for by_merit in GROUP_SIZES.values()]
     return Population._from_columns(
-        ids,
-        np.array(merit, dtype=np.int8),
-        np.full(len(ids), MISSING, dtype=np.int8),
-        {SEX: AttributeColumn(tuple(GROUP_SIZES), np.array(sex, dtype=np.int32))},
+        _DemoIds(),
+        np.repeat(np.array(labels * len(GROUP_SIZES), dtype=np.int8), counts),
+        np.full(sum(sizes), MISSING, dtype=np.int8),
+        {SEX: AttributeColumn(tuple(GROUP_SIZES), np.repeat(np.arange(len(sizes), dtype=np.int32), sizes))},
     )
 
 

@@ -7,8 +7,10 @@ convenience. All dictionaries are built in a deterministic order; serializing
 the same report twice produces identical text. :func:`json_text` owns JSON
 text as :func:`csv_text` owns CSV text: the one writes every report document,
 byte for byte as ``json.dumps(doc, indent=2)`` would, and the other every CSV
-report, the CLI's and ``roc-export``'s. ``fairness`` and ``theorem`` types
-appear only in annotations, so ``roc`` can import this module at its top.
+report, the CLI's and ``roc-export``'s. ``witness``'s listing of violating
+bipartitions has no helper here: the CLI builds its dicts straight from the
+tuples of the one enumerator in ``theorem``. ``fairness`` and ``theorem``
+types appear only in annotations, so ``roc`` can import this module at its top.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import csv
 import io
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from .population import AttributeEquals, CriterionEquals
 from .procedure import (
@@ -30,7 +32,7 @@ from .procedure import (
 
 if TYPE_CHECKING:
     from .fairness import ContingencyTable, FairnessVerdict, JusticeMetrics
-    from .theorem import Bipartition, WitnessReport
+    from .theorem import WitnessReport
 
 
 def csv_text(rows: Iterable[Sequence]) -> str:
@@ -44,44 +46,74 @@ def json_text(doc: Any) -> str:
     """A report document as ``json.dumps(doc, indent=2)`` writes it, byte for byte.
 
     A report document is built of dicts with string keys, lists, strings, ints,
-    finite floats, booleans and ``None``; anything else raises ``TypeError``.
-    With an ``indent``, ``json.dumps`` runs CPython's pure-Python encoder; this
-    writer joins each container's parts in one ``str.join`` instead, and writes
-    a string item without a call of its own.
+    finite floats, booleans and ``None``; anything else raises ``TypeError``,
+    and a document that contains itself (or nests past the recursion limit)
+    raises ``ValueError``. With an ``indent``, ``json.dumps`` runs CPython's
+    pure-Python encoder; this writer joins each container's parts in one
+    ``str.join`` instead. It dispatches on each value's exact type: a scalar
+    item is written inside its container's comprehension, without a call of
+    its own, and a list of strings in one ``join`` over the C string encoder.
+    A subclass (an ``IntEnum``, an ``OrderedDict``) is written as its base
+    type, as ``json.dumps`` writes it.
     """
-    return _json_value(doc, "\n")
+    try:
+        return _json_value(doc, "\n")
+    except RecursionError:
+        raise ValueError("cannot write a document that contains itself or nests too deeply") from None
+
+
+# The writer of each scalar type, by exact type: each is a C call.
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: ("false", "true").__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
 
 
 def _json_value(value: Any, indent: str) -> str:
     """``value`` as JSON text whose lines start with ``indent`` (LF first)."""
+    kind = type(value)
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        if type(value[0]) is str:
+            try:
+                return f"[{inner}{(',' + inner).join(map(encode_basestring_ascii, value))}{indent}]"
+            except TypeError:  # an item that is not a string: written one by one below
+                pass
+        scalar = _SCALARS.get
+        items = [
+            write(item) if (write := scalar(type(item))) else _json_value(item, inner)
+            for item in value
+        ]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        scalar = _SCALARS.get
+        items = [
+            f"{encode_basestring_ascii(key)}: "
+            f"{write(item) if (write := scalar(type(item))) else _json_value(item, inner)}"
+            for key, item in value.items()
+        ]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+    write = _SCALARS.get(kind)
+    if write is not None:
+        return write(value)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
         return float.__repr__(value)
-    inner = indent + "  "
     if isinstance(value, list):
-        if not value:
-            return "[]"
-        items = [
-            encode_basestring_ascii(item) if type(item) is str else _json_value(item, inner)
-            for item in value
-        ]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
+        return _json_value(list(value), indent)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            encode_basestring_ascii(key) + ": " + _json_value(item, inner) for key, item in value.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
+        return _json_value(dict(value.items()), indent)
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
@@ -197,10 +229,3 @@ def witness_json(report: WitnessReport) -> dict[str, Any]:
         "unwitnessable": report.unwitnessable,
     }
 
-
-def bipartition_json(b: Bipartition) -> dict[str, Any]:
-    return {
-        "subset": list(b.subset),
-        "complement": list(b.complement),
-        "violated_merit_classes": list(b.violated_merit_classes),
-    }

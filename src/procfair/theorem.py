@@ -11,19 +11,21 @@ witnesses that the procedure is group-unfair. Only a perfect procedure
 ``exhaustive_search`` realizes the "every logically possible group"
 quantifier at desk scale by enumerating all bipartitions of a small
 population, which doubles as an independent check of the constructed
-witness. The enumeration is :func:`_bipartition_violations`, the one
-bipartition enumerator of the package, which
-``fairness.check_absolute_fairness(mode="bipartitions")`` shares: it takes
-the caller's probability codes and yields each violating split as two sorted
-id tuples, in increasing order of the split's bitmask. Every probability
-becomes an integer numerator over a common denominator, and class means are
-compared by cross multiplication against an integer tolerance bound. numpy
-makes that test for a chunk of ``BIPARTITION_CHUNK`` masks at a time, in
-``int64`` when the products fit and on exact Python ints otherwise, and a
-chunk's violations are yielded before the next chunk is tested, so a caller
-that stops early pays only for the chunks it read. :func:`_check_search_limit`
-owns the size rule of both callers, of :func:`verify_theorem` and of
-``witness --max-n``.
+witness. It wraps the tuples of :func:`_exhaustive_violations` in
+:class:`Bipartition`, and ``witness`` builds its listing straight from the
+same tuples, with no object per split. The enumeration is
+:func:`_bipartition_violations`, the one bipartition enumerator of the
+package, which ``fairness.check_absolute_fairness(mode="bipartitions")``
+shares: it takes the caller's probability codes and yields each violating
+split as two sorted id tuples, in increasing order of the split's bitmask.
+Every probability becomes an integer numerator over a common denominator,
+and class means are compared by cross multiplication against an integer
+tolerance bound. numpy makes that test for a chunk of ``BIPARTITION_CHUNK``
+masks at a time, in ``int64`` when the products fit and on exact Python ints
+otherwise, and a chunk's violations are yielded before the next chunk is
+tested, so a caller that stops early pays only for the chunks it read.
+:func:`_check_search_limit` owns the size rule of both callers, of
+:func:`verify_theorem` and of ``witness --max-n``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -260,6 +263,19 @@ def _bipartition_violations(
             )
 
 
+def _exhaustive_violations(
+    pop: Population, max_n: int, proc: Procedure | None = None
+) -> Iterator[tuple[tuple[str, ...], tuple[str, ...], tuple[int, ...]]]:
+    """The ``(subset, complement, violated merit classes)`` tuples of
+    :func:`exhaustive_search`, in its order: the one listing behind it and
+    ``witness``. The size rule is checked at the call, not on first use."""
+    _check_search_limit(max_n, len(pop))
+    if len(pop) < 2:
+        return iter(())  # no bipartition, so no member needs a probability
+    codes, probs = _probability_codes(proc or DeterministicProcedure(), pop)
+    return _bipartition_violations(pop, codes, probs)
+
+
 def exhaustive_search(
     pop: Population, max_n: int = DEFAULT_MAX_N, proc: Procedure | None = None
 ) -> tuple[Bipartition, ...]:
@@ -273,11 +289,7 @@ def exhaustive_search(
     criterion labels on every member of a population of two or more.
     ``max_n`` and ``len(pop)`` must pass :func:`_check_search_limit`.
     """
-    _check_search_limit(max_n, len(pop))
-    if len(pop) < 2:
-        return ()  # no bipartition, so no member needs a probability
-    codes, probs = _probability_codes(proc or DeterministicProcedure(), pop)
-    return tuple(Bipartition(*found) for found in _bipartition_violations(pop, codes, probs))
+    return tuple(starmap(Bipartition, _exhaustive_violations(pop, max_n, proc)))
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from procfair.cli import build_parser, main
 from procfair.demo import demo_population
-from procfair.population import dump_population
+from procfair.population import dump_population, load_population
 from procfair.roc import RocPoint, classify, export_diagram
+from procfair.theorem import exhaustive_search
 
 PERFECT_CSV = "id,J,X,attrs\na,1,1,\nb,0,0,\n"
 IMPERFECT_CSV = "id,J,X,attrs\na,1,1,\nb,1,0,\nc,0,0,\n"
@@ -288,6 +289,31 @@ def test_witness_json_format(capsys, tmp_path):
     assert doc["exhaustive"]["searched"] is True
     subsets = [v["subset"] for v in doc["exhaustive"]["violations"]]
     assert ["b"] in subsets
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=10), st.randoms())
+def test_witness_json_lists_exhaustive_search_in_order(tmp_path_factory, labels, rng):
+    """The listing ``witness`` builds from the enumerator's tuples is
+    ``exhaustive_search``'s, in order; shuffled ids make sorted order differ
+    from population order."""
+    ids = [f"i{k}" for k in range(len(labels))]
+    rng.shuffle(ids)
+    rows = [f"{ident},{merit},{criterion}," for ident, (merit, criterion) in zip(ids, labels)]
+    work = tmp_path_factory.mktemp("witness")
+    pop_file, out_file = work / "pop.csv", work / "out.json"
+    pop_file.write_text("\n".join(["id,J,X,attrs", *rows]) + "\n", encoding="utf-8")
+    assert main(["witness", "--population", str(pop_file), "--format", "json", "--out", str(out_file)]) in (0, 2)
+    listing = json.loads(out_file.read_text(encoding="utf-8"))["exhaustive"]["violations"]
+    found = exhaustive_search(load_population(pop_file.read_bytes()))
+    assert listing == [
+        {
+            "subset": list(b.subset),
+            "complement": list(b.complement),
+            "violated_merit_classes": list(b.violated_merit_classes),
+        }
+        for b in found
+    ]
 
 
 def test_witness_skips_search_beyond_max_n(capsys, tmp_path):

@@ -4,8 +4,11 @@ Each case runs ``procfair.cli.main`` and compares its output with the file of
 the same name under ``tests/golden/``. The goldens pin the exact text of the
 JSON and CSV reports (including float approximations) and the seed contract
 of ``simulate``: each member's count is one binomial draw from numpy's PCG64
-seeded with ``--seed``, so the same seed gives the same counts. An internal
-rewrite must reproduce them exactly, also when every input file has CRLF line
+seeded with ``--seed``, so the same seed gives the same counts. The 200-row
+population exceeds ``witness --max-n``, so the ``witness-listing`` pair runs on
+the 10 members of ``golden/witness-listing.csv`` (``population_csv(seed=2,
+n=10)``) and pins the exhaustive listing itself. An internal rewrite must
+reproduce them exactly, also when every input file has CRLF line
 ends and a byte-order mark. After an intended output change, regenerate them
 with::
 
@@ -57,9 +60,11 @@ POINTS = [
     {"label": "near", "h": "0.55", "k": "0.5"},
 ]
 
-# golden file name -> argv; "{proc:<name>}" stands for that procedure file and
-# "{points}" for the POINTS file; audit, witness and simulate get the population
+# golden file name -> argv; "{proc:<name>}" stands for that procedure file,
+# "{points}" for the POINTS file and "{listing}" for the listing population;
+# audit, witness and simulate get the 200-row population unless they name one
 DET, GLOBAL, EQUAL, PTS = "{proc:det}", "{proc:global}", "{proc:equal}", "{points}"
+LISTING = "{listing}"
 CSV = ["--format", "csv"]
 SIM = ["--seed", "11", "--trials", "100"]
 CASES = {
@@ -79,6 +84,8 @@ CASES = {
     "witness.txt": ["witness"],
     "witness-skip.json": ["witness", "--max-n", "5", "--format", "json"],
     "witness-skip.txt": ["witness", "--max-n", "5"],
+    "witness-listing.json": ["witness", "--population", LISTING, "--format", "json"],
+    "witness-listing.txt": ["witness", "--population", LISTING],
     "simulate.json": ["simulate", "--procedure", GLOBAL, *SIM],
     "simulate.csv": ["simulate", "--procedure", EQUAL, *SIM, *CSV],
     "example1.txt": ["example1"],
@@ -94,9 +101,13 @@ CASES = {
 
 
 def _write_inputs(directory: Path, crlf: bool = False) -> None:
-    """The population, procedure and points files; with ``crlf``, every line
-    ends in CRLF and every file starts with a byte-order mark."""
-    texts = {"population.csv": population_csv(), "points.json": json.dumps(POINTS, indent=2)}
+    """The population, listing population, procedure and points files; with
+    ``crlf``, every line ends in CRLF and every file starts with a byte-order mark."""
+    texts = {
+        "population.csv": population_csv(),
+        "listing.csv": (GOLDEN / "witness-listing.csv").read_text(encoding="utf-8"),
+        "points.json": json.dumps(POINTS, indent=2),
+    }
     texts.update((f"{name}.json", json.dumps(doc, indent=2)) for name, doc in PROCEDURES.items())
     if crlf:
         texts = {name: "\ufeff" + text.replace("\n", "\r\n") for name, text in texts.items()}
@@ -114,8 +125,10 @@ def _argv(case: str, directory: Path) -> list[str]:
             arg = str(directory / f"{arg[6:-1]}.json")
         elif arg == PTS:
             arg = str(directory / "points.json")
+        elif arg == LISTING:
+            arg = str(directory / "listing.csv")
         argv.append(arg)
-    if argv[0] in ("audit", "witness", "simulate"):
+    if argv[0] in ("audit", "witness", "simulate") and "--population" not in argv:
         argv[1:1] = ["--population", str(pop)]
     return argv + ["--out", str(directory / case)]
 

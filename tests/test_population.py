@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from procfair import population
+from procfair.demo import demo_population
 from procfair.errors import (
     MissingCriterionError,
     MissingRateError,
@@ -416,3 +417,18 @@ def test_dump_quotes_a_carriage_return_inside_an_id_or_value():
     crlf = dump_population(pop).replace("\n", "\r\n")
     assert crlf == 'id,J,X,attrs\r\n"a\r\nb",0,,"town=x\r\ny"\r\nc,1,1,\r\n'
     assert load_population(crlf.encode()) == load_population(crlf) == pop
+
+
+def test_demo_population_formats_each_id_only_when_read():
+    pop = demo_population()
+    rows = [0, 1999, 2000, 5999, 6000, 9999]
+    assert [pop._id(i) for i in rows] == ["m0001", "m2000", "m2001", "m6000", "f0001", "f4000"]
+    assert "_ids" not in vars(pop)
+    with pytest.raises(IndexError):
+        pop._id(10000)
+    serials = [(prefix, s) for prefix, size in (("m", 6000), ("f", 4000)) for s in range(1, size + 1)]
+    assert pop.ids() == tuple(f"{prefix}{s:04d}" for prefix, s in serials)
+    assert [(pop.members[i].merit, pop.members[i].attributes) for i in rows] == [
+        (0, {"sex": "M"}), (0, {"sex": "M"}), (1, {"sex": "M"}),
+        (1, {"sex": "M"}), (0, {"sex": "F"}), (1, {"sex": "F"}),
+    ]

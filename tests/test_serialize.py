@@ -1,6 +1,8 @@
 """``serialize.json_text`` against ``json.dumps(doc, indent=2)``, the writer it replaces."""
 
 import json
+from collections import OrderedDict
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -43,4 +45,67 @@ def test_json_text_refuses_what_json_dumps_refuses(doc):
 @pytest.mark.parametrize("doc", [(1, 2), {"a": [(1,)]}, {1: 0}, {None: 0}, {True: 0}, {"a": {1.5: 1}}])
 def test_json_text_refuses_tuples_and_non_string_keys(doc):
     with pytest.raises(TypeError):
+        json_text(doc)
+
+
+class Label(str):
+    pass
+
+
+class Merit(IntEnum):
+    GUILTY = 0
+    INNOCENT = 1
+
+
+class Share(float):
+    pass
+
+
+class Items(list):
+    pass
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        Label("x"),
+        [Label("a"), "b"],
+        ["a", Label("b")],
+        {Label("k"): Label("v")},
+        Merit.INNOCENT,
+        [Merit.GUILTY, 1],
+        {"merit": Merit.INNOCENT},
+        Share(0.25),
+        [Share(1.5), "a"],
+        OrderedDict([("b", 1), ("a", [OrderedDict()])]),
+        {"a": OrderedDict(x="y")},
+        Items(["a", "b"]),
+        Items(),
+        ["a", Items([1, "b"])],
+        ["a", True, None, 1, 1.5],
+        [True, "a"],
+        ["a", ["b"], {"c": "d"}],
+        ["a", "b", 3],
+        {"a": ["b", None]},
+    ],
+)
+def test_json_text_fast_paths_are_json_dumps(doc):
+    """Subclasses and mixed lists leave the exact-type and all-string paths."""
+    assert json_text(doc) == json.dumps(doc, indent=2)
+
+
+def _holding_itself(container):
+    if isinstance(container, list):
+        container.append(container)
+    else:
+        container["self"] = container
+    return container
+
+
+@pytest.mark.parametrize("container", [[], {}, Items()])
+def test_json_text_refuses_a_document_that_contains_itself(container):
+    doc = _holding_itself(container)
+    with pytest.raises(ValueError, match="Circular reference"):
+        json.dumps(doc, indent=2)
+    with pytest.raises(ValueError, match="contains itself"):
         json_text(doc)
