@@ -270,18 +270,17 @@ def expected_contingency(pop: Population, proc: Procedure, attribute: str) -> Co
     missing = np.flatnonzero(codes == MISSING)
     if missing.size:
         first = int(missing[0])
-        _probability_codes(proc, pop, np.arange(first))  # earlier members' errors first
+        _probability_codes(proc, pop, slice(first))  # earlier members' errors first
         raise ValueError(
             f"individual {pop._id(first)!r} has no value for attribute {attribute!r}"
         )
-    if column is None:  # an empty population
-        return ContingencyTable(attribute, {})
-    sums = conviction_sums(proc, pop, codes, len(column.values))
+    values = pop.attribute_values(attribute)
+    sums = conviction_sums(proc, pop, codes, len(values))
     return ContingencyTable(
         attribute,
         {
             value: {GUILTY: ContingencyCell(*guilty), INNOCENT: ContingencyCell(*innocent)}
-            for value, (guilty, innocent) in zip(column.values, sums)
+            for value, (guilty, innocent) in zip(values, sums)
         },
     )
 

@@ -24,8 +24,10 @@ ids of a loaded population stay byte ranges until something asks for
 one member decodes only that member's id. The member view (``members``,
 ``by_id``, iteration) is built from the columns only when something asks for
 it, without checking each member again, since :class:`Individual` accepts
-exactly the members that the loader can return. Every exact aggregate
-downstream is a count per (cell, merit class, code) from :func:`cell_counts`.
+exactly the members that the loader can return. A group is the rows that
+:func:`group_rows` selects, sorted row indices or ``ALL`` for every member.
+Every exact aggregate downstream is a count per (cell, merit class, code) from
+:func:`cell_counts`, where one int is the cell or the code of every member.
 Everything here is read-only, so every operation is a pure function and safe
 under concurrent use.
 """
@@ -67,6 +69,7 @@ INNOCENT = 1
 
 CSV_HEADER = ("id", "J", "X", "attrs")
 MISSING = -1  # criterion or attribute code of a member without a value
+ALL = slice(None)  # the row selection of every member
 
 
 @dataclass(frozen=True)
@@ -167,13 +170,13 @@ class AttributeColumn:
 
 
 def _encode_attributes(
-    dicts: Sequence[Mapping[str, str]], rows: np.ndarray | None = None
+    dicts: Sequence[Mapping[str, str]], rows: np.ndarray | slice = ALL
 ) -> dict[str, AttributeColumn]:
     """Dictionary-encode attribute mappings, one column per name.
 
-    Member ``i`` carries ``dicts[rows[i]]``, or ``dicts[i]`` without ``rows``.
-    With ``rows``, ``dicts`` must be listed in the order of their first use, so
-    that values still come out in first-appearance order.
+    Member ``i`` carries ``dicts[rows[i]]``, or ``dicts[i]`` with ``ALL``.
+    With row indices, ``dicts`` must be listed in the order of their first use,
+    so that values still come out in first-appearance order.
     """
     encoded: dict[str, tuple[dict[str, int], list[int]]] = {}
     for i, attrs in enumerate(dicts):
@@ -186,7 +189,7 @@ def _encode_attributes(
     columns = {}
     for name, (values, codes) in encoded.items():
         array = np.array(codes, dtype=np.int32)
-        columns[name] = AttributeColumn(tuple(values), array if rows is None else array[rows])
+        columns[name] = AttributeColumn(tuple(values), array[rows])
     return columns
 
 
@@ -308,22 +311,24 @@ class AttributeEquals:
 
 @dataclass(frozen=True)
 class CriterionEquals:
-    """Members whose criterion label equals ``value`` (0 or 1)."""
+    """Members whose criterion label equals ``value``, the ``int`` 0 or 1."""
 
     value: int
 
     def __post_init__(self):
-        if self.value not in (0, 1):
+        if not _is_label(self.value):
             raise ValueError(f"criterion value must be 0 or 1, got {self.value!r}")
 
 
 @dataclass(frozen=True)
 class ExplicitIdSet:
-    """Members listed by id; every id must exist in the target population."""
+    """Members listed by ids, not one ``str``; each must exist in the target population."""
 
     ids: frozenset[str]
 
     def __init__(self, ids: Iterable[str]):
+        if isinstance(ids, str):
+            raise TypeError(f"ids must be a collection of ids, not the str {ids!r}")
         object.__setattr__(self, "ids", frozenset(ids))
 
 
@@ -337,10 +342,10 @@ class Singleton:
 GroupSpec = Union[AttributeEquals, CriterionEquals, ExplicitIdSet, Singleton]
 
 
-def group_rows(pop: Population, g: GroupSpec | None) -> np.ndarray | None:
-    """The sorted row indices of ``g``'s members; ``None`` when ``g`` selects everyone."""
+def group_rows(pop: Population, g: GroupSpec | None) -> np.ndarray | slice:
+    """The rows of ``g``'s members: sorted row indices, or ``ALL`` when ``g`` is ``None``."""
     if g is None:
-        return None
+        return ALL
     if isinstance(g, AttributeEquals):
         column = pop.attributes.get(g.name)
         if column is None or g.value not in column.values:
@@ -357,45 +362,34 @@ def group_rows(pop: Population, g: GroupSpec | None) -> np.ndarray | None:
     return np.sort(np.array([pop._index[ident] for ident in ids], dtype=np.intp))
 
 
-def _gather(column: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-    """``column``'s entries at ``rows``, as from :func:`group_rows`; all of it for ``None``."""
-    return column if rows is None else column[rows]
-
-
 def group_members(pop: Population, g: GroupSpec | None) -> tuple[Individual, ...]:
     """Members satisfying ``g``, in population order. ``None`` selects everyone."""
-    rows = group_rows(pop, g)
-    if rows is None:
-        return pop.members
-    return pop._members(rows)
+    return pop.members if g is None else pop._members(group_rows(pop, g))
 
 
 def cell_counts(
     merit: np.ndarray,
-    codes: np.ndarray | None = None,
+    codes: np.ndarray | int = 0,
     n_codes: int = 1,
-    cells: np.ndarray | None = None,
+    cells: np.ndarray | int = 0,
     n_cells: int = 1,
 ) -> np.ndarray:
     """Member counts per (cell, merit class, code), shape ``(n_cells, 2, n_codes)``,
     of the members whose merit labels are ``merit``.
 
-    ``codes`` (all 0 when omitted) and ``cells`` (all 0 when omitted) give one
-    entry per member, in ``[0, n_codes)`` and ``[0, n_cells)``. One integer
+    ``codes`` and ``cells`` give one entry per member, in ``[0, n_codes)`` and
+    ``[0, n_cells)``, or one int for every member (0 when omitted). One integer
     ``np.bincount`` does the counting.
     """
-    key = merit.astype(np.intp)
-    if codes is not None:
-        key = key * n_codes + codes
-    if cells is not None:
-        key = cells.astype(np.intp) * (2 * n_codes) + key
+    # merit is widened first, so that the key's dtype never rests on promotion rules
+    key = (merit.astype(np.intp) + 2 * cells) * n_codes + codes
     counts = np.bincount(key, minlength=n_cells * 2 * n_codes)
     return counts.reshape(n_cells, 2, n_codes)
 
 
 def merit_counts(pop: Population, g: GroupSpec | None = None) -> tuple[int, int]:
     """(number guilty, number innocent) within the group. Empty group gives (0, 0)."""
-    n_guilty, n_innocent = cell_counts(_gather(pop.merit, group_rows(pop, g)))[0, :, 0].tolist()
+    n_guilty, n_innocent = cell_counts(pop.merit[group_rows(pop, g)])[0, :, 0].tolist()
     return n_guilty, n_innocent
 
 

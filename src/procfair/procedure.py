@@ -32,13 +32,13 @@ from .errors import (
     ProcfairError,
 )
 from .population import (
+    ALL,
     GUILTY,
     INNOCENT,
     MISSING,
     GroupSpec,
     Population,
     _file_bytes,
-    _gather,
     cell_counts,
     group_rows,
 )
@@ -182,11 +182,11 @@ _DETERMINISTIC_CODES = np.array([1, 0, MISSING])
 
 
 def _probability_codes(
-    proc: Procedure, pop: Population, rows: np.ndarray | None = None
+    proc: Procedure, pop: Population, rows: np.ndarray | slice = ALL
 ) -> tuple[np.ndarray, tuple[Fraction, ...]]:
     """The conviction probability of each member at ``rows`` (sorted row
-    indices, as from :func:`group_rows`; ``None`` is everyone) as a code into
-    a tuple of distinct exact probabilities.
+    indices or a slice, as from :func:`group_rows`; ``ALL`` is every member)
+    as a code into a tuple of distinct exact probabilities.
 
     Deterministic: code ``1 - X`` into ``(0, 1)``. Randomized: code
     ``2 * pair + merit`` into the flattened distinct ``(h, k)`` pairs (a global
@@ -195,9 +195,9 @@ def _probability_codes(
     probability: :class:`MissingCriterionError` for a deterministic procedure,
     :class:`MissingRateError` for a per-group one.
     """
-    merit = _gather(pop.merit, rows)
+    merit = pop.merit[rows]
     if isinstance(proc, DeterministicProcedure):
-        codes = _DETERMINISTIC_CODES[_gather(pop.criterion, rows)]
+        codes = _DETERMINISTIC_CODES[pop.criterion[rows]]
         probs = (Fraction(0), Fraction(1))
     else:
         rates = proc.rates
@@ -211,14 +211,14 @@ def _probability_codes(
             # -2 marks a value without configured rates; the trailing entry maps
             # the code MISSING of a member without a value to MISSING
             lookup = [2 * pairs[rates.table[v]] if v in rates.table else -2 for v in column.values]
-            pair_codes = np.array(lookup + [MISSING], dtype=np.intp)[_gather(column.codes, rows)]
+            pair_codes = np.array(lookup + [MISSING], dtype=np.intp)[column.codes[rows]]
         codes = pair_codes + (pair_codes >= 0) * merit
         probs = tuple(rate for pair in pairs for rate in pair)
     invalid = np.flatnonzero(codes < 0)
     if not invalid.size:
         return codes, probs
     at = int(invalid[0])
-    first = at if rows is None else int(rows[at])
+    first = int(np.arange(len(pop))[rows][at])
     ident = pop._id(first)
     if isinstance(proc, DeterministicProcedure):
         raise MissingCriterionError(
@@ -240,14 +240,14 @@ def _count_and_sum(counts: Sequence[int], probs: Sequence[Fraction]) -> tuple[in
 
 
 def conviction_sums(
-    proc: Procedure, pop: Population, cells: np.ndarray | None = None, n_cells: int = 1
+    proc: Procedure, pop: Population, cells: np.ndarray | int = 0, n_cells: int = 1
 ) -> list[tuple[tuple[int, Fraction], tuple[int, Fraction]]]:
     """``(count, exact sum of conviction probabilities)`` per cell and merit class.
 
-    ``cells`` assigns each member a cell in ``[0, n_cells)``; ``None`` puts
-    everyone in cell 0. Members are counted per (cell, merit, probability
-    code) in one pass, and each count is multiplied by its exact probability
-    only at the end. Raises for the first member that has no conviction
+    ``cells`` assigns each member a cell in ``[0, n_cells)``, or is one int, the
+    cell of every member (0 when omitted). Members are counted per (cell, merit,
+    probability code) in one pass, and each count is multiplied by its exact
+    probability only at the end. Raises for the first member that has no conviction
     probability.
     """
     codes, probs = _probability_codes(proc, pop)
@@ -370,7 +370,7 @@ def exact_rates(
     """
     rows = group_rows(pop, g)
     codes, probs = _probability_codes(proc, pop, rows)
-    by_merit = cell_counts(_gather(pop.merit, rows), codes, len(probs))[0].tolist()
+    by_merit = cell_counts(pop.merit[rows], codes, len(probs))[0].tolist()
     # codes 2 * pair and 2 * pair + 1 belong to one configured pair; deterministic
     # and global codes are 0 and 1, so only a per-group procedure can span two
     present = [code // 2 for code, n in enumerate(map(sum, zip(*by_merit))) if n]
@@ -398,7 +398,7 @@ def empirical_rates(
             f"simulation has {len(convictions)} members, population has {len(pop)}"
         )
     rows = group_rows(pop, g)
-    merit, convictions = _gather(pop.merit, rows), _gather(convictions, rows)
+    merit, convictions = pop.merit[rows], convictions[rows]
     sums = []
     for label in (GUILTY, INNOCENT):
         members = merit == label

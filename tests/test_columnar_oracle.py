@@ -1,11 +1,12 @@
 """The columnar aggregates against per-member Fraction sums written out here.
 
-Every exact quantity (rates, contingency cells, empirical rates, merit counts,
-attribute values and the criterion-split witness) is recomputed member by
-member with :class:`fractions.Fraction`, including which error is raised and
-its message, and compared with the library on the same population built two
-ways: from :class:`Individual` objects and loaded from CSV. The ``audit``
-command is compared with the same sums through files it reads.
+Every exact quantity (member counts, rates, conviction sums, contingency cells,
+empirical rates, merit counts, attribute values and the criterion-split
+witness) is recomputed member by member with :class:`fractions.Fraction`,
+including which error is raised and its message, and compared with the library
+on the same population built two ways: from :class:`Individual` objects and
+loaded from CSV. The ``audit`` command is compared with the same sums through
+files it reads.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from procfair.population import (
     Individual,
     Population,
     Singleton,
+    cell_counts,
     dump_population,
     group_members,
     load_population,
@@ -47,6 +49,7 @@ from procfair.procedure import (
     DeterministicProcedure,
     GlobalRates,
     Simulation,
+    conviction_sums,
     empirical_rates,
     exact_rates,
     global_procedure,
@@ -417,3 +420,79 @@ def test_group_members_match_member_scan_and_decode_only_their_ids(pop):
         listed = group_members(loaded, g)
         assert "_ids" not in loaded.__dict__
         assert listed == group_members(pop, g) == tuple(m for m in pop.members if in_group(m, g))
+
+
+@st.composite
+def scalar_cells(draw):
+    """Merit labels, and a code and a cell shared by every member."""
+    merit = draw(st.lists(st.integers(0, 1), max_size=20))
+    n_codes, n_cells = draw(st.integers(1, 300)), draw(st.integers(1, 5))
+    return merit, draw(st.integers(0, n_codes - 1)), n_codes, draw(st.integers(0, n_cells - 1)), n_cells
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalar_cells())
+@example(([], 0, 1, 0, 1))
+@example(([], 299, 300, 4, 5))
+@example(([1, 0, 1], 299, 300, 4, 5))  # codes past int8, the merit column's dtype
+def test_one_int_cell_or_code_counts_as_that_value_for_every_member(inputs):
+    labels, code, n_codes, cell, n_cells = inputs
+    expected = np.zeros((n_cells, 2, n_codes), dtype=np.intp)
+    for label in labels:
+        expected[cell, label, code] += 1
+    merit = np.array(labels, dtype=np.int8)
+    codes, cells = np.full(len(merit), code, dtype=np.intp), np.full(len(merit), cell, dtype=np.int32)
+    for every_code in (code, codes):
+        for every_cell in (cell, cells):
+            assert np.array_equal(cell_counts(merit, every_code, n_codes, every_cell, n_cells), expected)
+    assert cell_counts(merit).tolist() == [[[labels.count(0)], [labels.count(1)]]]
+
+
+# 72 regions, each with its own (h, k) pair: 144 probability codes, past int8
+MANY_PAIRS = per_group_procedure(
+    "region", {f"r{i}": (Fraction(i + 1, 97), Fraction(i, 89)) for i in range(72)}
+)
+MANY_PAIRS_POPULATION = Population(
+    Individual(
+        f"m{i}",
+        merit=i * 7 % 3 % 2,
+        criterion=i % 2,
+        attributes={"region": f"r{i * 5 % 72}", "sex": "ab"[i % 2]},
+    )
+    for i in range(300)
+)
+
+
+def member_sums(proc, members):
+    """(count, exact sum of conviction probabilities) per merit class."""
+    sums = [[0, Fraction(0)], [0, Fraction(0)]]
+    for ind in members:
+        sums[ind.merit][0] += 1
+        sums[ind.merit][1] += member_pair(proc, ind)[ind.merit]
+    return tuple(map(tuple, sums))
+
+
+def test_many_probability_codes_match_member_sums():
+    pop, proc = MANY_PAIRS_POPULATION, MANY_PAIRS
+    assert len(set(proc.rates.table.values())) == 72
+    for p in both_ways(pop):
+        assert conviction_sums(proc, p) == [member_sums(proc, pop.members)]
+        for name in ("region", "sex"):
+            column = p.attributes[name]
+            by_value = [[ind for ind in pop.members if ind.attributes[name] == v] for v in column.values]
+            sums = conviction_sums(proc, p, column.codes, len(column.values))
+            assert sums == [member_sums(proc, members) for members in by_value]
+            table = expected_contingency(p, proc, name)
+            got = {
+                value: [(cell.count, cell.expected_convictions) for cell in (by[0], by[1])]
+                for value, by in table.cells.items()
+            }
+            assert got == oracle_contingency(proc, pop.members, name)
+            for value, members in zip(column.values, by_value):
+                expected = oracle_exact_rates(proc, members)
+                g = AttributeEquals(name, value)
+                if is_error(expected):  # each sex spans many pairs
+                    expect_raises(expected, lambda: exact_rates(proc, p, g))
+                else:
+                    rates = exact_rates(proc, p, g)
+                    assert (rates.h, rates.k, rates.support) == expected

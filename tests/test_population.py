@@ -164,6 +164,22 @@ def test_a_population_holds_only_columns_and_builds_members_without_checking_the
 def test_criterion_group_value_must_be_binary():
     with pytest.raises(ValueError, match="criterion value must be 0 or 1, got 2"):
         CriterionEquals(2)
+    # the labels an Individual refuses, although each equals 0 or 1
+    for value in (True, False, 1.0, np.int8(1)):
+        with pytest.raises(ValueError, match="criterion value must be 0 or 1"):
+            CriterionEquals(value)
+        with pytest.raises(ValueError, match="criterion must be 0, 1 or None"):
+            Individual("a", 1, value)
+    assert [CriterionEquals(label).value for label in (0, 1)] == [0, 1]
+
+
+@pytest.mark.parametrize("ids", ["ab", "m1", ""])
+def test_an_explicit_id_set_refuses_a_bare_string(ids):
+    with pytest.raises(TypeError, match=f"not the str {ids!r}"):
+        ExplicitIdSet(ids)
+    pop = Population([Individual(ident, 1) for ident in ("a", "b", "m1", "ab")])
+    if ids:
+        assert group_members(pop, ExplicitIdSet([ids])) == (pop.by_id[ids],)
 
 
 def test_population_fields_cannot_be_assigned():
