@@ -128,7 +128,13 @@ class GlobalRates:
 
 @dataclass(frozen=True)
 class PerGroupRates:
-    """Conviction-rate pairs keyed by the values of one attribute."""
+    """Conviction-rate pairs keyed by the values of one attribute.
+
+    ``_pairs`` holds the distinct pairs in their first order in ``table``, and
+    ``_pair_of`` each value's index into them. Both are resolved once, here,
+    and are not fields: equality and ``repr`` see ``attribute`` and ``table``
+    only.
+    """
 
     attribute: str
     table: Mapping[str, tuple[Fraction, Fraction]]
@@ -144,6 +150,9 @@ class PerGroupRates:
         }
         object.__setattr__(self, "attribute", attribute)
         object.__setattr__(self, "table", normalized)
+        index = {pair: i for i, pair in enumerate(dict.fromkeys(normalized.values()))}
+        object.__setattr__(self, "_pairs", tuple(index))
+        object.__setattr__(self, "_pair_of", {value: index[pair] for value, pair in normalized.items()})
 
 
 @dataclass(frozen=True)
@@ -203,17 +212,16 @@ def _probability_codes(
         rates = proc.rates
         if isinstance(rates, GlobalRates):
             return merit, (rates.h, rates.k)
-        pairs = {pair: i for i, pair in enumerate(dict.fromkeys(rates.table.values()))}
         column = pop.attributes.get(rates.attribute)
         if column is None:
             pair_codes = np.full(len(merit), MISSING)
         else:
             # -2 marks a value without configured rates; the trailing entry maps
             # the code MISSING of a member without a value to MISSING
-            lookup = [2 * pairs[rates.table[v]] if v in rates.table else -2 for v in column.values]
+            lookup = [2 * rates._pair_of.get(v, -1) for v in column.values]
             pair_codes = np.array(lookup + [MISSING], dtype=np.intp)[column.codes[rows]]
         codes = pair_codes + (pair_codes >= 0) * merit
-        probs = tuple(rate for pair in pairs for rate in pair)
+        probs = tuple(rate for pair in rates._pairs for rate in pair)
     invalid = np.flatnonzero(codes < 0)
     if not invalid.size:
         return codes, probs
@@ -371,14 +379,15 @@ def exact_rates(
     rows = group_rows(pop, g)
     codes, probs = _probability_codes(proc, pop, rows)
     by_merit = cell_counts(pop.merit[rows], codes, len(probs))[0].tolist()
-    # codes 2 * pair and 2 * pair + 1 belong to one configured pair; deterministic
-    # and global codes are 0 and 1, so only a per-group procedure can span two
-    present = [code // 2 for code, n in enumerate(map(sum, zip(*by_merit))) if n]
-    pairs = {probs[2 * pair : 2 * pair + 2] for pair in present}
-    if len(pairs) > 1:
+    # codes 2 * pair and 2 * pair + 1 belong to one configured pair, and distinct
+    # pairs have distinct indices; deterministic and global codes are 0 and 1,
+    # so only a per-group procedure can span two
+    present = {code // 2 for code, n in enumerate(map(sum, zip(*by_merit))) if n}
+    if len(present) > 1:
+        pairs = sorted(probs[2 * pair : 2 * pair + 2] for pair in present)
         raise AmbiguousRateError(
             "group spans members with different configured rates: "
-            + ", ".join(f"({h}, {k})" for h, k in sorted(pairs))
+            + ", ".join(f"({h}, {k})" for h, k in pairs)
         )
     return ConditionalRates.from_sums(_count_and_sum(row, probs) for row in by_merit)
 

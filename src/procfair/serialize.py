@@ -8,9 +8,11 @@ the same report twice produces identical text. :func:`json_text` owns JSON
 text as :func:`csv_text` owns CSV text: the one writes every report document,
 byte for byte as ``json.dumps(doc, indent=2)`` would, and the other every CSV
 report, the CLI's and ``roc-export``'s. ``witness``'s listing of violating
-bipartitions has no helper here: the CLI builds its dicts straight from the
-tuples of the one enumerator in ``theorem``. ``fairness`` and ``theorem``
-types appear only in annotations, so ``roc`` can import this module at its top.
+bipartitions has no helper here: the CLI writes each listing item as JSON text
+from the sides the one enumerator in ``theorem`` joins, and wraps it in
+:class:`_Verbatim`, which :func:`json_text` writes as it stands. ``fairness``
+and ``theorem`` types appear only in annotations, so ``roc`` can import this
+module at its top.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ def json_text(doc: Any) -> str:
     item is written inside its container's comprehension, without a call of
     its own, and a list of strings in one ``join`` over the C string encoder.
     A subclass (an ``IntEnum``, an ``OrderedDict``) is written as its base
-    type, as ``json.dumps`` writes it.
+    type, as ``json.dumps`` writes it. The one exception is :class:`_Verbatim`,
+    by exact type: its text is written as it stands.
     """
     try:
         return _json_value(doc, "\n")
@@ -62,8 +65,20 @@ def json_text(doc: Any) -> str:
         raise ValueError("cannot write a document that contains itself or nests too deeply") from None
 
 
+class _Verbatim(str):
+    """JSON text that :func:`json_text` writes as it stands, not as a string.
+
+    The text must be the value's JSON at its place in the document, with the
+    indentation of its depth there, as ``json.dumps(doc, indent=2)`` would
+    write it; nothing checks that.
+    """
+
+    __slots__ = ()
+
+
 # The writer of each scalar type, by exact type: each is a C call.
 _SCALARS: dict[type, Callable[[Any], str]] = {
+    _Verbatim: str,
     str: encode_basestring_ascii,
     int: int.__repr__,
     float: float.__repr__,

@@ -12,12 +12,15 @@ witnesses that the procedure is group-unfair. Only a perfect procedure
 quantifier at desk scale by enumerating all bipartitions of a small
 population, which doubles as an independent check of the constructed
 witness. It wraps the tuples of :func:`_exhaustive_violations` in
-:class:`Bipartition`, and ``witness`` builds its listing straight from the
-same tuples, with no object per split. The enumeration is
-:func:`_bipartition_violations`, the one bipartition enumerator of the
-package, which ``fairness.check_absolute_fairness(mode="bipartitions")``
-shares: it takes the caller's probability codes and yields each violating
-split as two sorted id tuples, in increasing order of the split's bitmask.
+:class:`Bipartition`. The enumeration is :func:`_bipartition_violations`, the
+one bipartition enumerator of the package, which
+``fairness.check_absolute_fairness(mode="bipartitions")`` shares: it takes
+the caller's probability codes and yields each violating split, in
+increasing order of the split's bitmask, as its two sides, each joined from
+one piece per member in sorted id order. The piece is the 1-tuple of the id
+unless the caller names another: the CLI's ``witness`` passes each member's
+JSON list-item text, so each side arrives as the body of its JSON list and
+the CLI writes the listing with no id encoded per split.
 Every probability becomes an integer numerator over a common denominator,
 and class means are compared by cross multiplication against an integer
 tolerance bound. numpy makes that test for a chunk of ``BIPARTITION_CHUNK``
@@ -35,7 +38,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import starmap
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -153,6 +156,8 @@ class Bipartition:
 
 # Bipartition masks tested per numpy pass of :func:`_bipartition_violations`.
 BIPARTITION_CHUNK = 1 << 12
+# What a bipartition side is joined from, one piece per member: a tuple or a str.
+Piece = TypeVar("Piece", tuple, str)
 # Violated merit classes by the class bits of :func:`_violated_classes`.
 _CLASSES_BY_BITS = ((), (GUILTY,), (INNOCENT,), (GUILTY, INNOCENT))
 
@@ -166,13 +171,19 @@ def _subset_sums(weights: np.ndarray) -> np.ndarray:
     return table
 
 
-def _subset_tuples(items: Sequence[str]) -> list[tuple[str, ...]]:
-    """Entry ``m`` is the tuple of the ``items[k]`` whose bit ``k`` is set in
-    ``m``, in order, built by doubling: ``2 ** len(items)`` entries."""
-    table: list[tuple[str, ...]] = [()]
-    for item in items:
-        table += [entry + (item,) for entry in table]
+def _subset_joins(pieces: Sequence[Piece]) -> list[Piece]:
+    """Entry ``m`` joins the ``pieces[k]`` whose bit ``k`` is set in ``m``, in
+    order, with ``+``, built by doubling: ``2 ** len(pieces)`` entries. Entry 0
+    is the empty slice of the first piece."""
+    table = [pieces[0][:0]]
+    for piece in pieces:
+        table += [entry + piece for entry in table]
     return table
+
+
+def _id_tuple(ident: str) -> tuple[str, ...]:
+    """The default piece of a member: the 1-tuple of its id."""
+    return (ident,)
 
 
 def _violated_classes(sums: np.ndarray, totals: np.ndarray, tol_units: int) -> np.ndarray:
@@ -193,11 +204,17 @@ def _violated_classes(sums: np.ndarray, totals: np.ndarray, tol_units: int) -> n
 
 
 def _bipartition_violations(
-    pop: Population, codes: np.ndarray, probs: Sequence[Fraction], tolerance: Fraction = Fraction(0)
-) -> Iterator[tuple[tuple[str, ...], tuple[str, ...], tuple[int, ...]]]:
-    """Lazily yield ``(subset ids, complement ids, violated merit classes)``, id
-    tuples sorted, per unfair bipartition; member i's conviction probability is
-    ``probs[codes[i]]``, as from :func:`~procfair.procedure._probability_codes`.
+    pop: Population,
+    codes: np.ndarray,
+    probs: Sequence[Fraction],
+    tolerance: Fraction = Fraction(0),
+    piece: Callable[[str], Piece] = _id_tuple,
+) -> Iterator[tuple[Piece, Piece, tuple[int, ...]]]:
+    """Lazily yield ``(subset, complement, violated merit classes)`` per unfair
+    bipartition; member i's conviction probability is ``probs[codes[i]]``, as
+    from :func:`~procfair.procedure._probability_codes`. Each side is the join
+    of ``piece(id)`` over its members in sorted id order: by default the tuple
+    of its sorted ids. ``piece`` is called once per member.
 
     The first member always stays in the complement, so each unordered
     bipartition is tested once, in increasing order of the subset's bitmask
@@ -209,7 +226,7 @@ def _bipartition_violations(
     tests no further chunk. A mask's per-class counts and numerator sums, and
     its subset as a bitmask over sorted id order, are the sum of two table
     columns, one for its low bits and one for its high bits; each side's
-    sorted ids are likewise two table entries joined.
+    pieces are likewise two table entries joined.
     """
     n = len(pop)
     if n < 2:
@@ -243,8 +260,8 @@ def _bipartition_violations(
     half = n // 2
     low = _subset_sums(weights[:, 1 : 1 + half])
     high = _subset_sums(weights[:, 1 + half :])
-    first = _subset_tuples([ids[i] for i in order[:half]])
-    second = _subset_tuples([ids[i] for i in order[half:]])
+    pieces = [piece(ids[i]) for i in order]
+    first, second = _subset_joins(pieces[:half]), _subset_joins(pieces[half:])
     below, everyone = (1 << half) - 1, (1 << n) - 1
 
     end = 1 << (n - 1)
@@ -264,16 +281,21 @@ def _bipartition_violations(
 
 
 def _exhaustive_violations(
-    pop: Population, max_n: int, proc: Procedure | None = None
-) -> Iterator[tuple[tuple[str, ...], tuple[str, ...], tuple[int, ...]]]:
+    pop: Population,
+    max_n: int,
+    proc: Procedure | None = None,
+    piece: Callable[[str], Piece] = _id_tuple,
+) -> Iterator[tuple[Piece, Piece, tuple[int, ...]]]:
     """The ``(subset, complement, violated merit classes)`` tuples of
-    :func:`exhaustive_search`, in its order: the one listing behind it and
-    ``witness``. The size rule is checked at the call, not on first use."""
+    :func:`exhaustive_search`, in its order, each side joined from ``piece``
+    as :func:`_bipartition_violations` joins it: the one listing behind
+    ``exhaustive_search`` and ``witness``. The size rule is checked at the
+    call, not on first use."""
     _check_search_limit(max_n, len(pop))
     if len(pop) < 2:
         return iter(())  # no bipartition, so no member needs a probability
     codes, probs = _probability_codes(proc or DeterministicProcedure(), pop)
-    return _bipartition_violations(pop, codes, probs)
+    return _bipartition_violations(pop, codes, probs, piece=piece)
 
 
 def exhaustive_search(

@@ -6,16 +6,18 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from procfair import serialize, theorem
 from procfair.cli import build_parser, main
 from procfair.demo import demo_population
-from procfair.population import dump_population, load_population
+from procfair.population import Individual, Population, dump_population, load_population
 from procfair.roc import RocPoint, classify, export_diagram
-from procfair.theorem import exhaustive_search
+from procfair.theorem import construct_witness, exhaustive_search
 
 PERFECT_CSV = "id,J,X,attrs\na,1,1,\nb,0,0,\n"
 IMPERFECT_CSV = "id,J,X,attrs\na,1,1,\nb,1,0,\nc,0,0,\n"
@@ -314,6 +316,61 @@ def test_witness_json_lists_exhaustive_search_in_order(tmp_path_factory, labels,
         }
         for b in found
     ]
+
+
+# id characters that JSON escapes: a quote, a backslash, and non-ASCII in and
+# beyond the Basic Multilingual Plane; a tab too, but only inside an id, since
+# the loader strips each id
+ESCAPED = ['"', "\\", "\u00e9", "\u540d", "\U0001f600"]
+id_parts = st.text(st.sampled_from([*ESCAPED, "a", ",", ";", "="]), min_size=1, max_size=3)
+
+
+@st.composite
+def escaped_populations(draw) -> str:
+    """The CSV text of 2 to 10 members, each id holding a character JSON escapes."""
+    labels = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=2, max_size=10))
+    rows = []
+    for k, (merit, criterion) in enumerate(labels):
+        ident = draw(id_parts) + draw(st.sampled_from([*ESCAPED, "\t"])) + draw(id_parts) + str(k)
+        rows.append(Individual(ident, merit=merit, criterion=criterion))
+    return dump_population(Population(rows))
+
+
+@pytest.mark.parametrize("chunk", [theorem.BIPARTITION_CHUNK, 1, 3])
+@settings(max_examples=40, deadline=None)
+@given(escaped_populations())
+def test_witness_json_is_json_dumps_of_the_listing_of_exhaustive_search(tmp_path_factory, chunk, text):
+    """The listing ``witness`` writes as text, item by item, is byte for byte
+    ``json.dumps(indent=2)`` of the document with ``exhaustive_search``'s
+    listing as dicts, whatever ids it escapes and however the masks are chunked."""
+    work = tmp_path_factory.mktemp("witness")
+    pop_file, out_file = work / "pop.csv", work / "out.json"
+    pop_file.write_text(text, encoding="utf-8")
+    with mock.patch.object(theorem, "BIPARTITION_CHUNK", chunk):
+        code = main(["witness", "--population", str(pop_file), "--format", "json", "--out", str(out_file)])
+        pop = load_population(text)
+        found = exhaustive_search(pop)
+    doc = {
+        "witness": serialize.witness_json(construct_witness(pop)),
+        "exhaustive": {
+            "searched": True,
+            "note": None,
+            "violations": [
+                {
+                    "subset": list(b.subset),
+                    "complement": list(b.complement),
+                    "violated_merit_classes": list(b.violated_merit_classes),
+                }
+                for b in found
+            ],
+        },
+    }
+    assert code == (2 if doc["witness"]["violated_merit_classes"] else 0)
+    written, expected = out_file.read_text(encoding="utf-8"), json.dumps(doc, indent=2) + "\n"
+    # the first differing lines, found without a diff of two listings of up to 100 KB
+    lines = zip(written.split("\n"), expected.split("\n"))
+    assert next(((got, want) for got, want in lines if got != want), None) is None
+    assert written == expected
 
 
 def test_witness_skips_search_beyond_max_n(capsys, tmp_path):

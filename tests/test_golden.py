@@ -7,7 +7,10 @@ of ``simulate``: each member's count is one binomial draw from numpy's PCG64
 seeded with ``--seed``, so the same seed gives the same counts. The 200-row
 population exceeds ``witness --max-n``, so the ``witness-listing`` pair runs on
 the 10 members of ``golden/witness-listing.csv`` (``population_csv(seed=2,
-n=10)``) and pins the exhaustive listing itself. An internal rewrite must
+n=10)``) and pins the exhaustive listing itself. The ``witness-escapes`` pair
+does the same on the 8 members of ``golden/witness-escapes.csv``, whose ids
+need JSON escapes: a quoted id holding ``""``, a comma, a backslash, an inner
+tab, and non-ASCII ids in and beyond the Basic Multilingual Plane. An internal rewrite must
 reproduce them exactly, also when every input file has CRLF line
 ends and a byte-order mark. After an intended output change, regenerate them
 with::
@@ -61,10 +64,11 @@ POINTS = [
 ]
 
 # golden file name -> argv; "{proc:<name>}" stands for that procedure file,
-# "{points}" for the POINTS file and "{listing}" for the listing population;
+# "{points}" for the POINTS file, "{listing}" and "{escapes}" for the two
+# listing populations;
 # audit, witness and simulate get the 200-row population unless they name one
 DET, GLOBAL, EQUAL, PTS = "{proc:det}", "{proc:global}", "{proc:equal}", "{points}"
-LISTING = "{listing}"
+LISTING, ESCAPES = "{listing}", "{escapes}"
 CSV = ["--format", "csv"]
 SIM = ["--seed", "11", "--trials", "100"]
 CASES = {
@@ -86,6 +90,8 @@ CASES = {
     "witness-skip.txt": ["witness", "--max-n", "5"],
     "witness-listing.json": ["witness", "--population", LISTING, "--format", "json"],
     "witness-listing.txt": ["witness", "--population", LISTING],
+    "witness-escapes.json": ["witness", "--population", ESCAPES, "--format", "json"],
+    "witness-escapes.txt": ["witness", "--population", ESCAPES],
     "simulate.json": ["simulate", "--procedure", GLOBAL, *SIM],
     "simulate.csv": ["simulate", "--procedure", EQUAL, *SIM, *CSV],
     "example1.txt": ["example1"],
@@ -101,11 +107,12 @@ CASES = {
 
 
 def _write_inputs(directory: Path, crlf: bool = False) -> None:
-    """The population, listing population, procedure and points files; with
+    """The population, listing populations, procedure and points files; with
     ``crlf``, every line ends in CRLF and every file starts with a byte-order mark."""
     texts = {
         "population.csv": population_csv(),
         "listing.csv": (GOLDEN / "witness-listing.csv").read_text(encoding="utf-8"),
+        "escapes.csv": (GOLDEN / "witness-escapes.csv").read_text(encoding="utf-8"),
         "points.json": json.dumps(POINTS, indent=2),
     }
     texts.update((f"{name}.json", json.dumps(doc, indent=2)) for name, doc in PROCEDURES.items())
@@ -127,6 +134,8 @@ def _argv(case: str, directory: Path) -> list[str]:
             arg = str(directory / "points.json")
         elif arg == LISTING:
             arg = str(directory / "listing.csv")
+        elif arg == ESCAPES:
+            arg = str(directory / "escapes.csv")
         argv.append(arg)
     if argv[0] in ("audit", "witness", "simulate") and "--population" not in argv:
         argv[1:1] = ["--population", str(pop)]

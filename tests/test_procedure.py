@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 from decimal import Decimal
@@ -191,6 +192,28 @@ def test_make_group_fair_assigns_identical_pairs():
 def test_per_group_rates_need_an_attribute_and_a_table(attribute, table, message):
     with pytest.raises(ValueError, match=message):
         PerGroupRates(attribute, table)
+
+
+def test_per_group_rates_resolve_their_pairs_once_outside_their_fields():
+    """The distinct pairs and each value's index are resolved at construction;
+    equality and ``repr`` still see the two fields only."""
+    rates = PerGroupRates("sex", {"M": ("3/4", "1/10"), "F": (0.75, 0.1), "X": (1, 0)})
+    assert rates._pairs == ((Fraction(3, 4), Fraction(1, 10)), (Fraction(1), Fraction(0)))
+    assert rates._pair_of == {"M": 0, "F": 0, "X": 1}
+    assert [field.name for field in dataclasses.fields(rates)] == ["attribute", "table"]
+    assert repr(rates) == (
+        "PerGroupRates(attribute='sex', table={'M': (Fraction(3, 4), Fraction(1, 10)), "
+        "'F': (Fraction(3, 4), Fraction(1, 10)), 'X': (Fraction(1, 1), Fraction(0, 1))})"
+    )
+    assert rates == PerGroupRates("sex", {"M": (0.75, 0.1), "F": ("3/4", "1/10"), "X": (1, 0)})
+    assert rates != PerGroupRates("sex", {"M": (0.75, 0.1), "F": ("3/4", "1/10"), "X": (0, 1)})
+
+
+def test_ambiguous_rates_name_the_pairs_in_order():
+    pop = Population(Individual(v, 0, attributes={"r": v}) for v in "abc")
+    proc = per_group_procedure("r", {"a": ("1/2", 0), "b": ("1/4", 0), "c": ("1/2", 0)})
+    with pytest.raises(AmbiguousRateError, match=r"rates: \(1/4, 0\), \(1/2, 0\)$"):
+        exact_rates(proc, pop)
 
 
 def test_make_group_fair_rejects_empty_values():

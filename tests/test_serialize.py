@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from procfair.serialize import json_text
+from procfair.serialize import _Verbatim, json_text
 
 # every code point, lone surrogates and control characters included
 texts = st.text(st.characters(codec=None, exclude_categories=()), max_size=8)
@@ -109,3 +109,40 @@ def test_json_text_refuses_a_document_that_contains_itself(container):
         json.dumps(doc, indent=2)
     with pytest.raises(ValueError, match="contains itself"):
         json_text(doc)
+
+
+def _written_ahead(value, depth: int = 1):
+    """``value`` with its even-placed list items and dict values replaced by
+    their ``json.dumps(indent=2)`` text at their depth, as :class:`_Verbatim`;
+    the other items are treated alike, one level down."""
+
+    def item(place, child):
+        if place % 2:
+            return _written_ahead(child, depth + 1)
+        return _Verbatim(json.dumps(child, indent=2).replace("\n", "\n" + "  " * depth))
+
+    if type(value) is list:
+        return [item(place, child) for place, child in enumerate(value)]
+    if type(value) is dict:
+        return {key: item(place, child) for place, (key, child) in enumerate(value.items())}
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents)
+@example([["a"], {"b": [1, {"c": []}]}, "d", ["e", {"f": "g"}]])
+def test_verbatim_text_is_written_as_it_stands_at_any_depth(doc):
+    assert json_text(_written_ahead(doc)) == json.dumps(doc, indent=2)
+
+
+class Raw(_Verbatim):
+    pass
+
+
+@pytest.mark.parametrize("kind", [Raw, Label])
+def test_only_the_exact_verbatim_type_is_written_as_it_stands(kind):
+    """Any other ``str`` subclass, one of :class:`_Verbatim` included, is a string."""
+    text = kind('[\n  "a"\n]')
+    for doc in (text, [text], [text, 1], ["a", text], {"k": text}, [{"k": [text]}]):
+        assert json_text(doc) == json.dumps(doc, indent=2)
+    assert json_text(_Verbatim(text)) == text
