@@ -7,10 +7,11 @@ dict that ``--format json`` prints; its CSV and text formats (and
 writes the result to ``--out`` or standard output. Every input file is read
 as bytes by :func:`_read` and handed to the library, which reads it as its
 UTF-8 file. :func:`_audit_document` builds the ``audit`` document, and
-``example1`` reads each of its two stages off one. ``witness`` writes its
-listing of violating bipartitions here, each item once as JSON text, from the
-sides that the one enumerator behind ``theorem.exhaustive_search`` joins of
-each member's JSON list-item text. Every command is
+``example1`` reads each of its two stages off one. ``witness`` lists its
+violating bipartitions as the enumerator behind
+``theorem.exhaustive_search`` yields them, each side joined of
+``serialize.listed_id`` pieces and each item written once by
+``serialize.listing_item``. Every command is
 deterministic given identical inputs (including the seed). Exit codes: 0
 success, 1 operational failure (a bad argument included), 2 reserved for
 ``witness`` when a fairness violation is found, so shell pipelines can branch
@@ -24,7 +25,6 @@ import functools
 import sys
 from fractions import Fraction
 from itertools import combinations, starmap
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import serialize
@@ -194,32 +194,6 @@ def _classify_text(doc, args) -> str:
 
 
 # --- witness -----------------------------------------------------------------
-# A listing item sits at depth 3 of the witness document (exhaustive,
-# violations, item): its lines are indented by 6 spaces, its keys by 8 and
-# the items of its lists by 10, as ``json.dumps(doc, indent=2)`` writes them.
-_LISTED_ID = ",\n          "
-
-
-def _listed_id(ident: str) -> str:
-    """A member's piece of a listed side: its id as a JSON list item, comma first."""
-    return _LISTED_ID + encode_basestring_ascii(ident)
-
-
-@functools.cache
-def _listed_classes(classes: tuple[int, ...]) -> str:
-    """The ``violated_merit_classes`` list of a listing item, at its depth; a
-    violation has one of three non-empty class tuples, so the cache stays small."""
-    return serialize.json_text(list(classes)).replace("\n", "\n        ")
-
-
-def _listing_item(subset: str, complement: str, classes: tuple[int, ...]) -> str:
-    """One violation as its listing item's JSON text, from its two sides' list
-    bodies; a side is never empty, and ``[1:]`` drops its first item's comma."""
-    return serialize._Verbatim(
-        f'{{\n        "subset": [{subset[1:]}\n        ],'
-        f'\n        "complement": [{complement[1:]}\n        ],'
-        f'\n        "violated_merit_classes": {_listed_classes(classes)}\n      }}'
-    )
 
 
 def _cmd_witness(args):
@@ -227,14 +201,14 @@ def _cmd_witness(args):
     pop = load_population(_read(args.population))
     report = construct_witness(pop)
     searched = len(pop) <= args.max_n
-    found = _exhaustive_violations(pop, args.max_n, piece=_listed_id) if searched else ()
+    found = _exhaustive_violations(pop, args.max_n, piece=serialize.listed_id) if searched else ()
 
     doc = {
         "witness": serialize.witness_json(report),
         "exhaustive": {
             "searched": searched,
             "note": None if searched else f"population exceeds --max-n {args.max_n}; skipped",
-            "violations": list(starmap(_listing_item, found)),
+            "violations": list(starmap(serialize.listing_item, found)),
         },
     }
     return doc, EXIT_VIOLATION if report.violated_merit_classes else EXIT_OK

@@ -133,7 +133,8 @@ class PerGroupRates:
     ``_pairs`` holds the distinct pairs in their first order in ``table``, and
     ``_pair_of`` each value's index into them. Both are resolved once, here,
     and are not fields: equality and ``repr`` see ``attribute`` and ``table``
-    only.
+    only. ``table`` is read once, at construction: an edit to it afterwards
+    goes unseen by the rates, so build a new instance instead.
     """
 
     attribute: str
@@ -422,8 +423,10 @@ def empirical_rates(
 def _parse_json(source: str | bytes | IO[str] | IO[bytes], error: type[ProcfairError] = ProcfairError):
     """The package's one JSON reader of input documents, which reads ``source``
     as its UTF-8 file (:func:`~procfair.population._file_bytes`). Malformed text,
-    nesting too deep for the parser, or a name given twice in one object raises
-    ``error`` with a one-line message."""
+    an integer past the interpreter's digit limit, nesting too deep for the
+    parser, or a name given twice in one object raises ``error`` with a
+    one-line message; text that is not UTF-8 raises ``UnicodeError``, as
+    ``Path.read_text`` does."""
 
     def unique_names(pairs):
         doc = {}
@@ -433,9 +436,10 @@ def _parse_json(source: str | bytes | IO[str] | IO[bytes], error: type[ProcfairE
             doc[name] = value
         return doc
 
+    text = _file_bytes(source).decode()
     try:
-        return json.loads(_file_bytes(source).decode(), object_pairs_hook=unique_names)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        return json.loads(text, object_pairs_hook=unique_names)
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError or an over-long integer
         raise error(f"invalid JSON: {exc}") from exc
 
 

@@ -8,9 +8,10 @@ the same report twice produces identical text. :func:`json_text` owns JSON
 text as :func:`csv_text` owns CSV text: the one writes every report document,
 byte for byte as ``json.dumps(doc, indent=2)`` would, and the other every CSV
 report, the CLI's and ``roc-export``'s. ``witness``'s listing of violating
-bipartitions has no helper here: the CLI writes each listing item as JSON text
-from the sides the one enumerator in ``theorem`` joins, and wraps it in
-:class:`_Verbatim`, which :func:`json_text` writes as it stands. ``fairness``
+bipartitions is written here too, at the one depth it sits at: :func:`listed_id`
+is each member's piece of a side, which the one enumerator in ``theorem``
+joins, and :func:`listing_item` writes each violation from its two sides as
+:class:`_Verbatim` text, which :func:`json_text` writes as it stands. ``fairness``
 and ``theorem`` types appear only in annotations, so ``roc`` can import this
 module at its top.
 """
@@ -18,6 +19,7 @@ module at its top.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -48,16 +50,15 @@ def json_text(doc: Any) -> str:
     """A report document as ``json.dumps(doc, indent=2)`` writes it, byte for byte.
 
     A report document is built of dicts with string keys, lists, strings, ints,
-    finite floats, booleans and ``None``; anything else raises ``TypeError``,
-    and a document that contains itself (or nests past the recursion limit)
-    raises ``ValueError``. With an ``indent``, ``json.dumps`` runs CPython's
-    pure-Python encoder; this writer joins each container's parts in one
-    ``str.join`` instead. It dispatches on each value's exact type: a scalar
-    item is written inside its container's comprehension, without a call of
-    its own, and a list of strings in one ``join`` over the C string encoder.
-    A subclass (an ``IntEnum``, an ``OrderedDict``) is written as its base
-    type, as ``json.dumps`` writes it. The one exception is :class:`_Verbatim`,
-    by exact type: its text is written as it stands.
+    finite floats, booleans and ``None``, each of exactly that type; anything
+    else, a subclass (an ``IntEnum``, an ``OrderedDict``) included, raises
+    ``TypeError``, and a document that contains itself (or nests past the
+    recursion limit) raises ``ValueError``. With an ``indent``, ``json.dumps``
+    runs CPython's pure-Python encoder; this writer joins each container's
+    parts in one ``str.join`` instead. It dispatches on each value's exact
+    type, and writes a scalar item inside its container's comprehension,
+    without a call of its own. The one subclass it writes is
+    :class:`_Verbatim`, by exact type: its text is written as it stands.
     """
     try:
         return _json_value(doc, "\n")
@@ -94,11 +95,6 @@ def _json_value(value: Any, indent: str) -> str:
         if not value:
             return "[]"
         inner = indent + "  "
-        if type(value[0]) is str:
-            try:
-                return f"[{inner}{(',' + inner).join(map(encode_basestring_ascii, value))}{indent}]"
-            except TypeError:  # an item that is not a string: written one by one below
-                pass
         scalar = _SCALARS.get
         items = [
             write(item) if (write := scalar(type(item))) else _json_value(item, inner)
@@ -117,19 +113,9 @@ def _json_value(value: Any, indent: str) -> str:
         ]
         return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
     write = _SCALARS.get(kind)
-    if write is not None:
-        return write(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return float.__repr__(value)
-    if isinstance(value, list):
-        return _json_value(list(value), indent)
-    if isinstance(value, dict):
-        return _json_value(dict(value.items()), indent)
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    if write is None:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    return write(value)
 
 
 def rational_json(value: Fraction | None) -> dict[str, Any] | None:
@@ -244,3 +230,37 @@ def witness_json(report: WitnessReport) -> dict[str, Any]:
         "unwitnessable": report.unwitnessable,
     }
 
+
+# --- witness listing ---------------------------------------------------------
+# A listing item sits at depth ``_LISTING_DEPTH`` of the witness document
+# (exhaustive, violations, item). As ``json.dumps(doc, indent=2)`` indents
+# it, its lines start with ``_ITEM``, its keys one level deeper with ``_KEY``
+# and the items of its lists one more level deeper. The constant text of an
+# item is held in two prefixes and a cached tail, so that writing one, once
+# per violation, is a single f-string of five parts.
+_LISTING_DEPTH = 3
+_ITEM = "\n" + "  " * _LISTING_DEPTH
+_KEY = _ITEM + "  "
+_LISTED_ID = "," + _KEY + "  "
+_SUBSET = "{" + _KEY + '"subset": ['
+_COMPLEMENT = _KEY + "]," + _KEY + '"complement": ['
+
+
+def listed_id(ident: str) -> str:
+    """A member's piece of a listed side: its id as a JSON list item, comma first."""
+    return _LISTED_ID + encode_basestring_ascii(ident)
+
+
+@functools.cache
+def _listed_tail(classes: tuple[int, ...]) -> str:
+    """A listing item's text after its complement's body: its
+    ``violated_merit_classes`` list at its depth, and the item's end. A
+    violation has one of three non-empty class tuples, so the cache stays small."""
+    return f'{_KEY}],{_KEY}"violated_merit_classes": {_json_value(list(classes), _KEY)}{_ITEM}}}'
+
+
+def listing_item(subset: str, complement: str, classes: tuple[int, ...]) -> _Verbatim:
+    """One violation as its listing item's JSON text, from its two sides' list
+    bodies joined of :func:`listed_id` pieces; a side is never empty, and
+    ``[1:]`` drops its first item's comma."""
+    return _Verbatim(f"{_SUBSET}{subset[1:]}{_COMPLEMENT}{complement[1:]}{_listed_tail(classes)}")

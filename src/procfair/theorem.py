@@ -18,9 +18,10 @@ one bipartition enumerator of the package, which
 the caller's probability codes and yields each violating split, in
 increasing order of the split's bitmask, as its two sides, each joined from
 one piece per member in sorted id order. The piece is the 1-tuple of the id
-unless the caller names another: the CLI's ``witness`` passes each member's
-JSON list-item text, so each side arrives as the body of its JSON list and
-the CLI writes the listing with no id encoded per split.
+unless the caller names another: the CLI's ``witness`` passes
+``serialize.listed_id``, each member's JSON list-item text, so each side
+arrives as the body of its JSON list and ``serialize`` writes the listing
+with no id encoded per split.
 Every probability becomes an integer numerator over a common denominator,
 and class means are compared by cross multiplication against an integer
 tolerance bound. numpy makes that test for a chunk of ``BIPARTITION_CHUNK``

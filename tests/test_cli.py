@@ -820,6 +820,16 @@ def test_deeply_nested_json_input_is_an_error(capsys, tmp_path, command):
     assert err.startswith("error: invalid JSON: ")
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="no integer digit limit")
+def test_an_integer_past_the_digit_limit_is_invalid_json(capsys, tmp_path):
+    points = tmp_path / "points.json"
+    digits = "1" + "0" * sys.get_int_max_str_digits()
+    points.write_text(f'[{{"label": "a", "h": {digits}, "k": 0}}]', encoding="utf-8")
+    code, out, err = run(capsys, "roc-export", str(points))
+    assert code == 1 and out == "" and single_error_line(err)
+    assert err.startswith("error: invalid JSON: ")
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -536,6 +537,13 @@ def test_criterion_groups_see_same_global_rates():
 def test_load_procedure_refuses_json_nested_too_deeply():
     with pytest.raises(ProcedureSpecError, match="invalid JSON"):
         load_procedure("[" * 200_000 + "]" * 200_000)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="no integer digit limit")
+def test_load_procedure_refuses_an_integer_past_the_digit_limit():
+    digits = "1" + "0" * sys.get_int_max_str_digits()
+    with pytest.raises(ProcedureSpecError, match="^invalid JSON: "):
+        load_procedure(f'{{"type": "randomized", "rates": {{"global": [{digits}, 0]}}}}')
 
 
 def test_load_procedure_refuses_a_document_that_is_not_an_object():
