@@ -6,16 +6,16 @@ dict that ``--format json`` prints; its CSV and text formats (and
 ``roc-export``'s SVG) are renderings of that document, and :func:`main`
 writes the result to ``--out`` or standard output. Every input file is read
 as bytes by :func:`_read` and handed to the library, which reads it as its
-UTF-8 file. :func:`_audit_document` builds the ``audit`` document, and
-``example1`` reads each of its two stages off one. ``witness`` lists its
-violating bipartitions as the enumerator behind
-``theorem.exhaustive_search`` yields them, each side joined of
+UTF-8 file and checks its format (``roc._load_points`` the points file);
+every CSV report is written by ``population.csv_text``. :func:`_audit_document`
+builds the ``audit`` document, and ``example1`` reads each of its two stages
+off one. ``witness`` lists its violating bipartitions as the enumerator
+behind ``theorem.exhaustive_search`` yields them, each side joined of
 ``serialize.listed_id`` pieces and each item written once by
-``serialize.listing_item``. Every command is
-deterministic given identical inputs (including the seed). Exit codes: 0
-success, 1 operational failure (a bad argument included), 2 reserved for
-``witness`` when a fairness violation is found, so shell pipelines can branch
-on the result.
+``serialize.listing_item``. Every command is deterministic given identical
+inputs (including the seed). Exit codes: 0 success, 1 operational failure
+(a bad argument included), 2 reserved for ``witness`` when a fairness
+violation is found, so shell pipelines can branch on the result.
 """
 
 from __future__ import annotations
@@ -36,17 +36,17 @@ from .fairness import (
     expected_contingency,
     justice_metrics,
 )
-from .population import GUILTY, INNOCENT, AttributeEquals, load_population
+from .population import GUILTY, INNOCENT, AttributeEquals, csv_text, load_population
 from .procedure import (
     ConditionalRates,
-    _parse_json,
+    RocPoint,
     conviction_sums,
     empirical_rates,
     exact_rates,
     load_procedure,
     simulate,
 )
-from .roc import RocPoint, _checked_eps, classify, diagram_rows, is_merit_agnostic, render_diagram
+from .roc import _checked_eps, _load_points, classify, diagram_rows, is_merit_agnostic, render_diagram
 from .theorem import DEFAULT_MAX_N, _check_search_limit, _exhaustive_violations, construct_witness
 
 EXIT_OK = 0
@@ -77,8 +77,6 @@ def _cells(r) -> list[str]:
 
 def _fmt(r) -> str:
     """Human form of a rendered rational: integers plainly, others with approx."""
-    if r is None:
-        return "undefined"
     if r["ratio"].endswith("/1"):
         return r["ratio"][:-2]
     return f"{r['ratio']} (~{r['approx']:.4f})"
@@ -170,7 +168,7 @@ def _audit_csv(doc, args) -> str:
     for v in doc["verdicts"]:
         pair = "|".join(f"{g['name']}={g['value']}" for g in (v["group_a"], v["group_b"]))
         rows.append(["verdict", pair, "", "fair", v["fair"], v["fair"]])
-    return serialize.csv_text(rows)
+    return csv_text(rows)
 
 
 # --- classify ----------------------------------------------------------------
@@ -263,7 +261,7 @@ def _simulate_csv(doc, args) -> str:
     for source in ("empirical", "expected"):
         for rate in ("h", "k"):
             rows.append([f"{source}_{rate}", *_cells(doc[source][rate])])
-    return serialize.csv_text(rows)
+    return csv_text(rows)
 
 
 # --- example1 ----------------------------------------------------------------
@@ -285,7 +283,7 @@ def _example1_csv(doc, args) -> str:
                      _cells(cell["expected_convictions"])[1], _cells(share)[1],
                      stage["verdict"]["fair"]]
                 )
-    return serialize.csv_text(rows)
+    return csv_text(rows)
 
 
 def _example1_text(doc, args) -> str:
@@ -339,17 +337,7 @@ def _example1_text(doc, args) -> str:
 
 def _cmd_roc_export(args):
     eps = _checked_eps(args.eps)
-    points = []
-    if args.points:
-        entries = _parse_json(_read(args.points))
-        if not isinstance(entries, list):
-            raise ProcfairError("points file must be a JSON list of {label, h, k} objects")
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict) or not {"label", "h", "k"} <= set(entry):
-                raise ProcfairError(f"points entry {i} must carry label, h and k")
-            if not isinstance(entry["label"], str):
-                raise ProcfairError(f"points entry {i} label must be a string")
-            points.append((entry["label"], RocPoint(entry["h"], entry["k"])))
+    points = _load_points(_read(args.points)) if args.points else []
     return diagram_rows(points, eps), EXIT_OK
 
 

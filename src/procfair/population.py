@@ -1,4 +1,4 @@
-"""Individuals, populations, attribute-defined groups, and CSV ingestion.
+"""Individuals, populations, attribute-defined groups, and the CSV format.
 
 A population is an ordered, immutable collection of individuals. Each
 individual carries a binary merit label (does this person deserve the
@@ -28,6 +28,8 @@ exactly the members that the loader can return. A group is the rows that
 :func:`group_rows` selects, sorted row indices or ``ALL`` for every member.
 Every exact aggregate downstream is a count per (cell, merit class, code) from
 :func:`cell_counts`, where one int is the cell or the code of every member.
+:func:`csv_text` is the package's one CSV writer: :func:`dump_population`
+writes through it, and so does every CSV report.
 Everything here is read-only, so every operation is a pure function and safe
 under concurrent use.
 """
@@ -40,6 +42,7 @@ import io
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -779,13 +782,18 @@ def dump_population(pop: Population) -> str:
     holds a CR or a lone surrogate. Each member's attributes are written in
     column order.
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
     labels = ("0", "1", "")  # by label, and MISSING (-1) last
-    for ident, merit, criterion, attrs in zip(
-        pop.ids(), pop.merit.tolist(), pop.criterion.tolist(), pop._attribute_dicts(np.arange(len(pop)))
-    ):
-        attrs = ";".join(map("=".join, attrs.items()))
-        writer.writerow([ident, labels[merit], labels[criterion], attrs])
+    rows = (
+        [ident, labels[merit], labels[criterion], ";".join(map("=".join, attrs.items()))]
+        for ident, merit, criterion, attrs in zip(
+            pop.ids(), pop.merit.tolist(), pop.criterion.tolist(), pop._attribute_dicts(np.arange(len(pop)))
+        )
+    )
+    return csv_text(chain([CSV_HEADER], rows))  # streamed: no list of every row
+
+
+def csv_text(rows: Iterable[Sequence]) -> str:
+    """``rows`` as CSV text with LF line endings: the package's one CSV writer."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()

@@ -5,7 +5,8 @@ exactly when the individual's criterion label is 0 (outcome equals
 criterion). A randomized procedure convicts by chance, with conviction
 probabilities conditioned on merit: ``h = P(U=0 | J=0)`` for the guilty and
 ``k = P(U=0 | J=1)`` for the innocent, configured either globally or per
-value of one attribute.
+value of one attribute. A global procedure's :class:`GlobalRates` is its
+:class:`RocPoint`, the point that ``roc`` exports and classifies.
 
 All exact rates are computed with :class:`fractions.Fraction`; floating
 point enters only in Monte-Carlo simulation, which is fully determined by
@@ -115,15 +116,20 @@ class DeterministicProcedure:
 
 
 @dataclass(frozen=True)
-class GlobalRates:
-    """One conviction-rate pair for everybody."""
+class RocPoint:
+    """A procedure's conviction rates: h = P(U=0|J=0), k = P(U=0|J=1)."""
 
-    h: Fraction  # P(U=0 | J=0)
-    k: Fraction  # P(U=0 | J=1)
+    h: Fraction
+    k: Fraction
 
     def __init__(self, h, k):
         object.__setattr__(self, "h", as_probability(h))
         object.__setattr__(self, "k", as_probability(k))
+
+
+@dataclass(frozen=True, init=False)  # keeps RocPoint's checked __init__
+class GlobalRates(RocPoint):
+    """One conviction-rate pair for everybody: the procedure's point."""
 
 
 @dataclass(frozen=True)

@@ -13,21 +13,23 @@ vertical axis and the everyone-acquitted corner sits at the bottom, which is
 the layout used by the exported diagram. :func:`diagram_rows` gives each
 labeled point one row, the JSON document of ``roc-export``, and
 :func:`render_diagram`, the one SVG writer, draws those rows (their CSV goes
-through ``serialize.csv_text``); both :func:`export_diagram` and ``roc-export
---format svg|csv`` use it. :func:`_checked_eps` is the one ``eps`` rule.
+through ``population.csv_text``); both :func:`export_diagram` and ``roc-export
+--format svg|csv`` use it. :func:`_checked_eps` is the one ``eps`` rule, and
+:func:`_load_points` the one points-file rule.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import IO, Sequence
 
-from .procedure import as_probability, as_rational
-from .serialize import csv_text, rational_json
+from .errors import ProcfairError
+from .population import csv_text
+from .procedure import RocPoint, _parse_json, as_rational
+from .serialize import rational_json
 
 __all__ = [
     "ProcedureClass",
@@ -68,18 +70,6 @@ MERIT_AGNOSTIC_CLASSES = frozenset(
 def is_merit_agnostic(cls: ProcedureClass) -> bool:
     """Whether conviction probability is independent of merit for this class."""
     return cls in MERIT_AGNOSTIC_CLASSES
-
-
-@dataclass(frozen=True)
-class RocPoint:
-    """A procedure's conviction rates: h = P(U=0|J=0), k = P(U=0|J=1)."""
-
-    h: Fraction
-    k: Fraction
-
-    def __init__(self, h, k):
-        object.__setattr__(self, "h", as_probability(h))
-        object.__setattr__(self, "k", as_probability(k))
 
 
 def _checked_eps(eps) -> Fraction:
@@ -176,6 +166,22 @@ def diagram_rows(points: Sequence[tuple[str, RocPoint]], eps=0) -> list[dict]:
              "x": x, "y": y, "class": cls.value, "merit_agnostic": is_merit_agnostic(cls)}
         )
     return rows
+
+
+def _load_points(source: str | bytes | IO[str] | IO[bytes]) -> list[tuple[str, RocPoint]]:
+    """The labeled points of a points file, a JSON list of ``{label, h, k}``
+    objects read by :func:`~procfair.procedure._parse_json`."""
+    entries = _parse_json(source)
+    if not isinstance(entries, list):
+        raise ProcfairError("points file must be a JSON list of {label, h, k} objects")
+    points = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not {"label", "h", "k"} <= set(entry):
+            raise ProcfairError(f"points entry {i} must carry label, h and k")
+        if not isinstance(entry["label"], str):
+            raise ProcfairError(f"points entry {i} label must be a string")
+        points.append((entry["label"], RocPoint(entry["h"], entry["k"])))
+    return points
 
 
 def export_diagram(points: Sequence[tuple[str, RocPoint]], format: str = "svg", eps=0) -> str:

@@ -1,29 +1,26 @@
-"""JSON values and CSV text for reports.
+"""JSON values and JSON text for reports.
 
 Every exact rational is rendered by :func:`rational_json` as an object carrying
 both the ``"a/b"`` ratio string and a float approximation, e.g. ``{"ratio":
 "3/4", "approx": 0.75}``, so downstream tools can choose exactness or
 convenience. All dictionaries are built in a deterministic order; serializing
 the same report twice produces identical text. :func:`json_text` owns JSON
-text as :func:`csv_text` owns CSV text: the one writes every report document,
-byte for byte as ``json.dumps(doc, indent=2)`` would, and the other every CSV
-report, the CLI's and ``roc-export``'s. ``witness``'s listing of violating
-bipartitions is written here too, at the one depth it sits at: :func:`listed_id`
-is each member's piece of a side, which the one enumerator in ``theorem``
-joins, and :func:`listing_item` writes each violation from its two sides as
-:class:`_Verbatim` text, which :func:`json_text` writes as it stands. ``fairness``
-and ``theorem`` types appear only in annotations, so ``roc`` can import this
-module at its top.
+text as ``population.csv_text`` owns CSV text: it writes every report
+document, byte for byte as ``json.dumps(doc, indent=2)`` would. ``witness``'s
+listing of violating bipartitions is written here too, at the one depth it
+sits at: :func:`listed_id` is each member's piece of a side, which the one
+enumerator in ``theorem`` joins, and :func:`listing_item` writes each
+violation from its two sides as :class:`_Verbatim` text, which
+:func:`json_text` writes as it stands. ``fairness`` and ``theorem`` types
+appear only in annotations, so ``roc`` can import this module at its top.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable
 
 from .population import AttributeEquals, CriterionEquals
 from .procedure import (
@@ -37,13 +34,6 @@ from .procedure import (
 if TYPE_CHECKING:
     from .fairness import ContingencyTable, FairnessVerdict, JusticeMetrics
     from .theorem import WitnessReport
-
-
-def csv_text(rows: Iterable[Sequence]) -> str:
-    """``rows`` as CSV text with LF line endings."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    return out.getvalue()
 
 
 def json_text(doc: Any) -> str:

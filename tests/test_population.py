@@ -246,6 +246,20 @@ def test_a_plain_file_dumps_as_it_was_read(ids, data):
     assert dump_population(load_population(text)) == text
 
 
+def test_a_dump_quotes_only_the_fields_that_need_it():
+    pop = Population(
+        [
+            Individual("a,b", 1, 0, {"t": "x"}),
+            Individual('say "hi"', 0, 1, {}),
+            Individual("line\nbreak", 1, None, {"t": "y"}),
+            Individual("c", 0, None, {"t": "p,q"}),
+        ]
+    )
+    text = HEADER + '"a,b",1,0,t=x\n"say ""hi""",0,1,\n"line\nbreak",1,,t=y\nc,0,,"t=p,q"\n'
+    assert dump_population(pop) == text
+    assert load_population(text) == pop
+
+
 # group selection and merit counts against the built-in scenario
 
 

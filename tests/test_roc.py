@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from procfair import roc
+from procfair.procedure import GlobalRates, global_procedure
 from procfair.roc import (
     ProcedureClass,
     RocPoint,
@@ -138,6 +140,17 @@ def test_degenerate_classes_flagged_merit_agnostic():
 def test_rocpoint_rejects_out_of_range():
     with pytest.raises(ValueError):
         RocPoint("3/2", 0)
+
+
+def test_a_global_procedures_rates_are_its_point():
+    rates = global_procedure("3/4", "1/10").rates
+    assert isinstance(rates, RocPoint)
+    assert classify(rates) is classify(RocPoint("3/4", "1/10")) is ProcedureClass.IMPERFECTLY_JUST
+    assert repr(rates).startswith("GlobalRates(h=")
+    assert GlobalRates(1, 0) != RocPoint(1, 0)
+    assert [field.name for field in dataclasses.fields(GlobalRates)] == ["h", "k"]
+    with pytest.raises(ValueError):
+        GlobalRates(2, 0)  # the checked __init__ of RocPoint, not a generated one
 
 
 # --- diamond mapping -----------------------------------------------------------
