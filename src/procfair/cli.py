@@ -324,9 +324,10 @@ def _example1_text(doc, args) -> str:
                 f"{_fmt(gj['mistaken_convictions'])} mistaken, "
                 f"guilty share {_fmt(gj['guilty_share'])}"
             )
+        verdict = stage["verdict"]
         lines += [
-            "  pairwise fairness (M vs F, tolerance 0): "
-            f"{'fair' if stage['verdict']['fair'] else 'unfair'}",
+            f"  pairwise fairness ({verdict['group_a']['value']} vs {verdict['group_b']['value']}, "
+            f"tolerance {_fmt(verdict['tolerance'])}): {'fair' if verdict['fair'] else 'unfair'}",
             f"  classification: {stage['classification']}",
         ]
     return "\n".join(lines) + "\n"

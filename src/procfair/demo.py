@@ -9,17 +9,20 @@ that fixes those same rates per sex. The expected tables come out exact:
 375/350 for women, so among convicted women barely half are guilty while for
 men 400 of 1900 convictions are mistaken. The scenario shows fairness and
 imperfect justice coexisting when only a limited set of groups is protected.
-Each stage is read off the ``audit --attribute sex`` document of the population.
+The population is plain data: :data:`GROUP_SIZES` written as population-CSV
+text and read by :func:`load_population`, so that only ``population`` knows
+the column layout. Each stage is read off the ``audit --attribute sex``
+document of the population, which :func:`demo_report` loads once per process.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping
+from functools import cache
+from itertools import chain
+from typing import Mapping
 
-import numpy as np
-
-from .population import GUILTY, INNOCENT, MISSING, AttributeColumn, Population
+from .population import CSV_HEADER, GUILTY, INNOCENT, Population, csv_text, load_population
 from .procedure import RandomizedProcedure, global_procedure, make_group_fair
 from .roc import RocPoint, classify
 
@@ -39,38 +42,22 @@ POPULATION_NOTE = (
 )
 
 
-class _DemoIds:
-    """The member ids of :func:`demo_population`: per group, its lower-case
-    value and a four-digit serial from 1 (``m0001`` … ``m6000``, ``f0001`` …
-    ``f4000``), each formatted only when it is read."""
-
-    def __getitem__(self, i: int) -> str:
-        row = i
-        for value, by_merit in GROUP_SIZES.items():
-            size = sum(by_merit.values())
-            if row < size:
-                return f"{value.lower()}{row + 1:04d}"
-            row -= size
-        raise IndexError(f"no member {i}")
-
-    def __iter__(self) -> Iterator[str]:
-        for value, by_merit in GROUP_SIZES.items():
-            prefix = value.lower()
-            yield from (f"{prefix}{serial:04d}" for serial in range(1, sum(by_merit.values()) + 1))
-
-
 def demo_population() -> Population:
-    """The 10000-member population, grouped by sex with fixed guilt counts:
-    each group's guilty members, then its innocent ones."""
-    labels = (GUILTY, INNOCENT)
-    counts = [by_merit[label] for by_merit in GROUP_SIZES.values() for label in labels]
-    sizes = [sum(by_merit.values()) for by_merit in GROUP_SIZES.values()]
-    return Population._from_columns(
-        _DemoIds(),
-        np.repeat(np.array(labels * len(GROUP_SIZES), dtype=np.int8), counts),
-        np.full(sum(sizes), MISSING, dtype=np.int8),
-        {SEX: AttributeColumn(tuple(GROUP_SIZES), np.repeat(np.arange(len(sizes), dtype=np.int32), sizes))},
+    """A new copy of the 10000-member population, grouped by sex with fixed
+    guilt counts, on every call: :data:`GROUP_SIZES` written as population-CSV
+    text and read back by :func:`load_population`. Each group holds its guilty
+    members, then its innocent ones, and each id is the group's lower-case
+    value and a four-digit serial from 1 (``m0001`` … ``m6000``, ``f0001`` …
+    ``f4000``)."""
+    rows = (
+        (f"{value.lower()}{serial:04d}", label, "", f"{SEX}={value}")
+        for value, by_merit in GROUP_SIZES.items()
+        for serial, label in enumerate([GUILTY] * by_merit[GUILTY] + [INNOCENT] * by_merit[INNOCENT], 1)
     )
+    return load_population(csv_text(chain([CSV_HEADER], rows)))
+
+
+_report_population = cache(demo_population)  # demo_report's own copy: loaded once, never handed out
 
 
 def demo_global_procedure() -> RandomizedProcedure:
@@ -85,7 +72,7 @@ def demo_report() -> dict:
     """The ``example1`` report: each stage is read off its ``audit --attribute sex`` document."""
     from .cli import _audit_document  # cli imports this module at its top
 
-    pop = demo_population()
+    pop = _report_population()
     stages = []
     for name, proc in (
         ("global", demo_global_procedure()),

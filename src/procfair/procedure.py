@@ -140,7 +140,8 @@ class PerGroupRates:
     ``_pair_of`` each value's index into them. Both are resolved once, here,
     and are not fields: equality and ``repr`` see ``attribute`` and ``table``
     only. ``table`` is read once, at construction: an edit to it afterwards
-    goes unseen by the rates, so build a new instance instead.
+    goes unseen by the rates and by a report's echo of them, so build a new
+    instance instead.
     """
 
     attribute: str

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from procfair import serialize, theorem
+from procfair import demo, serialize, theorem
 from procfair.cli import build_parser, main
 from procfair.demo import demo_population
 from procfair.population import Individual, Population, dump_population, load_population
@@ -130,6 +130,23 @@ def test_example1_stages_are_the_sex_audits_of_its_population(capsys, tmp_path):
         overall = audit["rates"]["overall"]
         point = RocPoint(overall["h"]["ratio"], overall["k"]["ratio"])
         assert stage["classification"] == classify(point).value
+
+
+def test_example1_loads_its_population_once_and_hands_out_a_new_one(monkeypatch):
+    """``demo_report`` reads one private copy of the population, loaded once
+    per process; ``demo_population`` gives each caller its own."""
+    loads = []
+
+    def counted_load(source):
+        loads.append(source)
+        return load_population(source)
+
+    monkeypatch.setattr(demo, "load_population", counted_load)
+    demo._report_population.cache_clear()
+    assert demo.demo_report() == demo.demo_report()
+    assert len(loads) == 1
+    assert demo.demo_population() is not demo.demo_population()
+    assert demo.demo_population() is not demo._report_population()
 
 
 def _checkout_env() -> dict:

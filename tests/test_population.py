@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from procfair import population
-from procfair.demo import demo_population
+from procfair.demo import GROUP_SIZES, demo_population
 from procfair.errors import (
     MissingCriterionError,
     MissingRateError,
@@ -447,6 +447,17 @@ def test_dump_quotes_a_carriage_return_inside_an_id_or_value():
     crlf = dump_population(pop).replace("\n", "\r\n")
     assert crlf == 'id,J,X,attrs\r\n"a\r\nb",0,,"town=x\r\ny"\r\nc,1,1,\r\n'
     assert load_population(crlf.encode()) == load_population(crlf) == pop
+
+
+def test_demo_population_is_example_1s_group_tables():
+    """Example 1's data, written out here: per group, its guilty members, then
+    its innocent ones, each id the group's lower-case value and a serial from 1."""
+    assert GROUP_SIZES == {"M": {0: 2000, 1: 4000}, "F": {0: 500, 1: 3500}}
+    lines = ["id,J,X,attrs"]
+    for value, by_merit in GROUP_SIZES.items():
+        merits = ["0"] * by_merit[0] + ["1"] * by_merit[1]
+        lines += [f"{value.lower()}{serial:04d},{j},,sex={value}" for serial, j in enumerate(merits, 1)]
+    assert dump_population(demo_population()) == "\n".join(lines) + "\n"
 
 
 def test_demo_population_formats_each_id_only_when_read():

@@ -42,6 +42,7 @@ from procfair.procedure import (
     per_group_procedure,
     simulate,
 )
+from procfair.serialize import procedure_json, rational_json
 
 
 # --- probability parsing ---------------------------------------------------
@@ -208,6 +209,25 @@ def test_per_group_rates_resolve_their_pairs_once_outside_their_fields():
     )
     assert rates == PerGroupRates("sex", {"M": (0.75, 0.1), "F": ("3/4", "1/10"), "X": (1, 0)})
     assert rates != PerGroupRates("sex", {"M": (0.75, 0.1), "F": ("3/4", "1/10"), "X": (0, 1)})
+
+
+def test_a_procedures_echo_is_the_rates_it_uses_after_its_table_is_edited():
+    """A report echoes the pairs resolved at construction, which the rates use,
+    not an edit made to ``table`` afterwards."""
+    proc = per_group_procedure("sex", {"M": ("3/4", "1/10"), "F": ("1/2", "1/5")})
+    echo = procedure_json(proc)
+    assert echo["rates"] == {
+        "F": [rational_json(Fraction(1, 2)), rational_json(Fraction(1, 5))],
+        "M": [rational_json(Fraction(3, 4)), rational_json(Fraction(1, 10))],
+    }
+    pop = Population([Individual("a", 0, attributes={"sex": "M"}), Individual("b", 1, attributes={"sex": "M"})])
+    rates = exact_rates(proc, pop)
+    proc.rates.table["M"] = (Fraction(1), Fraction(1))
+    proc.rates.table["X"] = (Fraction(0), Fraction(0))
+    del proc.rates.table["F"]
+    assert procedure_json(proc) == echo
+    assert exact_rates(proc, pop) == rates
+    assert (rates.h, rates.k) == (Fraction(3, 4), Fraction(1, 10))
 
 
 def test_ambiguous_rates_name_the_pairs_in_order():
