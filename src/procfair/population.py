@@ -25,7 +25,9 @@ one member decodes only that member's id. The member view (``members``,
 ``by_id``, iteration) is built from the columns only when something asks for
 it, without checking each member again, since :class:`Individual` accepts
 exactly the members that the loader can return. A group is the rows that
-:func:`group_rows` selects, sorted row indices or ``ALL`` for every member.
+:func:`group_rows` selects, read-only sorted row indices or ``ALL`` for every
+member; an attribute's groups are slices of one stable partition of its
+column's rows by code, built on the column's first query.
 Every exact aggregate downstream is a count per (cell, merit class, code) from
 :func:`cell_counts`, where one int is the cell or the code of every member.
 :func:`csv_text` is the package's one CSV writer: :func:`dump_population`
@@ -156,13 +158,20 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 class AttributeColumn:
     """One dictionary-encoded attribute: distinct ``values`` in first-appearance
-    order and one ``codes`` entry per member indexing them (-1 when absent)."""
+    order and one ``codes`` entry per member indexing them (-1 when absent).
 
-    __slots__ = ("values", "codes")
+    The rows of each code come from one stable partition of the rows by code,
+    built on the first :meth:`_rows` query and kept, read-only, for the
+    column's life. It is derived data: equality and pickling see only
+    ``values`` and ``codes``.
+    """
+
+    __slots__ = ("values", "codes", "_partition")
 
     def __init__(self, values: tuple[str, ...], codes: np.ndarray):
         self.values = values
         self.codes = _frozen(codes)
+        self._partition: tuple[np.ndarray, np.ndarray] | None = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AttributeColumn):
@@ -170,6 +179,25 @@ class AttributeColumn:
         return self.values == other.values and np.array_equal(self.codes, other.codes)
 
     __hash__ = None
+
+    def __reduce__(self):
+        return AttributeColumn, (self.values, self.codes)
+
+    def _rows(self, code: int) -> np.ndarray:
+        """The sorted rows whose code is ``code``, ``MISSING`` included: a
+        read-only slice of the rows ordered by code, rows in order within a code."""
+        if self._partition is None:
+            # codes shifted up by one, MISSING to 0, in the narrowest type, which
+            # numpy's stable sort orders by radix when it has at most 16 bits
+            n_keys = len(self.values) + 1
+            dtype = np.uint8 if n_keys <= 2**8 else np.uint16 if n_keys <= 2**16 else np.int32
+            keys = self.codes.astype(dtype)
+            keys += 1
+            offsets = np.zeros(n_keys + 1, dtype=np.intp)
+            np.cumsum(np.bincount(keys, minlength=n_keys), out=offsets[1:])
+            self._partition = _frozen(np.argsort(keys, kind="stable")), _frozen(offsets)
+        order, offsets = self._partition
+        return order[offsets[code + 1] : offsets[code + 2]]
 
 
 def _encode_attributes(
@@ -345,24 +373,34 @@ class Singleton:
 GroupSpec = Union[AttributeEquals, CriterionEquals, ExplicitIdSet, Singleton]
 
 
+_NO_ROWS = _frozen(np.empty(0, dtype=np.intp))
+
+
 def group_rows(pop: Population, g: GroupSpec | None) -> np.ndarray | slice:
-    """The rows of ``g``'s members: sorted row indices, or ``ALL`` when ``g`` is ``None``."""
+    """The rows of ``g``'s members: read-only sorted row indices, or ``ALL``
+    when ``g`` is ``None``.
+
+    An attribute group is a slice of its column's partition by code (see
+    :class:`AttributeColumn`), so it costs its own size once the column's
+    first query has built the partition; a criterion group takes one pass over
+    the criterion labels, and an id-based group one lookup per id.
+    """
     if g is None:
         return ALL
     if isinstance(g, AttributeEquals):
         column = pop.attributes.get(g.name)
         if column is None or g.value not in column.values:
-            return np.empty(0, dtype=np.intp)
-        return np.flatnonzero(column.codes == column.values.index(g.value))
+            return _NO_ROWS
+        return column._rows(column.values.index(g.value))
     if isinstance(g, CriterionEquals):
-        return np.flatnonzero(pop.criterion == g.value)
+        return _frozen(np.flatnonzero(pop.criterion == g.value))
     ids = g.ids if isinstance(g, ExplicitIdSet) else {g.id}
     unknown = ids - pop._index.keys()
     if unknown and isinstance(g, Singleton):
         raise UnknownIdError(f"unknown id in group: {g.id!r}")
     if unknown:
         raise UnknownIdError(f"unknown ids in group: {sorted(unknown)}")
-    return np.sort(np.array([pop._index[ident] for ident in ids], dtype=np.intp))
+    return _frozen(np.sort(np.array([pop._index[ident] for ident in ids], dtype=np.intp)))
 
 
 def group_members(pop: Population, g: GroupSpec | None) -> tuple[Individual, ...]:
@@ -615,11 +653,51 @@ def _mix_keys(lengths: np.ndarray, rounds: Iterable[tuple[np.ndarray | slice, np
     return keys
 
 
+_PREFIX_ROWS = 4096  # the rows whose distinct keys make _table_groups's table
+
+
+def _table_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Group rows by key through a direct table of the distinct keys of the
+    first ``_PREFIX_ROWS`` rows, indexed by high key bits: each row's group,
+    numbered in key order, and each group's first row. ``None`` when a row's
+    key is not in its slot: a later row's key is not among those, or two of
+    them share a slot, which holds only one.
+
+    The table has room for about 64 times the square of the distinct count,
+    up to 2^16 slots, so that a few distinct keys seldom share a slot.
+    """
+    distinct, first = np.unique(keys[:_PREFIX_ROWS], return_index=True)
+    bits = min(16, max(1, (64 * len(distinct) ** 2).bit_length()))
+    shift = np.uint64(64 - bits)
+    table = np.zeros(1 << bits, dtype=np.uint16)
+    table[distinct >> shift] = np.arange(len(distinct))
+    group = table.take(keys >> shift)  # take gathers about twice as fast as indexing
+    # an empty slot reads as group 0, whose key differs from every key that
+    # maps to that slot; so a row's key is in the table exactly when it is its group's
+    if (distinct.take(group) != keys).any():
+        return None
+    return group, first
+
+
+def _sorted_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group rows by sorting their keys: each row's group, numbered in key
+    order, and each group's first row."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    opens = np.empty(len(keys), dtype=bool)
+    opens[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=opens[1:])
+    group = np.empty(len(keys), dtype=np.intp)
+    group[order] = np.cumsum(opens) - 1
+    return group, np.minimum.reduceat(order, np.flatnonzero(opens))
+
+
 def _group_cells(cells: _Cells, column: int) -> tuple[np.ndarray, np.ndarray]:
     """Group the cells of ``column`` by their bytes: the first row of each group
     in first-appearance order, and each row's group, numbered in that order.
 
-    Rows are grouped by key, then every row's words are compared with its
+    Rows are grouped by key, through :func:`_table_groups` or else
+    :func:`_sorted_groups`, then every row's words are compared with its
     group's first row's; only if two different cells share a key are the cells
     grouped again, as bytes.
     """
@@ -628,14 +706,7 @@ def _group_cells(cells: _Cells, column: int) -> tuple[np.ndarray, np.ndarray]:
     lengths = ends - starts
     rounds = list(_field_words(data, starts, ends))
     keys = _mix_keys(lengths, rounds)
-    order = np.argsort(keys)
-    ordered = keys[order]
-    opens = np.empty(len(keys), dtype=bool)
-    opens[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=opens[1:])
-    group = np.empty(len(keys), dtype=np.intp)
-    group[order] = np.cumsum(opens) - 1
-    first = np.minimum.reduceat(order, np.flatnonzero(opens))
+    group, first = _table_groups(keys) or _sorted_groups(keys)
     leader = first[group]
     exact = (lengths[leader] == lengths).all()
     position = np.empty(len(keys), dtype=np.intp)  # of each row within a round's rows
@@ -661,10 +732,6 @@ def _group_cells(cells: _Cells, column: int) -> tuple[np.ndarray, np.ndarray]:
     return first[order], renumber[group]
 
 
-_GRAPHIC_ASCII = np.zeros(256, dtype=bool)  # the bytes of "!" to "~", which str.strip keeps
-_GRAPHIC_ASCII[ord("!") : ord("~") + 1] = True
-
-
 def _id_bounds(cells: _Cells, errors: list[_RowError]) -> _IdRanges:
     """The byte range in ``cells.raw`` of every stripped id; the first empty id
     and the first duplicate put their errors in ``errors``.
@@ -676,7 +743,9 @@ def _id_bounds(cells: _Cells, errors: list[_RowError]) -> _IdRanges:
     raw = cells.raw
     data = np.frombuffer(raw, dtype=np.uint8)
     starts, ends = cells.column(0)
-    edge = ~(_GRAPHIC_ASCII[data[starts]] & _GRAPHIC_ASCII[data[ends - 1]]) | (starts == ends)
+    # only "!" to "~", which str.strip keeps, are at most "~" - "!" above "!"; lower bytes wrap
+    first, last = data[starts] - ord("!"), data[ends - 1] - ord("!")
+    edge = (first > ord("~") - ord("!")) | (last > ord("~") - ord("!")) | (starts == ends)
     for row in np.flatnonzero(edge).tolist():
         cell = cells.text(0, row)
         ident = cell.strip()

@@ -381,8 +381,8 @@ def exact_rates(
     rational arithmetic. Randomized procedures report their configured rates;
     a group spanning members with different configured pairs raises
     :class:`AmbiguousRateError`. A merit class with no members yields ``None``
-    for its rate. The work is in proportion to the group's size, after one
-    pass over its membership column in :func:`group_rows`.
+    for its rate. The work is in proportion to the group's size, after
+    :func:`group_rows` has found its rows.
     """
     rows = group_rows(pop, g)
     codes, probs = _probability_codes(proc, pop, rows)

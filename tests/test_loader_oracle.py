@@ -344,6 +344,108 @@ def test_equal_keys_are_told_apart_by_their_bytes(monkeypatch, text):
     assert_same(text)
 
 
+# --- attrs grouped through the table of a prefix's distinct keys -------------------
+
+PREFIX = population._PREFIX_ROWS
+
+
+def _long_text(attrs):
+    """A plain text of rows past the prefix, with ``attrs(i)`` at row ``i``."""
+    rows = (f"m{i},{i % 2},{i // 2 % 2},{attrs(i)}" for i in range(PREFIX + 1000))
+    return "\n".join(["id,J,X,attrs", *rows]) + "\n"
+
+
+def _usual(i):
+    return f"sex={'MF'[i % 2]};town=t{i % 7}"
+
+
+def _table_uses(monkeypatch):
+    """Whether each later _table_groups call grouped its keys through the table."""
+    uses = []
+    table_groups = population._table_groups
+
+    def recorded(keys):
+        grouped = table_groups(keys)
+        uses.append(grouped is not None)
+        return grouped
+
+    monkeypatch.setattr(population, "_table_groups", recorded)
+    return uses
+
+
+@pytest.mark.parametrize(
+    "attrs, through_table",
+    [
+        (_usual, True),
+        (lambda i: "sex=X" if i == PREFIX - 1 else _usual(i), True),  # the prefix's last row
+        (lambda i: "sex=X" if i == PREFIX else _usual(i), False),  # the first row past it
+        (lambda i: "sex=X" if i == PREFIX + 500 else _usual(i), False),
+        (lambda i: "" if i % 5 == 0 else _usual(i), True),  # empty cells in the prefix and after it
+        (lambda i: "" if i % 5 == 0 and i > PREFIX else _usual(i), False),  # empty cells after it only
+    ],
+)
+def test_attrs_strings_past_the_prefix_match_the_reference(monkeypatch, attrs, through_table):
+    """A key the table lacks sends the rows to the sort, with the same result."""
+    uses = _table_uses(monkeypatch)
+    assert_same(_long_text(attrs))
+    assert uses == [through_table]
+
+
+def test_prefix_keys_that_share_a_slot_are_grouped_by_sorting(monkeypatch):
+    """With only the low 16 bits of each key kept, every key falls in slot 0 of the table."""
+    mix_keys = population._mix_keys
+    low_keys = lambda lengths, rounds: mix_keys(lengths, rounds) & np.uint64(0xFFFF)  # noqa: E731
+    monkeypatch.setattr(population, "_mix_keys", low_keys)
+    uses = _table_uses(monkeypatch)
+    assert_same(_long_text(_usual))
+    assert_same(_long_text(lambda i: "" if i % 5 == 0 else _usual(i)), "bytes")
+    assert uses == [False, False]
+
+
+def test_the_table_holds_the_prefixs_keys_and_only_those():
+    high = np.uint64(1 << 60)
+    keys = np.array([high, 0, high, 0], dtype=np.uint64)  # 0 is the key of an empty cell
+    group, first = population._table_groups(keys)
+    assert group.tolist() == [1, 0, 1, 0] and first.tolist() == [1, 0]
+    prefix = np.full(PREFIX, high, dtype=np.uint64)
+    for later in (0, (1 << 60) + 1, (1 << 60) - 1, ~(1 << 60)):  # the key's own slot, and empty ones
+        assert population._table_groups(np.append(prefix, np.uint64(later % 2**64))) is None
+    assert population._table_groups(np.array([1, 2], dtype=np.uint64)) is None  # a shared slot
+    group, first = population._table_groups(np.empty(0, dtype=np.uint64))
+    assert group.size == first.size == 0
+
+
+def _first_character(forms):
+    """The character of the first of ``forms`` that is a UTF-8 character, or ``None``."""
+    for form in forms:
+        try:
+            return form.decode()
+        except UnicodeDecodeError:
+            pass
+    return None
+
+
+def test_each_byte_at_an_ids_edge_is_stripped_as_the_reference_strips_it():
+    """Every byte value that can begin or end a UTF-8 character, first or last in
+    an id, and every whitespace character at either edge."""
+    tails = [(), (0x80,), (0xA0, 0x80), (0x80, 0x80), (0x90, 0x80, 0x80), (0x80, 0x80, 0x80)]
+    ids = []
+    for byte in range(256):
+        leading = _first_character(bytes([byte, *tail]) for tail in tails)
+        trailing = _first_character([bytes([byte]), bytes([0xC2, byte])])
+        ids += [] if leading is None else [leading + "x", leading]
+        ids += [] if trailing is None else ["x" + trailing]
+    # ASCII and the lead bytes 0xC2-0xF4 begin a character; ASCII and 0x80-0xBF end one
+    assert len(ids) == 2 * (128 + 51) + 192
+    spaces = [char for char in map(chr, range(0x3001)) if char.isspace()]  # every character str.strip removes
+    ids += [edge for char in spaces for edge in (char + "x", "x" + char)]
+    for ident in ids:
+        # a second row "x" is a duplicate exactly when the first id strips to it
+        text = f"id,J,X,attrs\n{ident},1,0,sex=M\nx,0,1,\n"
+        assert_same(text)
+        assert_same(text, "bytes")
+
+
 # --- which inputs reach csv.reader --------------------------------------------------
 
 

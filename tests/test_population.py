@@ -1,9 +1,10 @@
 import csv
+import pickle
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from procfair import population
@@ -16,6 +17,8 @@ from procfair.errors import (
 )
 from procfair.fairness import check_absolute_fairness, expected_contingency
 from procfair.population import (
+    MISSING,
+    AttributeColumn,
     AttributeEquals,
     CriterionEquals,
     ExplicitIdSet,
@@ -321,6 +324,64 @@ def test_no_group_selects_every_member():
 
 def test_empty_group_counts_are_zero(demo_pop):
     assert merit_counts(demo_pop, AttributeEquals("sex", "X")) == (0, 0)
+
+
+def _assert_partition(column):
+    """Each code's rows, MISSING included, are its members' rows in order,
+    read-only, and every query after the first reads the one stored partition."""
+    column._rows(MISSING)
+    partition = column._partition
+    for code in range(MISSING, len(column.values)):
+        rows = column._rows(code)
+        assert np.array_equal(rows, np.flatnonzero(column.codes == code))
+        assert rows.dtype == np.intp and not rows.flags.writeable
+    assert column._partition is partition
+    assert not any(array.flags.writeable for array in partition)
+
+
+# up to 300 values: codes of 8 and 16 bits, each side of 255 values
+code_columns = st.integers(1, 300).flatmap(
+    lambda n_values: st.tuples(st.just(n_values), st.lists(st.integers(MISSING, n_values - 1), max_size=400))
+)
+
+
+@settings(deadline=None)
+@given(code_columns)
+@example((255, [254, MISSING, 0, 254]))
+@example((256, [255, MISSING, 0, 255]))
+def test_a_columns_partition_lists_the_rows_of_each_code(column):
+    n_values, codes = column
+    _assert_partition(AttributeColumn(tuple(map(str, range(n_values))), np.array(codes, dtype=np.int32)))
+
+
+@pytest.mark.parametrize("n_values", [2**16 - 1, 2**16])  # the most codes of 16 bits, and one more
+def test_a_partition_of_many_values_lists_the_rows_of_each_code(n_values):
+    codes = np.random.default_rng(n_values).integers(MISSING, n_values, 1000, dtype=np.int32)
+    codes[:3] = MISSING, 0, n_values - 1
+    _assert_partition(AttributeColumn(tuple(map(str, range(n_values))), codes))
+
+
+def test_every_array_of_group_rows_is_read_only():
+    pop = load_population(HEADER + "a,1,1,sex=M\nb,0,0,sex=F\nc,0,,\n")
+    groups = [AttributeEquals("sex", "F"), AttributeEquals("sex", "X"), AttributeEquals("town", "x"),
+              CriterionEquals(1), Singleton("b"), ExplicitIdSet({"c", "a"})]
+    for g, expected in zip(groups, [[1], [], [], [0], [1], [0, 2]]):
+        rows = group_rows(pop, g)
+        assert rows.tolist() == expected and rows.dtype == np.intp and not rows.flags.writeable
+
+
+def test_a_population_pickles_before_and_after_group_queries():
+    rows = [f"m{i},{i % 2},{i // 2 % 2},sex={'MF'[i % 3 % 2]};region=r{i % 5}" for i in range(100)]
+    pop = load_population(HEADER + "\n".join(rows) + "\nx,0,1,\n")
+    groups = [AttributeEquals("region", f"r{v}") for v in range(5)] + [AttributeEquals("sex", "F")]
+    before = pickle.loads(pickle.dumps(pop))
+    expected = [group_rows(pop, g) for g in groups]
+    after = pickle.loads(pickle.dumps(pop))
+    for copy in before, after:
+        assert copy == pop
+        for g, rows in zip(groups, expected):
+            got = group_rows(copy, g)
+            assert np.array_equal(got, rows) and not got.flags.writeable
 
 
 def test_load_drops_one_leading_byte_order_mark():
