@@ -31,6 +31,7 @@ from .population import (
     GroupSpec,
     Population,
     Singleton,
+    _ReadOnlyDict,
     cell_counts,
 )
 from .procedure import (
@@ -239,6 +240,10 @@ class ContingencyTable:
     attribute: str
     cells: Mapping[str, Mapping[int, ContingencyCell]]
 
+    def __post_init__(self):
+        cells = _ReadOnlyDict((value, _ReadOnlyDict(by_merit)) for value, by_merit in self.cells.items())
+        object.__setattr__(self, "cells", cells)
+
     def values(self) -> tuple[str, ...]:
         return tuple(self.cells)
 
@@ -298,6 +303,9 @@ class GroupJustice:
 class JusticeMetrics:
     per_group: Mapping[str, GroupJustice]
     overall: GroupJustice
+
+    def __post_init__(self):
+        object.__setattr__(self, "per_group", _ReadOnlyDict(self.per_group))
 
 
 def _group_justice(by_merit: Mapping[int, ContingencyCell]) -> GroupJustice:

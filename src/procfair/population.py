@@ -32,8 +32,9 @@ Every exact aggregate downstream is a count per (cell, merit class, code) from
 :func:`cell_counts`, where one int is the cell or the code of every member.
 :func:`csv_text` is the package's one CSV writer: :func:`dump_population`
 writes through it, and so does every CSV report.
-Everything here is read-only, so every operation is a pure function and safe
-under concurrent use.
+Everything here is read-only, each mapping included: an edit raises. So every
+operation is a pure function and safe under concurrent use. A pickle or copy
+of a population holds its four columns only, never the member view.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ class Individual:
     ``merit`` is the ground-truth label, 1 deserving acquittal and 0
     conviction. ``criterion`` is the binary fact label a deterministic
     procedure evaluates, ``None`` for individuals only ever handled by
-    randomized procedures. ``attributes`` maps names to categorical values.
+    randomized procedures. ``attributes`` maps names to categorical values;
+    the individual keeps a read-only copy.
 
     An individual builds exactly when :func:`load_population` can return it,
     so every population dumps and loads back unchanged, from its text or from
@@ -117,7 +119,7 @@ class Individual:
                 raise ValueError(f"bad attribute name {name!r}")
             if not _is_stripped_text(value) or ";" in value:
                 raise ValueError(f"bad value {value!r} for attribute {name!r}")
-        attributes = dict(self.attributes)
+        attributes = _ReadOnlyDict(self.attributes)
         attrs_text = ";".join(map("=".join, attributes.items())) if attributes else ""
         for what, text in ("individual id", self.id), ("attrs text", attrs_text):
             if len(text) > csv.field_size_limit():
@@ -156,6 +158,26 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _refuse_assignment(self, name, value=None):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+class _ReadOnlyDict(dict):
+    """A ``dict`` that refuses every edit with ``TypeError``. Equality, ``repr``
+    and every read are a ``dict``'s; a pickle or copy holds one plain ``dict``
+    and rebuilds a read-only one from it."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__!r} object is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 class AttributeColumn:
     """One dictionary-encoded attribute: distinct ``values`` in first-appearance
     order and one ``codes`` entry per member indexing them (-1 when absent).
@@ -169,9 +191,11 @@ class AttributeColumn:
     __slots__ = ("values", "codes", "_partition")
 
     def __init__(self, values: tuple[str, ...], codes: np.ndarray):
-        self.values = values
-        self.codes = _frozen(codes)
-        self._partition: tuple[np.ndarray, np.ndarray] | None = None
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "codes", _frozen(codes))
+        object.__setattr__(self, "_partition", None)
+
+    __setattr__ = __delattr__ = _refuse_assignment
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AttributeColumn):
@@ -186,7 +210,8 @@ class AttributeColumn:
     def _rows(self, code: int) -> np.ndarray:
         """The sorted rows whose code is ``code``, ``MISSING`` included: a
         read-only slice of the rows ordered by code, rows in order within a code."""
-        if self._partition is None:
+        partition = self._partition
+        if partition is None:
             # codes shifted up by one, MISSING to 0, in the narrowest type, which
             # numpy's stable sort orders by radix when it has at most 16 bits
             n_keys = len(self.values) + 1
@@ -195,8 +220,9 @@ class AttributeColumn:
             keys += 1
             offsets = np.zeros(n_keys + 1, dtype=np.intp)
             np.cumsum(np.bincount(keys, minlength=n_keys), out=offsets[1:])
-            self._partition = _frozen(np.argsort(keys, kind="stable")), _frozen(offsets)
-        order, offsets = self._partition
+            partition = _frozen(np.argsort(keys, kind="stable")), _frozen(offsets)
+            object.__setattr__(self, "_partition", partition)
+        order, offsets = partition
         return order[offsets[code + 1] : offsets[code + 2]]
 
 
@@ -256,12 +282,19 @@ class Population:
         member ids, which must be distinct; it is read whole on first use."""
         pop = cls.__new__(cls)
         pop.__dict__.update(
-            _id_source=ids, merit=_frozen(merit), criterion=_frozen(criterion), attributes=attributes
+            _id_source=ids,
+            merit=_frozen(merit),
+            criterion=_frozen(criterion),
+            attributes=_ReadOnlyDict(attributes),
         )
         return pop
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    def __reduce__(self):
+        """A pickle or copy holds the four columns only and is rebuilt by
+        :meth:`_from_columns`, so its arrays come back read-only."""
+        return self._from_columns, (tuple(self._id_source), self.merit, self.criterion, self.attributes)
+
+    __setattr__ = __delattr__ = _refuse_assignment
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Population):
@@ -312,7 +345,8 @@ class Population:
         """The members at ``rows``, built from the columns, each read once."""
         ids = map(self._id, rows.tolist())
         criteria = (None if c == MISSING else c for c in self.criterion[rows].tolist())
-        return tuple(map(_trusted, ids, self.merit[rows].tolist(), criteria, self._attribute_dicts(rows)))
+        attrs = map(_ReadOnlyDict, self._attribute_dicts(rows))
+        return tuple(map(_trusted, ids, self.merit[rows].tolist(), criteria, attrs))
 
     @cached_property
     def members(self) -> tuple[Individual, ...]:
@@ -321,7 +355,7 @@ class Population:
 
     @cached_property
     def by_id(self) -> Mapping[str, Individual]:
-        return {ind.id: ind for ind in self.members}
+        return _ReadOnlyDict(zip(self.ids(), self.members))
 
     def attribute_values(self, name: str) -> tuple[str, ...]:
         """Distinct values of an attribute, in first-appearance order."""
@@ -435,8 +469,6 @@ def merit_counts(pop: Population, g: GroupSpec | None = None) -> tuple[int, int]
 
 
 # --- CSV ingestion ---------------------------------------------------------
-
-_NO_CRITERION = 255  # MISSING as an unsigned byte, read back through int8
 
 # (row, column from 0 for id, error) of a check's first failure; the least is raised
 _RowError = tuple[int, int, PopulationParseError]
@@ -584,11 +616,12 @@ def _labels(cells: _Cells, column: int, errors: list[_RowError]) -> np.ndarray:
     name, optional = CSV_HEADER[column], column == 2
     starts, ends = cells.column(column)
     lengths = ends - starts
-    labels = np.frombuffer(cells.raw, dtype=np.uint8)[starts] - ord("0")  # wraps below "0"
-    parsed = (lengths == 1) & (labels <= 1)
+    digits = np.frombuffer(cells.raw, dtype=np.uint8)[starts] - ord("0")  # wraps below "0"
+    parsed = (lengths == 1) & (digits <= 1)
+    labels = digits.view(np.int8)
     if optional:
         empty = lengths == 0
-        labels[empty] = _NO_CRITERION
+        labels[empty] = MISSING
         parsed |= empty
     for row in np.flatnonzero(~parsed).tolist():
         try:
@@ -596,8 +629,8 @@ def _labels(cells: _Cells, column: int, errors: list[_RowError]) -> np.ndarray:
         except PopulationParseError as exc:
             errors.append((row, column, exc))
             break
-        labels[row] = _NO_CRITERION if label is None else label
-    return labels.view(np.int8)
+        labels[row] = MISSING if label is None else label
+    return labels
 
 
 # how far a last word of 1 to 8 bytes, loaded with the bytes before it, is shifted down

@@ -39,6 +39,7 @@ from .population import (
     MISSING,
     GroupSpec,
     Population,
+    _ReadOnlyDict,
     _file_bytes,
     cell_counts,
     group_rows,
@@ -136,12 +137,10 @@ class GlobalRates(RocPoint):
 class PerGroupRates:
     """Conviction-rate pairs keyed by the values of one attribute.
 
-    ``_pairs`` holds the distinct pairs in their first order in ``table``, and
-    ``_pair_of`` each value's index into them. Both are resolved once, here,
-    and are not fields: equality and ``repr`` see ``attribute`` and ``table``
-    only. ``table`` is read once, at construction: an edit to it afterwards
-    goes unseen by the rates and by a report's echo of them, so build a new
-    instance instead.
+    ``table`` is read-only. ``_pairs`` holds its distinct pairs in their first
+    order, and ``_pair_of`` each value's index into them. Both are resolved
+    once, here, for :func:`_probability_codes`, and are not fields: equality
+    and ``repr`` see ``attribute`` and ``table`` only.
     """
 
     attribute: str
@@ -157,7 +156,7 @@ class PerGroupRates:
             for value, pair in table.items()
         }
         object.__setattr__(self, "attribute", attribute)
-        object.__setattr__(self, "table", normalized)
+        object.__setattr__(self, "table", _ReadOnlyDict(normalized))
         index = {pair: i for i, pair in enumerate(dict.fromkeys(normalized.values()))}
         object.__setattr__(self, "_pairs", tuple(index))
         object.__setattr__(self, "_pair_of", {value: index[pair] for value, pair in normalized.items()})

@@ -24,6 +24,7 @@ import math
 from collections import Counter
 from enum import Enum
 from fractions import Fraction
+from html import escape
 from typing import IO, Sequence
 
 from .errors import ProcfairError
@@ -251,16 +252,12 @@ def render_diagram(rows: Sequence[dict], format: str = "svg") -> str:
         px, py = _pixel((row["x"], row["y"]))
         lines.append(
             f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="4" fill="#c0392b">'
-            f"<title>{_escape(row['label'])}: h={row['h']['approx']:.4f} "
+            f"<title>{escape(row['label'], quote=False)}: h={row['h']['approx']:.4f} "
             f"k={row['k']['approx']:.4f} {row['class']}</title></circle>"
         )
         lines.append(_text(px + 7, py - 7, row["label"], anchor="start"))
     lines.append("</svg>")
     return "\n".join(lines)
-
-
-def _escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _text(
@@ -275,5 +272,5 @@ def _text(
     style = ' font-style="italic" fill="#555555"' if italic else ""
     return (
         f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" font-size="13" '
-        f'text-anchor="{anchor}"{transform}{style}>{_escape(content)}</text>'
+        f'text-anchor="{anchor}"{transform}{style}>{escape(content, quote=False)}</text>'
     )

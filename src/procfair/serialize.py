@@ -139,9 +139,8 @@ def procedure_json(proc: Procedure) -> dict[str, Any]:
     return {
         "type": "randomized",
         "attribute": rates.attribute,
-        "rates": {  # the pairs resolved at construction, which the rates use
-            value: [rational_json(rate) for rate in rates._pairs[i]]
-            for value, i in sorted(rates._pair_of.items())
+        "rates": {
+            value: [rational_json(rate) for rate in pair] for value, pair in sorted(rates.table.items())
         },
     }
 

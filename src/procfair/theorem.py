@@ -50,6 +50,7 @@ from .population import (
     CriterionEquals,
     Individual,
     Population,
+    _ReadOnlyDict,
 )
 from .procedure import (
     DeterministicProcedure,
@@ -107,6 +108,9 @@ class WitnessReport:
     procedure_class: ProcedureClass | None
     perfect: bool
     unwitnessable: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "class_probabilities", _ReadOnlyDict(self.class_probabilities))
 
 
 def construct_witness(pop: Population) -> WitnessReport:

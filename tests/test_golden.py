@@ -139,11 +139,11 @@ def _argv(case: str, directory: Path) -> list[str]:
         argv.append(arg)
     if argv[0] in ("audit", "witness", "simulate") and "--population" not in argv:
         argv[1:1] = ["--population", str(pop)]
-    return argv + ["--out", str(directory / case)]
+    return argv
 
 
 def _run(case: str, directory: Path) -> bytes:
-    code = main(_argv(case, directory))
+    code = main([*_argv(case, directory), "--out", str(directory / case)])
     assert code == (2 if case.startswith("witness") else 0)
     return (directory / case).read_bytes()
 
