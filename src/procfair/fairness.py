@@ -31,8 +31,8 @@ from .population import (
     GroupSpec,
     Population,
     Singleton,
+    _partition_rows,
     _ReadOnlyDict,
-    cell_counts,
 )
 from .procedure import (
     ConditionalRates,
@@ -151,25 +151,22 @@ def _singleton_violations(
     pop: Population, codes: np.ndarray, probs: tuple[Fraction, ...], tol: Fraction
 ) -> Iterator[GroupPairViolation]:
     """Lazily yield each pair of same-class members whose probabilities differ
-    by more than ``tol``, class by class, pairs in member order. Each class's
-    spread comes from one :func:`cell_counts`. Each member is paired only with
-    the later members of the codes farther than ``tol`` from its own, merged
-    from one sorted index array per code; ids are decoded only to name a pair."""
-    present = cell_counts(pop.merit, codes, len(probs))[0] > 0
+    by more than ``tol``, class by class, pairs in member order. A class's codes
+    are its non-empty slices of one stable partition of the rows by ``2 * code
+    + merit``; each member is paired only with the later rows of the codes
+    farther than ``tol`` from its own, merged. Ids are decoded only to name a pair."""
+    order, offsets = _partition_rows(2 * codes + pop.merit, 2 * len(probs))
     for merit in (GUILTY, INNOCENT):
-        here = np.flatnonzero(present[merit]).tolist()
-        class_probs = [probs[code] for code in here]
+        slices = zip(offsets[merit + 1 :: 2].tolist(), offsets[merit + 2 :: 2].tolist())
+        holders = {code: order[start:stop] for code, (start, stop) in enumerate(slices) if start < stop}
+        class_probs = [probs[code] for code in holders]
         if not class_probs or max(class_probs) - min(class_probs) <= tol:
             continue  # whole class within tolerance: no pair can violate
         members = np.flatnonzero(pop.merit == merit)
-        member_codes = codes[members]
-        order = np.argsort(member_codes, kind="stable")
-        splits = np.flatnonzero(np.diff(member_codes[order])) + 1
-        holders = dict(zip(here, np.split(members[order], splits)))
         far: dict[int, list[np.ndarray]] = {}
-        for a, code in zip(members.tolist(), member_codes.tolist()):
+        for a, code in zip(members.tolist(), codes[members].tolist()):
             if code not in far:
-                far[code] = [holders[d] for d in here if abs(probs[d] - probs[code]) > tol]
+                far[code] = [held for d, held in holders.items() if abs(probs[d] - probs[code]) > tol]
             later = [held[np.searchsorted(held, a, "right"):] for held in far[code]]
             for b in heapq.merge(*later):
                 yield GroupPairViolation(Singleton(pop._id(a)), Singleton(pop._id(b)), (merit,))
@@ -271,16 +268,15 @@ def expected_contingency(pop: Population, proc: Procedure, attribute: str) -> Co
     Raises if any member lacks the attribute or an applicable rate.
     """
     column = pop.attributes.get(attribute)
-    codes = np.full(len(pop), MISSING) if column is None else column.codes
-    missing = np.flatnonzero(codes == MISSING)
-    if missing.size:
+    missing = range(len(pop)) if column is None else np.flatnonzero(column.codes == MISSING)
+    if len(missing):
         first = int(missing[0])
         _probability_codes(proc, pop, slice(first))  # earlier members' errors first
         raise ValueError(
             f"individual {pop._id(first)!r} has no value for attribute {attribute!r}"
         )
-    values = pop.attribute_values(attribute)
-    sums = conviction_sums(proc, pop, codes, len(values))
+    values = pop.attribute_values(attribute)  # none without a column: no member to count
+    sums = conviction_sums(proc, pop, 0 if column is None else column.codes, len(values))
     return ContingencyTable(
         attribute,
         {

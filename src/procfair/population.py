@@ -27,7 +27,7 @@ it, without checking each member again, since :class:`Individual` accepts
 exactly the members that the loader can return. A group is the rows that
 :func:`group_rows` selects, read-only sorted row indices or ``ALL`` for every
 member; an attribute's groups are slices of one stable partition of its
-column's rows by code, built on the column's first query.
+column's rows by code from :func:`_partition_rows`, built on first query.
 Every exact aggregate downstream is a count per (cell, merit class, code) from
 :func:`cell_counts`, where one int is the cell or the code of every member.
 :func:`csv_text` is the package's one CSV writer: :func:`dump_population`
@@ -169,6 +169,13 @@ class _ReadOnlyDict(dict):
 
     __slots__ = ()
 
+    def __new__(cls, items=(), /):
+        self = dict.__new__(cls)
+        dict.update(self, items)
+        return self
+
+    __init__ = object.__init__  # filled by __new__, so a second __init__ call edits nothing
+
     def _refuse(self, *args, **kwargs):
         raise TypeError(f"{type(self).__name__!r} object is read-only")
 
@@ -210,20 +217,23 @@ class AttributeColumn:
     def _rows(self, code: int) -> np.ndarray:
         """The sorted rows whose code is ``code``, ``MISSING`` included: a
         read-only slice of the rows ordered by code, rows in order within a code."""
-        partition = self._partition
-        if partition is None:
-            # codes shifted up by one, MISSING to 0, in the narrowest type, which
-            # numpy's stable sort orders by radix when it has at most 16 bits
-            n_keys = len(self.values) + 1
-            dtype = np.uint8 if n_keys <= 2**8 else np.uint16 if n_keys <= 2**16 else np.int32
-            keys = self.codes.astype(dtype)
-            keys += 1
-            offsets = np.zeros(n_keys + 1, dtype=np.intp)
-            np.cumsum(np.bincount(keys, minlength=n_keys), out=offsets[1:])
-            partition = _frozen(np.argsort(keys, kind="stable")), _frozen(offsets)
+        if self._partition is None:
+            partition = tuple(map(_frozen, _partition_rows(self.codes, len(self.values))))
             object.__setattr__(self, "_partition", partition)
-        order, offsets = partition
+        order, offsets = self._partition
         return order[offsets[code + 1] : offsets[code + 2]]
+
+
+def _partition_rows(keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows stably ordered by key, each in ``[MISSING, n_keys)`` and shifted up
+    by one into the narrowest type, which numpy's stable sort orders by radix up to
+    16 bits. Key ``k``'s rows are ``order[offsets[k + 1] : offsets[k + 2]]``."""
+    dtype = np.uint8 if n_keys < 2**8 else np.uint16 if n_keys < 2**16 else np.int32
+    shifted = keys.astype(dtype)
+    shifted += 1
+    offsets = np.zeros(n_keys + 2, dtype=np.intp)
+    np.cumsum(np.bincount(shifted, minlength=n_keys + 1), out=offsets[1:])
+    return np.argsort(shifted, kind="stable"), offsets
 
 
 def _encode_attributes(

@@ -211,11 +211,11 @@ def _probability_codes(
     probability: :class:`MissingCriterionError` for a deterministic procedure,
     :class:`MissingRateError` for a per-group one.
     """
-    merit = pop.merit[rows]
     if isinstance(proc, DeterministicProcedure):
         codes = _DETERMINISTIC_CODES[pop.criterion[rows]]
         probs = (Fraction(0), Fraction(1))
     else:
+        merit = pop.merit[rows]
         rates = proc.rates
         if isinstance(rates, GlobalRates):
             return merit, (rates.h, rates.k)
@@ -233,7 +233,7 @@ def _probability_codes(
     if not invalid.size:
         return codes, probs
     at = int(invalid[0])
-    first = int(np.arange(len(pop))[rows][at])
+    first = range(len(pop))[rows][at] if isinstance(rows, slice) else int(rows[at])
     ident = pop._id(first)
     if isinstance(proc, DeterministicProcedure):
         raise MissingCriterionError(
@@ -280,7 +280,8 @@ class Simulation:
     ``convictions[i]`` is how many of the trials convicted member ``i`` of
     the population the simulation was drawn for, in population order; the
     array is read-only. The ``n × trials`` member-trials must fit in int64,
-    the range in which counts are drawn and summed.
+    the range in which counts are drawn and summed. Counts of a non-integer
+    dtype (``bool`` included) raise ``TypeError``, as a non-integer ``trials`` does.
     """
 
     seed: int
@@ -288,10 +289,13 @@ class Simulation:
     convictions: np.ndarray
 
     def __post_init__(self):
-        convictions = np.array(self.convictions, dtype=np.int64)
-        if convictions.ndim != 1:
+        counts = np.asarray(self.convictions)
+        if counts.ndim != 1:
             raise ValueError("one conviction count required per member")
-        object.__setattr__(self, "trials", self._check_trials(convictions.size, self.trials))
+        object.__setattr__(self, "trials", self._check_trials(counts.size, self.trials))
+        if counts.size and counts.dtype.kind not in "iu":  # bools, floats and strings alike
+            raise TypeError(f"conviction counts must have an integer dtype, got {counts.dtype}")
+        convictions = counts.astype(np.int64)  # a wrapped uint64 count is negative, so refused
         if convictions.size and not 0 <= convictions.min() <= convictions.max() <= self.trials:
             raise ValueError(f"conviction counts must lie in [0, {self.trials}]")
         convictions.flags.writeable = False

@@ -36,6 +36,8 @@ from procfair.procedure import (
 from procfair.roc import ProcedureClass, RocPoint, classify, to_diamond
 from procfair.theorem import exhaustive_search, verify_theorem
 
+from test_roc import expected_class  # the one independent nine-way oracle
+
 
 def report(name: str, passed: bool, elapsed: float | None = None) -> None:
     status = "PASS" if passed else "FAIL"
@@ -79,25 +81,6 @@ def test_criterion_2_group_fair_yet_imperfectly_just():
     report("2 group-fair verdict with imperfect justice", passed)
 
 
-def _expected_class(h: Fraction, k: Fraction) -> ProcedureClass:
-    # independent case analysis, kept separate from the implementation
-    if h == 1 and k == 0:
-        return ProcedureClass.PERFECTLY_JUST
-    if h == 1 and k == 1:
-        return ProcedureClass.EVERYONE_CONVICTED
-    if h == 0 and k == 0:
-        return ProcedureClass.EVERYONE_ACQUITTED
-    if h == 0 and k == 1:
-        return ProcedureClass.PERFECTLY_UNJUST
-    if h == 1:
-        return ProcedureClass.PERFECT_FOR_GUILTY
-    if k == 0:
-        return ProcedureClass.PERFECT_FOR_INNOCENT
-    if h == k:
-        return ProcedureClass.MERIT_AGNOSTIC
-    return ProcedureClass.IMPERFECTLY_JUST if h > k else ProcedureClass.UNREASONABLY_UNJUST
-
-
 def test_criterion_3_taxonomy_grid():
     steps = 100  # 100 x 100 rational grid covering the unit square corners included
     grid = [
@@ -109,7 +92,7 @@ def test_criterion_3_taxonomy_grid():
     got = [classify(RocPoint(h, k), eps=0) for h, k in grid]
     elapsed = time.perf_counter() - start
 
-    matches = all(cls is _expected_class(h, k) for cls, (h, k) in zip(got, grid))
+    matches = all(cls is expected_class(h, k) for cls, (h, k) in zip(got, grid))
     all_nine = set(got) == set(ProcedureClass)
     report(
         "3 taxonomy coverage on 10^4-point grid",

@@ -238,9 +238,30 @@ def test_per_group_rate_differences_violate_absolutely():
 
 
 @st.composite
+def many_code_cases(draw):
+    """129-136 innocent members, each in a group of its own rate k, and 0-9
+    more members of either class, under a per-group procedure: the innocent
+    class holds more than 128 probability codes, so the rows' partition by
+    ``2 * code + merit`` has more than 256 keys."""
+    values = [f"g{i}" for i in range(draw(st.integers(129, 136)))]
+    rows = [(INNOCENT, value) for value in values]
+    rows += draw(st.lists(st.tuples(st.integers(0, 1), st.sampled_from(values)), max_size=9))
+    rng = draw(st.randoms(use_true_random=False))  # cheaper to draw than 130-odd values
+    rng.shuffle(rows)
+    members = [Individual(f"m{i}", merit, attributes={"group": value}) for i, (merit, value) in enumerate(rows)]
+    levels = draw(st.lists(st.fractions(0, 1, max_denominator=6), min_size=1, max_size=3, unique=True))
+    pairs = {value: (rng.choice(levels), Fraction(i, len(values))) for i, value in enumerate(values)}
+    probs = [pairs[m.attributes["group"]][m.merit] for m in members]
+    return members, probs, per_group_procedure("group", pairs)
+
+
+@st.composite
 def singleton_cases(draw):
     """A population of 0-9 members with a sex attribute, and a global or a
-    per-sex procedure whose rates come from 1-3 probability levels."""
+    per-sex procedure whose rates come from 1-3 probability levels; one case
+    in eight is instead one of :func:`many_code_cases`."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(many_code_cases())
     levels = draw(st.lists(st.fractions(0, 1, max_denominator=6), min_size=1, max_size=3, unique=True))
     rate = st.sampled_from(levels)
     members = [

@@ -402,6 +402,22 @@ def test_simulation_refuses_trials_that_are_not_integers(trials):
         simulate(global_procedure(0, 0), _tiny_pop(), seed=1, trials=trials)
 
 
+@pytest.mark.parametrize("counts", [[1.9, 0.5], ["1"], [True, False], np.array([1.0, 2.0])])
+def test_simulation_refuses_counts_that_are_not_integers(counts):
+    # as for trials: no count is rounded, parsed or read as 0/1
+    with pytest.raises(TypeError, match="integer dtype"):
+        Simulation(0, 2, counts)
+
+
+def test_simulation_keeps_counts_of_every_integer_dtype():
+    for counts in [], (0, 2), [np.int64(1), 2], np.array([2, 0], np.uint8), np.array([1, 1], np.int32):
+        sim = Simulation(0, 2, counts)
+        assert sim.convictions.dtype == np.int64 and sim.convictions.tolist() == list(counts)
+    # a uint64 count past int64 is out of range, not wrapped into it
+    with pytest.raises(ValueError, match=r"\[0, 2\]"):
+        Simulation(0, 2, np.array([2**63 + 1], np.uint64))
+
+
 def test_simulate_just_inside_the_member_trial_bound():
     pop = Population([Individual("a", 0), Individual("b", 1), Individual("c", 1)])
     trials = INT64_MAX // 3

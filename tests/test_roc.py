@@ -28,7 +28,8 @@ unit_fractions = st.fractions(min_value=0, max_value=1)
 
 
 def expected_class(h: Fraction, k: Fraction) -> ProcedureClass:
-    """Independent case analysis of the nine-way taxonomy at zero tolerance."""
+    """Independent case analysis of the nine-way taxonomy at zero tolerance,
+    also the oracle of the acceptance suite's taxonomy grid."""
     if h == 1 and k == 0:
         return ProcedureClass.PERFECTLY_JUST
     if h == 1 and k == 1:

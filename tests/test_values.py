@@ -1,14 +1,16 @@
 """A population and a procedure are values: no handle reachable from one edits it.
 
 Every mapping that a population, a member, a per-group procedure or a report
-holds refuses each edit with ``TypeError``; every array is read-only, and no
-field can be assigned or deleted. A pickle or copy of a population holds its
-four columns only, so it comes back read-only, and its size does not depend on
-which views of the original were built.
+holds refuses each edit with ``TypeError``, and calling its ``__init__`` again
+edits nothing; every array is read-only, and no field can be assigned or
+deleted. A pickle or copy of a population holds its four columns only, so it
+comes back read-only, and its size does not depend on which views of the
+original were built.
 """
 
 import copy
 import pickle
+from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
 
@@ -89,8 +91,16 @@ def _results(pop, proc):
     )
 
 
+def _reinitialise(mapping):
+    """Call ``mapping.__init__`` a second time, which must leave it as it was."""
+    before = dict(mapping)
+    mapping.__init__({"new": None}, new=None)
+    assert mapping == before
+
+
 def _mapping_edits(mapping):
-    """Each edit method of ``mapping``, on its first key, with the error it must raise."""
+    """Each edit method of ``mapping``, on its first key, with the error it must
+    raise, and its re-initialisation, which must raise nothing (``None``)."""
     key = next(iter(mapping), "new")
     edits = [
         partial(mapping.__setitem__, key, None),
@@ -102,12 +112,18 @@ def _mapping_edits(mapping):
         partial(mapping.setdefault, "new"),
         partial(mapping.update, new=None),
     ]
-    return [(TypeError, edit) for edit in edits]
+    return [(TypeError, edit) for edit in edits] + [(None, partial(_reinitialise, mapping))]
+
+
+def _attempt(error, edit):
+    """Make ``edit``, which must raise ``error``, or nothing for ``None``."""
+    with pytest.raises(error) if error else nullcontext():
+        edit()
 
 
 def _edits(pop, proc, members):
     """Every edit that a public handle of ``pop``, ``proc`` or ``members`` offers,
-    with the error it must raise."""
+    with the error it must raise (``None``: it must raise nothing and edit nothing)."""
     columns = list(pop.attributes.values())
     mappings = [proc.rates.table, pop.attributes, pop.by_id]
     mappings += [member.attributes for member in (*pop.members, *members)]
@@ -126,8 +142,7 @@ def test_every_public_handle_refuses_an_edit(members, proc, pop_kind, proc_kind)
     pop, proc = POPULATIONS[pop_kind](members), PROCEDURES[proc_kind](proc)
     before = _results(pop, proc)
     for error, edit in _edits(pop, proc, members):
-        with pytest.raises(error):
-            edit()
+        _attempt(error, edit)
     assert _results(pop, proc) == before
     assert pop == Population(members) and pop.members == tuple(members)
 
@@ -161,5 +176,4 @@ def test_every_mapping_of_a_report_is_read_only():
     mappings = [table.cells, table.cells["a"], justice_metrics(table).per_group, witness.class_probabilities]
     assert witness.class_probabilities == {0: (Fraction(1), Fraction(0)), 1: (Fraction(1), Fraction(0))}
     for error, edit in [edit for mapping in mappings for edit in _mapping_edits(mapping)]:
-        with pytest.raises(error):
-            edit()
+        _attempt(error, edit)
