@@ -24,7 +24,8 @@ ids of a loaded population stay byte ranges until something asks for
 one member decodes only that member's id. The member view (``members``,
 ``by_id``, iteration) is built from the columns only when something asks for
 it, without checking each member again, since :class:`Individual` accepts
-exactly the members that the loader can return. A group is the rows that
+exactly the members that the loader can return; members with equal
+attributes share one read-only mapping. A group is the rows that
 :func:`group_rows` selects, read-only sorted row indices or ``ALL`` for every
 member; an attribute's groups are slices of one stable partition of its
 column's rows by code from :func:`_partition_rows`, built on first query.
@@ -342,20 +343,33 @@ class Population:
         """Member ``i``'s id, decoded alone unless the ids are already built."""
         return self._ids[i] if "_ids" in self.__dict__ else self._id_source[i]
 
-    def _attribute_dicts(self, rows: np.ndarray) -> list[dict[str, str]]:
-        """The attributes of the members at ``rows``, names in column order."""
-        attrs = [{} for _ in range(len(rows))]
-        for name, column in self.attributes.items():
-            for member_attrs, code in zip(attrs, column.codes[rows].tolist()):
+    def _attribute_combinations(self, rows: np.ndarray) -> tuple[list[_ReadOnlyDict], list[int]]:
+        """The attributes of the members at ``rows``: one read-only mapping,
+        names in column order, per distinct combination of their codes, and
+        each member's combination. Combinations are numbered column by column,
+        so each number stays below ``len(codes) * (len(values) + 1)``."""
+        codes = [column.codes[rows] for column in self.attributes.values()]
+        combination = np.zeros(len(rows), dtype=np.int64)
+        first = np.zeros(min(len(combination), 1), dtype=np.intp)  # one combination, no column
+        for column, column_codes in zip(self.attributes.values(), codes):
+            combination *= len(column.values) + 1
+            combination += column_codes
+            combination += 1  # MISSING is 0
+            _, first, combination = np.unique(combination, return_index=True, return_inverse=True)
+        mappings = [{} for _ in range(len(first))]
+        for name, column, column_codes in zip(self.attributes, self.attributes.values(), codes):
+            for mapping, code in zip(mappings, column_codes[first].tolist()):
                 if code != MISSING:
-                    member_attrs[name] = column.values[code]
-        return attrs
+                    mapping[name] = column.values[code]
+        return list(map(_ReadOnlyDict, mappings)), combination.tolist()
 
     def _members(self, rows: np.ndarray) -> tuple[Individual, ...]:
-        """The members at ``rows``, built from the columns, each read once."""
+        """The members at ``rows``, built from the columns, each read once;
+        members with equal attributes share one read-only mapping."""
+        mappings, combinations = self._attribute_combinations(rows)
         ids = map(self._id, rows.tolist())
         criteria = (None if c == MISSING else c for c in self.criterion[rows].tolist())
-        attrs = map(_ReadOnlyDict, self._attribute_dicts(rows))
+        attrs = map(mappings.__getitem__, combinations)
         return tuple(map(_trusted, ids, self.merit[rows].tolist(), criteria, attrs))
 
     @cached_property
@@ -892,13 +906,15 @@ def dump_population(pop: Population) -> str:
     an LF. ``load_population(dump_population(p)) == p`` for every population,
     also from the text's UTF-8 bytes with LF or CRLF line ends, since no member
     holds a CR or a lone surrogate. Each member's attributes are written in
-    column order.
+    column order, from one text per distinct combination of attribute codes.
     """
     labels = ("0", "1", "")  # by label, and MISSING (-1) last
+    mappings, combinations = pop._attribute_combinations(np.arange(len(pop)))
+    texts = [";".join(map("=".join, mapping.items())) for mapping in mappings]
     rows = (
-        [ident, labels[merit], labels[criterion], ";".join(map("=".join, attrs.items()))]
-        for ident, merit, criterion, attrs in zip(
-            pop.ids(), pop.merit.tolist(), pop.criterion.tolist(), pop._attribute_dicts(np.arange(len(pop)))
+        [ident, labels[merit], labels[criterion], texts[combination]]
+        for ident, merit, criterion, combination in zip(
+            pop.ids(), pop.merit.tolist(), pop.criterion.tolist(), combinations
         )
     )
     return csv_text(chain([CSV_HEADER], rows))  # streamed: no list of every row

@@ -44,16 +44,13 @@ def json_text(doc: Any) -> str:
     else, a subclass (an ``IntEnum``, an ``OrderedDict``) included, raises
     ``TypeError``, and a document that contains itself (or nests past the
     recursion limit) raises ``ValueError``. With an ``indent``, ``json.dumps``
-    runs CPython's pure-Python encoder; this writer joins each container's
-    parts in one ``str.join`` instead. It dispatches on each value's exact
-    type, and writes a scalar item inside its container's comprehension,
-    without a call of its own. The one subclass it writes is
-    :class:`_Verbatim`, by exact type: its text is written as it stands.
+    runs CPython's pure-Python encoder; this writer walks the document once,
+    appends every piece of its text to one list and joins that list once, so
+    no container's text is copied into its parent's. It dispatches on each
+    value's exact type. The one subclass it writes is :class:`_Verbatim`, by
+    exact type: its text is appended as it stands.
     """
-    try:
-        return _json_value(doc, "\n")
-    except RecursionError:
-        raise ValueError("cannot write a document that contains itself or nests too deeply") from None
+    return _joined(doc, "\n")
 
 
 class _Verbatim(str):
@@ -69,7 +66,6 @@ class _Verbatim(str):
 
 # The writer of each scalar type, by exact type: each is a C call.
 _SCALARS: dict[type, Callable[[Any], str]] = {
-    _Verbatim: str,
     str: encode_basestring_ascii,
     int: int.__repr__,
     float: float.__repr__,
@@ -78,34 +74,64 @@ _SCALARS: dict[type, Callable[[Any], str]] = {
 }
 
 
-def _json_value(value: Any, indent: str) -> str:
-    """``value`` as JSON text whose lines start with ``indent`` (LF first)."""
+def _joined(value: Any, indent: str) -> str:
+    """``value`` as JSON text whose lines start with ``indent`` (LF first),
+    written by one :func:`_append_text` walk and joined once."""
+    parts: list[str] = []
+    try:
+        _append_text(value, indent, parts)
+    except RecursionError:
+        raise ValueError("cannot write a document that contains itself or nests too deeply") from None
+    return "".join(parts)
+
+
+def _append_text(value: Any, indent: str, parts: list[str]) -> None:
+    """Append the pieces of ``value``'s JSON text, whose lines start with
+    ``indent``, to ``parts``. Each item is appended after its separator, the
+    first item's without the comma."""
     kind = type(value)
-    if kind is list:
+    if kind is list or kind is dict:
         if not value:
-            return "[]"
+            parts.append("[]" if kind is list else "{}")
+            return
         inner = indent + "  "
-        scalar = _SCALARS.get
-        items = [
-            write(item) if (write := scalar(type(item))) else _json_value(item, inner)
-            for item in value
-        ]
-        return f"[{inner}{(',' + inner).join(items)}{indent}]"
-    if kind is dict:
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        scalar = _SCALARS.get
-        items = [
-            f"{encode_basestring_ascii(key)}: "
-            f"{write(item) if (write := scalar(type(item))) else _json_value(item, inner)}"
-            for key, item in value.items()
-        ]
-        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+        separator = "," + inner
+        append, scalar = parts.append, _SCALARS.get
+        first = len(parts)
+        # a loop per kind: pairing each item with its prefix cost an audit report a third more
+        if kind is list:
+            parts.append("[")
+            for item in value:
+                append(separator)
+                item_kind = type(item)
+                if item_kind is _Verbatim:
+                    append(item)
+                elif write := scalar(item_kind):
+                    append(write(item))
+                else:
+                    _append_text(item, inner, parts)
+            parts.append(indent + "]")
+        else:
+            parts.append("{")
+            for key, item in value.items():
+                append(f"{separator}{encode_basestring_ascii(key)}: ")
+                item_kind = type(item)
+                if item_kind is _Verbatim:
+                    append(item)
+                elif write := scalar(item_kind):
+                    append(write(item))
+                else:
+                    _append_text(item, inner, parts)
+            parts.append(indent + "}")
+        parts[first + 1] = parts[first + 1][1:]  # the first item's separator has no comma
+        return
     write = _SCALARS.get(kind)
     if write is None:
+        if kind is _Verbatim:
+            parts.append(value)
+            return
         raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-    return write(value)
+    parts.append(write(value))
 
 
 def rational_json(value: Fraction | None) -> dict[str, Any] | None:
@@ -245,7 +271,7 @@ def _listed_tail(classes: tuple[int, ...]) -> str:
     """A listing item's text after its complement's body: its
     ``violated_merit_classes`` list at its depth, and the item's end. A
     violation has one of three non-empty class tuples, so the cache stays small."""
-    return f'{_KEY}],{_KEY}"violated_merit_classes": {_json_value(list(classes), _KEY)}{_ITEM}}}'
+    return f'{_KEY}],{_KEY}"violated_merit_classes": {_joined(list(classes), _KEY)}{_ITEM}}}'
 
 
 def listing_item(subset: str, complement: str, classes: tuple[int, ...]) -> _Verbatim:

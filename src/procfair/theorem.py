@@ -48,7 +48,6 @@ from .population import (
     GUILTY,
     INNOCENT,
     CriterionEquals,
-    Individual,
     Population,
     _ReadOnlyDict,
 )
@@ -353,12 +352,12 @@ def verify_theorem(n_individuals: int, n_trials: int, seed: int) -> PropertyRepo
     rng = random.Random(seed)
     perfect_instances = witnessed = unwitnessable = 0
     counterexamples: list[str] = []
+    ids = tuple(f"i{idx}" for idx in range(n_individuals))
 
     for trial in range(n_trials):
         labels = [(rng.getrandbits(1), rng.getrandbits(1)) for _ in range(n_individuals)]
-        pop = Population(
-            Individual(f"i{idx}", merit=j, criterion=x) for idx, (j, x) in enumerate(labels)
-        )
+        merit, criterion = np.array(labels, dtype=np.int8).T
+        pop = Population._from_columns(ids, merit, criterion, {})
         witness = construct_witness(pop)
         found = exhaustive_search(pop, max_n=n_individuals)
 
@@ -375,8 +374,9 @@ def verify_theorem(n_individuals: int, n_trials: int, seed: int) -> PropertyRepo
             witnessed += 1
             if not found:
                 fail("witnessed instance but exhaustive search found nothing")
-            split = frozenset(ident for ident, (_, x) in zip(pop.ids(), labels) if x != labels[0][1])
-            matches = [b for b in found if frozenset(b.subset) == split]
+            # the side without member 0, as exhaustive_search lists it: sorted ids
+            split = tuple(sorted(ident for ident, (_, x) in zip(ids, labels) if x != labels[0][1]))
+            matches = [b for b in found if b.subset == split]
             if not matches:
                 fail("criterion split missing from exhaustive search results")
             elif set(matches[0].violated_merit_classes) != set(witness.violated_merit_classes):

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 
@@ -287,12 +288,18 @@ def singleton_cases(draw):
 )
 def test_singletons_mode_lists_every_differing_pair(case, tolerance, max_violations):
     members, probs, proc = case
+    # the exact test on integers: each probability and the tolerance as a numerator
+    # over one common denominator, so that 130-odd members cost no Fraction per pair
+    scale = math.lcm(tolerance.denominator, *(p.denominator for p in probs))
+    units = [p.numerator * (scale // p.denominator) for p in probs]
+    bound = tolerance.numerator * (scale // tolerance.denominator)
+    merits = [m.merit for m in members]
     expected = []
     for merit in (GUILTY, INNOCENT):
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
-                same_class = members[i].merit == members[j].merit == merit
-                if same_class and abs(probs[i] - probs[j]) > tolerance:
+                same_class = merits[i] == merits[j] == merit
+                if same_class and abs(units[i] - units[j]) > bound:
                     expected.append((members[i].id, members[j].id, merit))
     report = check_absolute_fairness(
         proc, Population(members), tolerance=tolerance, max_violations=max_violations

@@ -164,6 +164,22 @@ def test_a_population_holds_only_columns_and_builds_members_without_checking_the
         assert group_members(pop, AttributeEquals("town", "x")) == members[1:]
 
 
+def test_members_with_equal_attributes_share_one_read_only_mapping():
+    text = HEADER + "a,1,0,sex=M;town=x\nb,0,,town=x\nc,1,1,sex=M;town=x\nd,0,1,\ne,1,0,town=x;sex=M\n"
+    for pop in (load_population(text), Population(load_population(text).members)):
+        a, b, c, d, e = pop.members
+        assert a.attributes is c.attributes and b.attributes is not a.attributes
+        assert e.attributes == {"sex": "M", "town": "x"} and list(e.attributes) == ["sex", "town"]
+        assert d.attributes == {} and pop.members == tuple(
+            Individual(m.id, m.merit, m.criterion, dict(m.attributes)) for m in pop.members
+        )
+        with pytest.raises(TypeError, match="read-only"):
+            a.attributes["sex"] = "F"
+        assert dump_population(pop) == HEADER + (
+            "a,1,0,sex=M;town=x\nb,0,,town=x\nc,1,1,sex=M;town=x\nd,0,1,\ne,1,0,sex=M;town=x\n"
+        )
+
+
 def test_criterion_group_value_must_be_binary():
     with pytest.raises(ValueError, match="criterion value must be 0 or 1, got 2"):
         CriterionEquals(2)

@@ -1,3 +1,4 @@
+import pickle
 import random
 from types import SimpleNamespace
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from procfair import theorem
 from procfair.errors import MissingCriterionError, SizeLimitError
-from procfair.fairness import check_absolute_fairness, check_pairwise_fairness
+from procfair.fairness import GroupPairViolation, check_absolute_fairness, check_pairwise_fairness
 from procfair.population import (
     GUILTY,
     INNOCENT,
@@ -29,7 +30,13 @@ from procfair.procedure import (
     per_group_procedure,
 )
 from procfair.roc import ProcedureClass
-from procfair.theorem import construct_witness, exhaustive_search, verify_theorem
+from procfair.theorem import (
+    Bipartition,
+    PropertyReport,
+    construct_witness,
+    exhaustive_search,
+    verify_theorem,
+)
 
 
 def pop_of(labels):
@@ -317,6 +324,29 @@ def test_bipartition_mode_matches_brute_force_oracle(case, tolerance, max_violat
         assert [(mask(b.subset), b.violated_merit_classes) for b in found] == expected
 
 
+def _same_object(built, rebuilt):
+    """``built`` compares, hashes, prints and pickles as ``rebuilt``, holding the same fields."""
+    assert built == rebuilt and hash(built) == hash(rebuilt) and repr(built) == repr(rebuilt)
+    assert vars(built) == vars(rebuilt)
+    assert pickle.dumps(built) == pickle.dumps(rebuilt)
+    assert pickle.loads(pickle.dumps(built)) == rebuilt
+
+
+@settings(max_examples=150, deadline=None)
+@given(audited_populations())
+def test_listed_violations_are_the_objects_the_public_constructors_build(case):
+    """Each listed violation is the object that its fields, each side as its
+    sorted id tuple, build through the public constructors."""
+    pop, proc = case
+    for v in check_absolute_fairness(proc, pop, "bipartitions", max_violations=1 << 8).violations:
+        sides = [ExplicitIdSet(tuple(sorted(side.ids))) for side in (v.group_a, v.group_b)]
+        for side, rebuilt in zip((v.group_a, v.group_b), sides):
+            _same_object(side, rebuilt)
+        _same_object(v, GroupPairViolation(*sides, v.merit_classes))
+    for b in exhaustive_search(pop, max_n=8, proc=proc):
+        _same_object(b, Bipartition(b.subset, b.complement, b.violated_merit_classes))
+
+
 @pytest.mark.parametrize("chunk", [1, 3])
 def test_bipartition_oracle_holds_across_chunk_seams(monkeypatch, chunk):
     """Chunks of 1 and 3 masks put seams between every few masks tested."""
@@ -359,6 +389,15 @@ def test_verify_theorem_single_individual_is_vacuous():
     assert report.passed
     # one individual admits no nontrivial bipartition, so nothing is witnessed
     assert report.witnessed_instances == 0
+
+
+@pytest.mark.parametrize(
+    ("args", "counts"), [((7, 300, 5), (2, 291, 7)), ((10, 120, 2026), (0, 118, 2))]
+)
+def test_verify_theorem_reports_are_as_recorded(args, counts):
+    """(perfect, witnessed, unwitnessable) counts recorded before each trial's
+    population was built from its columns instead of from checked members."""
+    assert verify_theorem(*args) == PropertyReport(*args, *counts, counterexamples=(), passed=True)
 
 
 def test_verify_theorem_is_seed_deterministic():
