@@ -11,10 +11,10 @@ every CSV report is written by ``population.csv_text``. :func:`_audit_document`
 builds the ``audit`` document, and ``example1`` reads each of its two stages
 off one. ``witness`` lists its violating bipartitions as the enumerator
 behind ``theorem.exhaustive_search`` yields them, each side joined of
-``serialize.listed_id`` pieces and each item written once by
-``serialize.listing_item``. Every command is deterministic given identical
-inputs (including the seed). Exit codes: 0 success, 1 operational failure
-(a bad argument included), 2 reserved for ``witness`` when a fairness
+``serialize.listed_id`` pieces, and holds each as a ``serialize.ListingItem``,
+which only its JSON output writes. Every command is deterministic given
+identical inputs (including the seed). Exit codes: 0 success, 1 operational
+failure (a bad argument included), 2 reserved for ``witness`` when a fairness
 violation is found, so shell pipelines can branch on the result.
 """
 
@@ -24,7 +24,7 @@ import argparse
 import functools
 import sys
 from fractions import Fraction
-from itertools import combinations, starmap
+from itertools import combinations
 from pathlib import Path
 
 from . import serialize
@@ -206,7 +206,7 @@ def _cmd_witness(args):
         "exhaustive": {
             "searched": searched,
             "note": None if searched else f"population exceeds --max-n {args.max_n}; skipped",
-            "violations": list(starmap(serialize.listing_item, found)),
+            "violations": list(map(serialize.ListingItem, found)),
         },
     }
     return doc, EXIT_VIOLATION if report.violated_merit_classes else EXIT_OK

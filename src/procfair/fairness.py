@@ -154,19 +154,22 @@ def _singleton_violations(
     by more than ``tol``, class by class, pairs in member order. A class's codes
     are its non-empty slices of one stable partition of the rows by ``2 * code
     + merit``; each member is paired only with the later rows of the codes
-    farther than ``tol`` from its own, merged. Ids are decoded only to name a pair."""
+    farther than ``tol`` from its own, merged; distances are compared in integers,
+    on the scale of ``theorem``'s enumerator. Ids are decoded only to name a pair."""
+    *units, tol_units = theorem._integer_units(*probs, tol)
     order, offsets = _partition_rows(2 * codes + pop.merit, 2 * len(probs))
     for merit in (GUILTY, INNOCENT):
         slices = zip(offsets[merit + 1 :: 2].tolist(), offsets[merit + 2 :: 2].tolist())
         holders = {code: order[start:stop] for code, (start, stop) in enumerate(slices) if start < stop}
-        class_probs = [probs[code] for code in holders]
-        if not class_probs or max(class_probs) - min(class_probs) <= tol:
+        class_units = [units[code] for code in holders]
+        if not class_units or max(class_units) - min(class_units) <= tol_units:
             continue  # whole class within tolerance: no pair can violate
         members = np.flatnonzero(pop.merit == merit)
         far: dict[int, list[np.ndarray]] = {}
         for a, code in zip(members.tolist(), codes[members].tolist()):
             if code not in far:
-                far[code] = [held for d, held in holders.items() if abs(probs[d] - probs[code]) > tol]
+                unit = units[code]
+                far[code] = [held for d, held in holders.items() if abs(units[d] - unit) > tol_units]
             later = [held[np.searchsorted(held, a, "right"):] for held in far[code]]
             for b in heapq.merge(*later):
                 yield GroupPairViolation(Singleton(pop._id(a)), Singleton(pop._id(b)), (merit,))

@@ -9,20 +9,19 @@ text as ``population.csv_text`` owns CSV text: it writes every report
 document, byte for byte as ``json.dumps(doc, indent=2)`` would. ``witness``'s
 listing of violating bipartitions is written here too, at the one depth it
 sits at: :func:`listed_id` is each member's piece of a side, which the one
-enumerator in ``theorem`` joins, and :func:`listing_item` writes each
-violation from its two sides as :class:`_Verbatim` text, which
-:func:`json_text` writes as it stands. ``fairness`` and ``theorem`` types
-appear only in annotations, so ``roc`` can import this module at its top.
+enumerator in ``theorem`` joins, and each violation stays data, a
+:class:`ListingItem` of its two sides and its classes, until :func:`json_text`
+writes it as a list item. ``fairness`` and ``theorem`` types appear only in
+annotations, so ``roc`` can import this module at its top.
 """
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Callable
 
-from .population import AttributeEquals, CriterionEquals
+from .population import GUILTY, INNOCENT, AttributeEquals, CriterionEquals
 from .procedure import (
     ConditionalRates,
     DeterministicProcedure,
@@ -47,21 +46,11 @@ def json_text(doc: Any) -> str:
     runs CPython's pure-Python encoder; this writer walks the document once,
     appends every piece of its text to one list and joins that list once, so
     no container's text is copied into its parent's. It dispatches on each
-    value's exact type. The one subclass it writes is :class:`_Verbatim`, by
-    exact type: its text is appended as it stands.
+    value's exact type. The one other type it writes is :class:`ListingItem`,
+    by exact type and only as an item of a list at the listing's depth, as the
+    object that ``json.dumps`` writes from the same item as a dict.
     """
     return _joined(doc, "\n")
-
-
-class _Verbatim(str):
-    """JSON text that :func:`json_text` writes as it stands, not as a string.
-
-    The text must be the value's JSON at its place in the document, with the
-    indentation of its depth there, as ``json.dumps(doc, indent=2)`` would
-    write it; nothing checks that.
-    """
-
-    __slots__ = ()
 
 
 # The writer of each scalar type, by exact type: each is a C call.
@@ -104,10 +93,11 @@ def _append_text(value: Any, indent: str, parts: list[str]) -> None:
             for item in value:
                 append(separator)
                 item_kind = type(item)
-                if item_kind is _Verbatim:
-                    append(item)
-                elif write := scalar(item_kind):
+                if write := scalar(item_kind):
                     append(write(item))
+                elif item_kind is ListingItem and inner == _ITEM:
+                    subset, complement, classes = item
+                    append(f"{_SUBSET}{subset[1:]}{_COMPLEMENT}{complement[1:]}{_TAILS[classes]}")
                 else:
                     _append_text(item, inner, parts)
             parts.append(indent + "]")
@@ -115,10 +105,7 @@ def _append_text(value: Any, indent: str, parts: list[str]) -> None:
             parts.append("{")
             for key, item in value.items():
                 append(f"{separator}{encode_basestring_ascii(key)}: ")
-                item_kind = type(item)
-                if item_kind is _Verbatim:
-                    append(item)
-                elif write := scalar(item_kind):
+                if write := scalar(type(item)):
                     append(write(item))
                 else:
                     _append_text(item, inner, parts)
@@ -127,9 +114,6 @@ def _append_text(value: Any, indent: str, parts: list[str]) -> None:
         return
     write = _SCALARS.get(kind)
     if write is None:
-        if kind is _Verbatim:
-            parts.append(value)
-            return
         raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
     parts.append(write(value))
 
@@ -251,14 +235,20 @@ def witness_json(report: WitnessReport) -> dict[str, Any]:
 # (exhaustive, violations, item). As ``json.dumps(doc, indent=2)`` indents
 # it, its lines start with ``_ITEM``, its keys one level deeper with ``_KEY``
 # and the items of its lists one more level deeper. The constant text of an
-# item is held in two prefixes and a cached tail, so that writing one, once
-# per violation, is a single f-string of five parts.
+# item is held in two prefixes and one of three tails, so that writing one,
+# once per violation, is a single f-string of five parts.
 _LISTING_DEPTH = 3
 _ITEM = "\n" + "  " * _LISTING_DEPTH
 _KEY = _ITEM + "  "
 _LISTED_ID = "," + _KEY + "  "
 _SUBSET = "{" + _KEY + '"subset": ['
 _COMPLEMENT = _KEY + "]," + _KEY + '"complement": ['
+# an item's text after its complement's body, by its violated merit classes: the
+# ``violated_merit_classes`` list at its depth, and the item's end
+_TAILS = {
+    classes: f'{_KEY}],{_KEY}"violated_merit_classes": {_joined(list(classes), _KEY)}{_ITEM}}}'
+    for classes in ((GUILTY,), (INNOCENT,), (GUILTY, INNOCENT))
+}
 
 
 def listed_id(ident: str) -> str:
@@ -266,16 +256,13 @@ def listed_id(ident: str) -> str:
     return _LISTED_ID + encode_basestring_ascii(ident)
 
 
-@functools.cache
-def _listed_tail(classes: tuple[int, ...]) -> str:
-    """A listing item's text after its complement's body: its
-    ``violated_merit_classes`` list at its depth, and the item's end. A
-    violation has one of three non-empty class tuples, so the cache stays small."""
-    return f'{_KEY}],{_KEY}"violated_merit_classes": {_joined(list(classes), _KEY)}{_ITEM}}}'
+class ListingItem(tuple):
+    """One violating bipartition of ``witness``'s listing, as data:
+    ``(subset, complement, classes)``, each side the body of its JSON list
+    joined of :func:`listed_id` pieces (never empty, the first piece's comma
+    included) and ``classes`` the enumerator's non-empty tuple of violated merit
+    classes. :func:`json_text` writes it, by exact type, only as an item of a
+    list at the listing's depth, as the object ``{"subset": [...],
+    "complement": [...], "violated_merit_classes": [...]}``."""
 
-
-def listing_item(subset: str, complement: str, classes: tuple[int, ...]) -> _Verbatim:
-    """One violation as its listing item's JSON text, from its two sides' list
-    bodies joined of :func:`listed_id` pieces; a side is never empty, and
-    ``[1:]`` drops its first item's comma."""
-    return _Verbatim(f"{_SUBSET}{subset[1:]}{_COMPLEMENT}{complement[1:]}{_listed_tail(classes)}")
+    __slots__ = ()

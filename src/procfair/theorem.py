@@ -20,10 +20,12 @@ increasing order of the split's bitmask, as its two sides, each joined from
 one piece per member in sorted id order. The piece is the 1-tuple of the id
 unless the caller names another: the CLI's ``witness`` passes
 ``serialize.listed_id``, each member's JSON list-item text, so each side
-arrives as the body of its JSON list and ``serialize`` writes the listing
-with no id encoded per split.
-Every probability becomes an integer numerator over a common denominator,
-and class means are compared by cross multiplication against an integer
+arrives as the body of its JSON list, each split is held as a
+``serialize.ListingItem`` of its two sides and its classes, and ``serialize``
+writes the listing with no id encoded per split.
+Every probability becomes an integer numerator over a common denominator
+(:func:`_integer_units`, which ``fairness``' singleton search shares), and
+class means are compared by cross multiplication against an integer
 tolerance bound. numpy makes that test for a chunk of ``BIPARTITION_CHUNK``
 masks at a time, in ``int64`` when the products fit and on exact Python ints
 otherwise, and a chunk's violations are yielded before the next chunk is
@@ -190,6 +192,13 @@ def _id_tuple(ident: str) -> tuple[str, ...]:
     return (ident,)
 
 
+def _integer_units(*values: Fraction) -> list[int]:
+    """Each of ``values`` as its numerator over their least common denominator,
+    so that sums and differences of them compare exactly as integers."""
+    denom = math.lcm(*(value.denominator for value in values))
+    return [value.numerator * (denom // value.denominator) for value in values]
+
+
 def _violated_classes(sums: np.ndarray, totals: np.ndarray, tol_units: int) -> np.ndarray:
     """For each column ``(c_0, c_1, t_0, t_1, ...)`` of one side's counts
     ``c_j`` and numerator sums ``t_j`` per merit class, the bits ``1 << j`` of
@@ -238,9 +247,7 @@ def _bipartition_violations(
     # Integer-only setup: member i's probability is numer[i] / denom, and a class
     # with (count, numerator sum) = (c_a, t_a) on one side and (c_b, t_b) on the
     # other is violated iff |t_a * c_b - t_b * c_a| > tol_units * c_a * c_b.
-    denom = math.lcm(tolerance.denominator, *(p.denominator for p in probs))
-    numer_by_code = [p.numerator * (denom // p.denominator) for p in probs]
-    tol_units = tolerance.numerator * (denom // tolerance.denominator)
+    *numer_by_code, tol_units = _integer_units(*probs, tolerance)
     # Both products are at most max(numerator, tol_units) * n^2 / 4, so int64
     # holds them and their difference below 2^62; larger ones are computed
     # exactly on Python ints in object arrays, by the same code.

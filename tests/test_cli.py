@@ -415,6 +415,26 @@ def test_witness_text_names_an_unwitnessable_population(capsys, tmp_path):
     )
 
 
+
+def test_witness_text_formats_no_listing_item(capsys, tmp_path, monkeypatch):
+    """The witness document holds each violation as the enumerator's data; only
+    JSON output writes it, so the text format counts the items and writes none."""
+    pop_file = tmp_path / "imperfect.csv"
+    pop_file.write_text(IMPERFECT_CSV, encoding="utf-8")
+    args = build_parser().parse_args(["witness", "--population", str(pop_file), "--format", "text"])
+    doc, code = args.func(args)
+    pop = load_population(IMPERFECT_CSV)
+    found = list(theorem._exhaustive_violations(pop, theorem.DEFAULT_MAX_N, piece=serialize.listed_id))
+    assert doc["exhaustive"]["violations"] == found  # tuples, not text
+
+    def refuse(doc):
+        raise AssertionError("the text format wrote JSON")
+
+    monkeypatch.setattr(serialize, "json_text", refuse)
+    code, out, _ = run(capsys, "witness", "--population", str(pop_file), "--format", "text")
+    assert code == 2
+    assert out.splitlines()[-1] == f"exhaustive search: {len(found)} violating bipartition(s)"
+
 # --- simulate ----------------------------------------------------------------
 
 

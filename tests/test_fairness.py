@@ -283,7 +283,8 @@ def singleton_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(
     singleton_cases(),
-    st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 2)]),
+    # 1/7 shares no factor with the levels' denominators
+    st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 2), Fraction(1, 7)]),
     st.sampled_from([0, 1, 3, 1000]),
 )
 def test_singletons_mode_lists_every_differing_pair(case, tolerance, max_violations):
@@ -309,6 +310,29 @@ def test_singletons_mode_lists_every_differing_pair(case, tolerance, max_violati
     assert report.truncated == (len(expected) > max_violations)
     assert report.fair == (not expected)
 
+
+
+def test_singleton_search_compares_integers_not_fractions(monkeypatch):
+    """Listing every pair of 200 one-member codes takes fewer Fraction
+    subtractions than there are codes: distances are compared on integer
+    numerators, not by a Fraction subtraction per pair of codes."""
+    groups = [f"g{i}" for i in range(200)]
+    pop = Population([Individual(f"m{i}", INNOCENT, attributes={"group": g}) for i, g in enumerate(groups)])
+    proc = per_group_procedure("group", {g: (0, Fraction(i, 200)) for i, g in enumerate(groups)})
+    subtract, calls = Fraction.__sub__, []
+
+    def counted(a, b):
+        calls.append(None)
+        return subtract(a, b)
+
+    monkeypatch.setattr(Fraction, "__sub__", counted)
+    report = check_absolute_fairness(proc, pop, tolerance=Fraction(1, 10), max_violations=10**5)
+    monkeypatch.undo()
+    # members i < j differ by (j - i) / 200, more than 1/10 when j - i > 20
+    assert [(v.group_a.id, v.group_b.id) for v in report.violations] == [
+        (f"m{i}", f"m{j}") for i in range(200) for j in range(i + 21, 200)
+    ]
+    assert len(calls) < 200
 
 def test_singleton_listing_does_not_slow_down_when_the_differing_member_is_last():
     # one F among 4 * 10^5 innocent M: 100 listed pairs, whichever end the F sits at

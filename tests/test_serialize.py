@@ -9,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from procfair.serialize import _Verbatim, json_text
+from procfair.population import GUILTY, INNOCENT
+from procfair.serialize import ListingItem, json_text, listed_id
+from procfair.theorem import _CLASSES_BY_BITS
 
 # every code point, lone surrogates and control characters included
 texts = st.text(st.characters(codec=None, exclude_categories=()), max_size=8)
@@ -121,39 +123,56 @@ def test_json_text_refuses_a_document_that_contains_itself(container):
         json_text(doc)
 
 
-def _written_ahead(value, depth: int = 1):
-    """``value`` with its even-placed list items and dict values replaced by
-    their ``json.dumps(indent=2)`` text at their depth, as :class:`_Verbatim`;
-    the other items are treated alike, one level down."""
+# the enumerator's non-empty tuples of violated merit classes
+CLASSES = _CLASSES_BY_BITS[1:]
+sides = st.lists(texts, min_size=1, max_size=4)
 
-    def item(place, child):
-        if place % 2:
-            return _written_ahead(child, depth + 1)
-        return _Verbatim(json.dumps(child, indent=2).replace("\n", "\n" + "  " * depth))
 
-    if type(value) is list:
-        return [item(place, child) for place, child in enumerate(value)]
-    if type(value) is dict:
-        return {key: item(place, child) for place, (key, child) in enumerate(value.items())}
-    return value
+def _witness_document(witness, violations) -> dict:
+    return {"witness": witness, "exhaustive": {"searched": True, "note": None, "violations": violations}}
+
+
+def _listing_item(subset, complement, classes) -> ListingItem:
+    """A violation as ``witness`` holds it: each side joined of ``listed_id`` pieces."""
+    return ListingItem(("".join(map(listed_id, subset)), "".join(map(listed_id, complement)), classes))
 
 
 @settings(max_examples=300, deadline=None)
-@given(documents)
-@example([["a"], {"b": [1, {"c": []}]}, "d", ["e", {"f": "g"}]])
-def test_verbatim_text_is_written_as_it_stands_at_any_depth(doc):
-    assert json_text(_written_ahead(doc)) == json.dumps(doc, indent=2)
+@given(documents, st.lists(st.tuples(sides, sides, st.sampled_from(CLASSES)), max_size=4))
+@example({}, [(['"\\\x00', "\ud800\u540d\U0001f600"], ["\t"], (GUILTY, INNOCENT))])
+def test_a_listing_item_is_written_as_json_dumps_writes_its_dict(witness, violations):
+    listing = [_listing_item(*violation) for violation in violations]
+    as_dicts = [
+        {"subset": subset, "complement": complement, "violated_merit_classes": list(classes)}
+        for subset, complement, classes in violations
+    ]
+    assert json_text(_witness_document(witness, listing)) == json.dumps(
+        _witness_document(witness, as_dicts), indent=2
+    )
 
 
-class Raw(_Verbatim):
+class SubItem(ListingItem):
     pass
 
 
-@pytest.mark.parametrize("kind", [Raw, Label])
-def test_only_the_exact_verbatim_type_is_written_as_it_stands(kind):
-    """Any other ``str`` subclass, one of :class:`_Verbatim` included, is refused."""
-    text = kind('[\n  "a"\n]')
-    for doc in (text, [text], [text, 1], ["a", text], {"k": text}, [{"k": [text]}]):
-        with pytest.raises(TypeError, match=f"Object of type {kind.__name__} is not JSON serializable"):
-            json_text(doc)
-    assert json_text(_Verbatim(text)) == text
+ITEM = _listing_item(["a"], ["b"], (INNOCENT,))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        ITEM,
+        {"violations": ITEM},
+        _witness_document({}, [SubItem(ITEM)]),
+        _witness_document({}, [tuple(ITEM)]),
+        [ITEM],
+        {"exhaustive": [ITEM]},
+        _witness_document({}, [[ITEM]]),
+    ],
+    ids=["top-level", "dict-value", "subclass", "plain-tuple", "shallow-list", "list-in-dict", "deep-list"],
+)
+def test_a_listing_item_is_written_only_as_an_item_of_the_listing(doc):
+    """At the top level, as a dict value or in a list of another depth it is
+    refused, as is a subclass of it or a plain tuple in its place."""
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        json_text(doc)
