@@ -93,9 +93,9 @@ def _checked_tolerance(tolerance) -> Fraction:
     Two probabilities never differ by more than 1, so no larger tolerance
     gives other verdicts than 1."""
     tol = as_rational(tolerance)
-    if tol < 0:
+    if tol.numerator < 0:
         raise ValueError(f"tolerance must be non-negative, got {tolerance!r}")
-    if tol > 1:
+    if tol.numerator > tol.denominator:  # the denominator is positive
         raise ValueError(f"tolerance must be at most 1, got {tolerance!r}")
     return tol
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 import json
 import numbers
 import operator
+import re
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -65,6 +67,9 @@ __all__ = [
 ]
 
 MAX_DECIMAL_DIGITS = 4300  # sys.int_info.default_max_str_digits, which bounds "a/b" too
+# Fraction's "a/b" text once stripped; int() reads each side, under the interpreter's
+# digit limit (Python 3.10 before 3.10.7 has none)
+_RATIO = re.compile(r"[-+]?(\d+(?:_\d+)*)/(\d+(?:_\d+)*)")
 
 
 def as_rational(value: int | float | str | Fraction | Decimal) -> Fraction:
@@ -72,8 +77,21 @@ def as_rational(value: int | float | str | Fraction | Decimal) -> Fraction:
 
     Floats are read through their shortest decimal representation, so
     ``0.1`` becomes exactly 1/10 rather than its binary expansion. A decimal
-    needing more than :data:`MAX_DECIMAL_DIGITS` digits plus exponent is refused.
+    needing more than :data:`MAX_DECIMAL_DIGITS` digits plus exponent is refused,
+    as is an ``a/b`` string with a side past the interpreter's digit limit.
     """
+    kind = type(value)
+    if kind is Fraction:
+        return value
+    if kind is int:
+        return Fraction(value)
+    if kind is str and value.isascii():  # ASCII digits, or digits "/" digits, read by int()
+        numerator, slash, denominator = value.strip().partition("/")
+        if numerator.isdigit() and (denominator.isdigit() if slash else len(numerator) <= MAX_DECIMAL_DIGITS):
+            try:
+                return Fraction(int(numerator), int(denominator) if slash else 1)
+            except (ValueError, ZeroDivisionError):  # past the digit limit, or "a/0": said below
+                pass
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -95,6 +113,10 @@ def as_rational(value: int | float | str | Fraction | Decimal) -> Fraction:
                 return Fraction(decimal)
     # infinities overflow, NaN is a ValueError
     except (ValueError, ZeroDivisionError, InvalidOperation, OverflowError) as exc:
+        ratio = isinstance(value, str) and _RATIO.fullmatch(text)
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if ratio and limit and max(len(side) - side.count("_") for side in ratio.groups()) > limit:
+            raise ValueError(f"cannot interpret {value!r} as a rational: needs more than {limit} digits") from exc
         raise ValueError(f"cannot interpret {value!r} as a rational") from exc
     too_long = "" if decimal is None else f": needs more than {MAX_DECIMAL_DIGITS} digits"
     raise ValueError(f"cannot interpret {value!r} as a rational{too_long}")
@@ -439,11 +461,13 @@ def _parse_json(source: str | bytes | IO[str] | IO[bytes], error: type[ProcfairE
     ``Path.read_text`` does."""
 
     def unique_names(pairs):
-        doc = {}
-        for name, value in pairs:
-            if name in doc:
-                raise error(f"invalid JSON: name {name!r} given twice in one object")
-            doc[name] = value
+        doc = dict(pairs)
+        if len(doc) < len(pairs):  # the first name whose second occurrence comes first
+            seen = set()
+            for name, _ in pairs:
+                if name in seen:
+                    raise error(f"invalid JSON: name {name!r} given twice in one object")
+                seen.add(name)
         return doc
 
     text = _file_bytes(source).decode()

@@ -76,7 +76,7 @@ def is_merit_agnostic(cls: ProcedureClass) -> bool:
 def _checked_eps(eps) -> Fraction:
     """``eps`` as an exact rational; raises unless it lies in [0, 1/4)."""
     tol = as_rational(eps)
-    if not 0 <= tol < Fraction(1, 4):
+    if not 0 <= 4 * tol.numerator < tol.denominator:  # the denominator is positive
         raise ValueError(f"eps must lie in [0, 1/4), got {eps!r}")
     return tol
 

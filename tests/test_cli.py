@@ -560,6 +560,7 @@ def test_roc_export_bad_points_file(capsys, tmp_path):
         ('{"label": "a", "h": "0", "k": "x"}', "cannot interpret 'x' as a rational"),
         ('{"label": true, "h": "0", "k": "0"}', "points entry 0 label must be a string"),
         ('{"label": "a", "h": "0", "h": "1", "k": "0"}', "invalid JSON: name 'h' given twice in one object"),
+        ('{"label": "a", "h": "0", "k": "0", "k": "1", "h": "1"}', "invalid JSON: name 'k' given twice in one object"),
     ]:
         points.write_text(f"[{entry}]", encoding="utf-8")
         code, out, err = run(capsys, "roc-export", str(points))
@@ -829,6 +830,15 @@ def test_decimals_past_the_digit_limit_are_refused_before_any_work(capsys, tmp_p
     code, out, err = run(capsys, *audit, "--attribute", "sex")
     assert code == 1 and out == "" and single_error_line(err)
     assert "needs more than 4300 digits" in err
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="no integer digit limit")
+def test_an_a_b_side_past_the_digit_limit_is_refused_with_its_reason(capsys):
+    limit = sys.get_int_max_str_digits()
+    ratio = "1" + "0" * limit + "/1"
+    code, out, err = run(capsys, "classify", "--h", ratio, "--k", "0")
+    assert code == 1 and out == ""
+    assert err == f"error: cannot interpret '{ratio}' as a rational: needs more than {limit} digits\n"
 
 
 def test_classify_eps_message_names_the_text_as_typed(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from procfair.errors import MissingRateError, SizeLimitError
 from procfair.fairness import (
+    _checked_tolerance,
     check_absolute_fairness,
     check_pairwise_fairness,
     expected_contingency,
@@ -108,6 +109,15 @@ def test_tolerance_above_one_rejected():
         check_pairwise_fairness(rates(1, 0), rates(1, 0), "1e400")
     with pytest.raises(ValueError, match="at most 1"):
         check_absolute_fairness(global_procedure(0, 1), Population([]), tolerance=Fraction(3, 2))
+
+
+def test_tolerance_bounds_are_exact():
+    tiny = Fraction(1, 10**100)
+    assert _checked_tolerance(1) == 1 and _checked_tolerance("0") == 0
+    with pytest.raises(ValueError, match="^tolerance must be at most 1, got "):
+        _checked_tolerance(1 + tiny)
+    with pytest.raises(ValueError, match="^tolerance must be non-negative, got "):
+        _checked_tolerance(-tiny)
 
 
 def test_global_rates_fair_across_every_attribute_pair(demo_pop, demo_proc):

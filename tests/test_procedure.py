@@ -1,8 +1,10 @@
 import dataclasses
 import io
 import json
+import math
+import numbers
 import sys
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 import numpy as np
@@ -99,6 +101,102 @@ def test_as_rational_digit_limit_counts_digits_and_exponent(mantissa, exponent, 
 def test_as_rational_parses_up_to_the_digit_limit():
     assert as_rational("1e-4299") == Fraction(1, 10**4299)
     assert as_rational(Decimal("1e4299")) == 10**4299
+
+
+def _reference_as_rational(value):
+    """``as_rational`` as it read every value before it read ints, Fractions and
+    ASCII ``a/b`` by type: the oracle of the reader's values and errors."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise ValueError(f"cannot interpret {value!r} as a rational")
+    if isinstance(value, numbers.Integral):
+        return Fraction(int(value))
+    decimal = value if isinstance(value, Decimal) else None
+    try:
+        if isinstance(value, numbers.Real):
+            return Fraction(Decimal(repr(float(value))))
+        if isinstance(value, str):
+            text = value.strip()
+            if "/" in text:
+                return Fraction(text)
+            decimal = Decimal(text)
+        if decimal is not None:
+            _, digits, exponent = decimal.as_tuple()
+            if not decimal.is_finite() or len(digits) + abs(exponent) <= 4300:
+                return Fraction(decimal)
+    except (ValueError, ZeroDivisionError, InvalidOperation, OverflowError) as exc:
+        raise ValueError(f"cannot interpret {value!r} as a rational") from exc
+    too_long = "" if decimal is None else ": needs more than 4300 digits"
+    raise ValueError(f"cannot interpret {value!r} as a rational{too_long}")
+
+
+def _assert_reads_as_the_reference(value):
+    """The same Fraction or the same error; the one difference allowed is the reason
+    an ``a/b`` text with a side past the interpreter's digit limit now gives."""
+    expected = _outcome(lambda: _reference_as_rational(value))  # a Fraction, or (type, message)
+    got = _outcome(lambda: as_rational(value))
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and isinstance(value, str) and "/" in value and type(expected) is tuple:
+        if any(sum(map(str.isdecimal, side)) > limit for side in value.split("/")):
+            expected = (expected[0], f"{expected[1]}: needs more than {limit} digits")
+    assert (type(got), got) == (type(expected), expected)
+
+
+class _FractionSubclass(Fraction):
+    pass
+
+
+_reader_inputs = st.one_of(
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.fractions(),
+    st.fractions().map(_FractionSubclass),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072e-308]),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.decimals(),
+    st.text(alphabet="0123456789\u0663\uff15\u00bd+-_.e/ \tx", max_size=12),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_reader_inputs)
+def test_as_rational_reads_every_value_as_the_reference_does(value):
+    _assert_reads_as_the_reference(value)
+
+
+@pytest.mark.parametrize("int_limit", [None, 0, 5000])  # None keeps the interpreter's
+@pytest.mark.parametrize("digits", [4300, 4301])
+@pytest.mark.parametrize("lead", ["", "000"])
+@pytest.mark.parametrize("form", ["{}", " {} ", "{}/7", "7/{}", "{}/{}", "-{}/7", "{}.0"])
+def test_as_rational_reads_long_numbers_as_the_reference_does(int_limit, digits, lead, form):
+    number = lead + "9" * (digits - len(lead))
+    if int_limit is None:
+        _assert_reads_as_the_reference(form.format(number, number))
+        return
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no integer digit limit")
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(int_limit)
+    try:
+        _assert_reads_as_the_reference(form.format(number, number))
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="no integer digit limit")
+@pytest.mark.parametrize("side", ["1{}/1", "1/1{}", "+1{}/3", "1_{}/3", "\u0661{}/\u0662"])
+def test_as_rational_says_when_an_a_b_side_is_past_the_digit_limit(side):
+    limit = sys.get_int_max_str_digits()
+    zeros = ("\u0660" if "\u0661" in side else "0") * limit
+    with pytest.raises(ValueError, match=f"as a rational: needs more than {limit} digits$"):
+        as_rational(side.format(zeros))
+    with pytest.raises(ValueError, match="as a rational$"):
+        as_rational(side.format(zeros).replace("/", "//"))  # not of the a/b form: no reason
 
 
 # --- deterministic evaluation ----------------------------------------------
@@ -583,6 +681,11 @@ def test_load_procedure_refuses_an_integer_past_the_digit_limit():
     digits = "1" + "0" * sys.get_int_max_str_digits()
     with pytest.raises(ProcedureSpecError, match="^invalid JSON: "):
         load_procedure(f'{{"type": "randomized", "rates": {{"global": [{digits}, 0]}}}}')
+
+
+def test_load_procedure_names_the_first_name_whose_second_occurrence_comes_first():
+    with pytest.raises(ProcedureSpecError, match="^invalid JSON: name 'b' given twice in one object$"):
+        load_procedure('{"a": 1, "b": 2, "b": 3, "a": 4}')
 
 
 def test_load_procedure_refuses_a_document_that_is_not_an_object():

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from procfair import roc
+from procfair.errors import ProcfairError
 from procfair.procedure import GlobalRates, global_procedure
 from procfair.roc import (
     ProcedureClass,
@@ -128,6 +129,20 @@ def test_eps_bands_snap_to_corner_before_edge():
 def test_eps_out_of_range(eps):
     with pytest.raises(ValueError):
         classify(RocPoint("1/2", "1/2"), eps=eps)
+
+
+def test_points_file_names_the_first_name_whose_second_occurrence_comes_first():
+    with pytest.raises(ProcfairError, match="^invalid JSON: name 'b' given twice in one object$"):
+        roc._load_points('[{"a": 1, "b": 2, "b": 3, "a": 4}]')
+
+
+def test_eps_bounds_are_exact():
+    tiny = Fraction(1, 10**100)
+    assert roc._checked_eps(Fraction(1, 4) - tiny) == Fraction(1, 4) - tiny
+    assert roc._checked_eps(0) == 0
+    for eps in (Fraction(1, 4), -tiny, "1/4"):
+        with pytest.raises(ValueError, match=r"^eps must lie in \[0, 1/4\), got "):
+            roc._checked_eps(eps)
 
 
 def test_degenerate_classes_flagged_merit_agnostic():
