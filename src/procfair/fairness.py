@@ -148,14 +148,16 @@ class AbsoluteFairnessReport:
 
 
 def _singleton_violations(
-    pop: Population, codes: np.ndarray, probs: tuple[Fraction, ...], tol: Fraction
+    pop: Population, proc: Procedure, tol: Fraction
 ) -> Iterator[GroupPairViolation]:
-    """Lazily yield each pair of same-class members whose probabilities differ
-    by more than ``tol``, class by class, pairs in member order. A class's codes
+    """Lazily yield each pair of same-class members whose probabilities under
+    ``proc`` differ by more than ``tol``, class by class, pairs in member order;
+    every member's probability is read on first use. A class's codes
     are its non-empty slices of one stable partition of the rows by ``2 * code
     + merit``; each member is paired only with the later rows of the codes
     farther than ``tol`` from its own, merged; distances are compared in integers,
     on the scale of ``theorem``'s enumerator. Ids are decoded only to name a pair."""
+    codes, probs = _probability_codes(proc, pop)
     *units, tol_units = theorem._integer_units(*probs, tol)
     order, offsets = _partition_rows(2 * codes + pop.merit, 2 * len(probs))
     for merit in (GUILTY, INNOCENT):
@@ -187,25 +189,22 @@ def check_absolute_fairness(
 
     ``singletons`` mode checks all one-member groups: the procedure is fair
     iff individuals sharing a merit label share a conviction probability
-    (within ``tolerance``). ``bipartitions`` mode tests every nontrivial
-    subset against its complement through the enumerator behind
-    ``theorem.exhaustive_search``: a merit class is violated when the two
-    sides' mean conviction probabilities differ by more than ``tolerance``,
-    compared exactly in integers. ``theorem._check_search_limit`` refuses a
-    ``max_n`` outside ``[0, theorem.MAX_SEARCH_N]`` and a population larger
-    than ``max_n`` (singletons mode is linear instead).
+    (within ``tolerance``); it is linear and ignores ``max_n``. ``bipartitions``
+    mode tests every nontrivial subset against its complement through
+    ``theorem._exhaustive_violations``, the front door of ``exhaustive_search``
+    and ``witness``: a merit class is violated when the two sides' mean
+    conviction probabilities differ by more than ``tolerance``, compared exactly
+    in integers. One order holds: ``tolerance`` and ``mode`` first, then the
+    bipartition size rule of ``theorem._check_search_limit``, then probabilities.
     Both modes yield violations lazily in a deterministic order and share one
     truncation rule: the first ``max_violations`` are listed (none if it is not
     positive), ``truncated`` says a further one exists, ``fair`` that none does.
     """
     tol = _checked_tolerance(tolerance)
-    codes, probs = _probability_codes(proc, pop)
-
     if mode == "singletons":
-        stream = _singleton_violations(pop, codes, probs, tol)
+        stream = _singleton_violations(pop, proc, tol)
     elif mode == "bipartitions":
-        theorem._check_search_limit(max_n, len(pop))
-        violations = theorem._bipartition_violations(pop, codes, probs, tol)
+        violations = theorem._exhaustive_violations(pop, max_n, proc, tol)
         stream = (
             GroupPairViolation(ExplicitIdSet(subset), ExplicitIdSet(complement), violated)
             for subset, complement, violated in violations

@@ -452,13 +452,21 @@ def empirical_rates(
 # --- procedure description files -------------------------------------------
 
 
+class _JsonNumber(Decimal):
+    """A JSON number with a fraction or an exponent, held exactly as written;
+    messages show its value, ``1.5``, not ``Decimal('1.5')``."""
+
+    __repr__ = Decimal.__str__
+
+
 def _parse_json(source: str | bytes | IO[str] | IO[bytes], error: type[ProcfairError] = ProcfairError):
     """The package's one JSON reader of input documents, which reads ``source``
-    as its UTF-8 file (:func:`~procfair.population._file_bytes`). Malformed text,
-    an integer past the interpreter's digit limit, nesting too deep for the
-    parser, or a name given twice in one object raises ``error`` with a
-    one-line message; text that is not UTF-8 raises ``UnicodeError``, as
-    ``Path.read_text`` does."""
+    as its UTF-8 file (:func:`~procfair.population._file_bytes`) and each number
+    with a fraction or an exponent as an exact :class:`_JsonNumber`, never through
+    a binary float. Malformed text, an integer past the interpreter's digit limit,
+    an exponent past decimal's range, nesting too deep for the parser, or a name
+    given twice in one object raises ``error`` with a one-line message; text that
+    is not UTF-8 raises ``UnicodeError``, as ``Path.read_text`` does."""
 
     def unique_names(pairs):
         doc = dict(pairs)
@@ -472,9 +480,11 @@ def _parse_json(source: str | bytes | IO[str] | IO[bytes], error: type[ProcfairE
 
     text = _file_bytes(source).decode()
     try:
-        return json.loads(text, object_pairs_hook=unique_names)
+        return json.loads(text, object_pairs_hook=unique_names, parse_float=_JsonNumber)
     except (ValueError, RecursionError) as exc:  # a JSONDecodeError or an over-long integer
         raise error(f"invalid JSON: {exc}") from exc
+    except ArithmeticError as exc:  # an exponent past decimal's range, so past any digit limit
+        raise error(f"invalid JSON: a number needs more than {MAX_DECIMAL_DIGITS} digits") from exc
 
 
 def load_procedure(source: str | bytes | IO[str] | IO[bytes]) -> Procedure:

@@ -8,30 +8,18 @@ conviction probabilities of exactly 1 (X=0 side) and 0 (X=1 side): the split
 witnesses that the procedure is group-unfair. Only a perfect procedure
 (X = J everywhere) escapes, and only because no class straddles the split.
 
-``exhaustive_search`` realizes the "every logically possible group"
-quantifier at desk scale by enumerating all bipartitions of a small
-population, which doubles as an independent check of the constructed
-witness. It wraps the tuples of :func:`_exhaustive_violations` in
-:class:`Bipartition`. The enumeration is :func:`_bipartition_violations`, the
-one bipartition enumerator of the package, which
-``fairness.check_absolute_fairness(mode="bipartitions")`` shares: it takes
-the caller's probability codes and yields each violating split, in
-increasing order of the split's bitmask, as its two sides, each joined from
-one piece per member in sorted id order. The piece is the 1-tuple of the id
-unless the caller names another: the CLI's ``witness`` passes
-``serialize.listed_id``, each member's JSON list-item text, so each side
-arrives as the body of its JSON list, each split is held as a
-``serialize.ListingItem`` of its two sides and its classes, and ``serialize``
-writes the listing with no id encoded per split.
-Every probability becomes an integer numerator over a common denominator
-(:func:`_integer_units`, which ``fairness``' singleton search shares), and
-class means are compared by cross multiplication against an integer
-tolerance bound. numpy makes that test for a chunk of ``BIPARTITION_CHUNK``
-masks at a time, in ``int64`` when the products fit and on exact Python ints
-otherwise, and a chunk's violations are yielded before the next chunk is
-tested, so a caller that stops early pays only for the chunks it read.
-:func:`_check_search_limit` owns the size rule of both callers, of
-:func:`verify_theorem` and of ``witness --max-n``.
+Every bipartition search, the desk-scale check of the paper's "every
+logically possible group" quantifier, enters through
+:func:`_exhaustive_violations`: ``exhaustive_search``, the CLI's ``witness``
+and ``fairness.check_absolute_fairness(mode="bipartitions")``. It checks the
+size rule of :func:`_check_search_limit`, then reads the members'
+probabilities, then hands them to :func:`_bipartition_violations`, the one
+enumerator, which yields each violating split in increasing order of its
+bitmask. Every probability becomes an integer numerator over a common
+denominator (:func:`_integer_units`, which ``fairness``' singleton search
+shares), and class means are compared by cross multiplication against an
+integer tolerance bound, in numpy chunks of ``BIPARTITION_CHUNK`` masks: in
+``int64`` when the products fit and on exact Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -220,14 +208,14 @@ def _bipartition_violations(
     pop: Population,
     codes: np.ndarray,
     probs: Sequence[Fraction],
-    tolerance: Fraction = Fraction(0),
-    piece: Callable[[str], Piece] = _id_tuple,
+    tolerance: Fraction,
+    piece: Callable[[str], Piece],
 ) -> Iterator[tuple[Piece, Piece, tuple[int, ...]]]:
     """Lazily yield ``(subset, complement, violated merit classes)`` per unfair
     bipartition; member i's conviction probability is ``probs[codes[i]]``, as
-    from :func:`~procfair.procedure._probability_codes`. Each side is the join
-    of ``piece(id)`` over its members in sorted id order: by default the tuple
-    of its sorted ids. ``piece`` is called once per member.
+    from :func:`~procfair.procedure._probability_codes`, for a population of
+    two or more members. Each side is the join of ``piece(id)`` over its
+    members in sorted id order; ``piece`` is called once per member.
 
     The first member always stays in the complement, so each unordered
     bipartition is tested once, in increasing order of the subset's bitmask
@@ -242,8 +230,6 @@ def _bipartition_violations(
     pieces are likewise two table entries joined.
     """
     n = len(pop)
-    if n < 2:
-        return
     # Integer-only setup: member i's probability is numer[i] / denom, and a class
     # with (count, numerator sum) = (c_a, t_a) on one side and (c_b, t_b) on the
     # other is violated iff |t_a * c_b - t_b * c_a| > tol_units * c_a * c_b.
@@ -295,18 +281,21 @@ def _exhaustive_violations(
     pop: Population,
     max_n: int,
     proc: Procedure | None = None,
+    tolerance: Fraction = Fraction(0),
     piece: Callable[[str], Piece] = _id_tuple,
 ) -> Iterator[tuple[Piece, Piece, tuple[int, ...]]]:
-    """The ``(subset, complement, violated merit classes)`` tuples of
-    :func:`exhaustive_search`, in its order, each side joined from ``piece``
-    as :func:`_bipartition_violations` joins it: the one listing behind
-    ``exhaustive_search`` and ``witness``. The size rule is checked at the
-    call, not on first use."""
+    """The front door of every bipartition search: the ``(subset, complement,
+    violated merit classes)`` tuples of :func:`_bipartition_violations` at
+    ``tolerance``, each side joined from ``piece``. At the call, not on first
+    use, it checks the size rule, then returns no split for a population of
+    fewer than two members, reading no probability, and only then reads every
+    member's probability under ``proc`` (the deterministic procedure by
+    default)."""
     _check_search_limit(max_n, len(pop))
     if len(pop) < 2:
-        return iter(())  # no bipartition, so no member needs a probability
+        return iter(())
     codes, probs = _probability_codes(proc or DeterministicProcedure(), pop)
-    return _bipartition_violations(pop, codes, probs, piece=piece)
+    return _bipartition_violations(pop, codes, probs, tolerance, piece)
 
 
 def exhaustive_search(

@@ -877,6 +877,40 @@ def test_an_integer_past_the_digit_limit_is_invalid_json(capsys, tmp_path):
     assert err.startswith("error: invalid JSON: ")
 
 
+# --- JSON numbers are read exactly -------------------------------------------
+
+
+def test_json_numbers_in_a_points_file_are_read_exactly(capsys, tmp_path):
+    points = tmp_path / "points.json"
+    points.write_text('[{"label": "x", "h": 0.12345678901234567890123, "k": 1e-330}]', encoding="utf-8")
+    code, out, err = run(capsys, "roc-export", str(points), "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].endswith(",ImperfectlyJust")  # k > 0, however small
+    code, out, err = run(capsys, "roc-export", str(points), "--format", "json")
+    (row,) = json.loads(out)
+    assert (row["h"]["ratio"], row["k"]["ratio"]) == ("12345678901234567890123/1" + "0" * 23, "1/1" + "0" * 330)
+
+
+def test_json_numbers_in_a_procedure_file_are_read_exactly(capsys, tmp_path):
+    pop_file = tmp_path / "population.csv"
+    pop_file.write_text("id,J,X,attrs\na,1,1,sex=M\nb,0,0,sex=F\n", encoding="utf-8")
+    proc_file = tmp_path / "procedure.json"
+    audit = ["audit", "--population", str(pop_file), "--procedure", str(proc_file), "--attribute", "sex"]
+    proc_file.write_text('{"type": "randomized", "rates": {"global": [0.30000000000000001, 1e-400]}}')
+    code, out, err = run(capsys, *audit, "--format", "json")
+    assert (code, err) == (0, "")
+    h, k = json.loads(out)["procedure"]["rates"]["global"]
+    assert (h["ratio"], k["ratio"]) == ("30000000000000001/1" + "0" * 17, "1/1" + "0" * 400)
+    proc_file.write_text('{"type": "randomized", "rates": {"global": [1e-4301, 0]}}')
+    code, out, err = run(capsys, *audit)
+    assert code == 1 and out == ""
+    assert err == "error: bad probability for global: cannot interpret 1E-4301 as a rational: needs more than 4300 digits\n"
+    proc_file.write_text('{"type": "randomized", "rates": {"global": [1.5, 0]}}')
+    code, out, err = run(capsys, *audit)
+    assert code == 1 and out == ""
+    assert err == "error: bad probability for global: probability out of range [0, 1]: 1.5\n"
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

@@ -203,12 +203,14 @@ def test_bipartitions_refuse_a_negative_max_n(monkeypatch):
         check_absolute_fairness(global_procedure(0, 0), pop, mode="bipartitions", max_n=-1)
 
 
-def test_bipartitions_missing_probability_raises_before_size_checks():
+def test_bipartitions_check_size_before_missing_probability():
     pop = Population([Individual("a", INNOCENT), Individual("b", GUILTY)])
     proc = per_group_procedure("sex", {"M": (0, 0)})
     for max_n in (1, 40):
-        with pytest.raises(MissingRateError, match="'a' has no value for attribute 'sex'"):
+        with pytest.raises(SizeLimitError):
             check_absolute_fairness(proc, pop, mode="bipartitions", max_n=max_n)
+    with pytest.raises(MissingRateError, match="'a' has no value for attribute 'sex'"):
+        check_absolute_fairness(proc, pop, mode="bipartitions", max_n=2)
 
 
 def test_unknown_mode_is_refused():

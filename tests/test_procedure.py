@@ -683,6 +683,33 @@ def test_load_procedure_refuses_an_integer_past_the_digit_limit():
         load_procedure(f'{{"type": "randomized", "rates": {{"global": [{digits}, 0]}}}}')
 
 
+def test_load_procedure_reads_json_numbers_exactly():
+    proc = load_procedure('{"type": "randomized", "rates": {"global": [0.30000000000000001, 1e-400]}}')
+    assert (proc.rates.h, proc.rates.k) == (Fraction(30000000000000001, 10**17), Fraction(1, 10**400))
+    proc = load_procedure('{"type": "randomized", "rates": {"global": [1e-4299, -0.0]}}')
+    assert (proc.rates.h, proc.rates.k) == (Fraction(1, 10**4299), 0)
+
+
+@pytest.mark.parametrize(
+    "number,message",
+    [
+        ("1.5", "probability out of range [0, 1]: 1.5"),
+        ("1e-4301", "cannot interpret 1E-4301 as a rational: needs more than 4300 digits"),
+        ("1e400", "probability out of range [0, 1]: 1E+400"),
+    ],
+)
+def test_load_procedure_names_a_refused_json_number_by_its_value(number, message):
+    text = f'{{"type": "randomized", "rates": {{"global": [{number}, 0]}}}}'
+    with pytest.raises(ProcedureSpecError) as caught:
+        load_procedure(text)
+    assert str(caught.value) == f"bad probability for global: {message}"
+
+
+def test_load_procedure_refuses_an_exponent_past_decimal_range():
+    with pytest.raises(ProcedureSpecError, match="^invalid JSON: a number needs more than 4300 digits$"):
+        load_procedure('{"type": "randomized", "rates": {"global": [1e1000000000000000000, 0]}}')
+
+
 def test_load_procedure_names_the_first_name_whose_second_occurrence_comes_first():
     with pytest.raises(ProcedureSpecError, match="^invalid JSON: name 'b' given twice in one object$"):
         load_procedure('{"a": 1, "b": 2, "b": 3, "a": 4}')

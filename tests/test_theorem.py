@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from procfair import theorem
-from procfair.errors import MissingCriterionError, SizeLimitError
+from procfair.errors import MissingCriterionError, ProcfairError, SizeLimitError
 from procfair.fairness import GroupPairViolation, check_absolute_fairness, check_pairwise_fairness
 from procfair.population import (
     GUILTY,
@@ -550,3 +550,79 @@ def test_search_checks_size_before_criterion_labels():
         exhaustive_search(pop, max_n=1)
     with pytest.raises(MissingCriterionError):
         exhaustive_search(pop)
+
+
+def test_refusing_an_oversized_population_reads_no_probability(monkeypatch):
+    calls = _count_probability_code_calls(monkeypatch)
+    pop = Population(Individual(f"m{i}", INNOCENT) for i in range(30))  # no criterion labels
+    with pytest.raises(SizeLimitError, match="population of 30 exceeds bipartition search limit 15"):
+        check_absolute_fairness(DeterministicProcedure(), pop, mode="bipartitions")
+    with pytest.raises(SizeLimitError, match="population of 30 exceeds bipartition search limit 15"):
+        exhaustive_search(pop)
+    assert calls == []
+
+
+def test_bipartitions_mode_of_one_member_without_criterion_is_fair(monkeypatch):
+    calls = _count_probability_code_calls(monkeypatch)
+    pop = Population([Individual("a", INNOCENT)])
+    report = check_absolute_fairness(DeterministicProcedure(), pop, mode="bipartitions")
+    assert (report.fair, report.violations, report.truncated) == (True, (), False)
+    assert calls == []
+
+
+def test_an_unknown_mode_is_refused_before_any_probability_is_read(monkeypatch):
+    calls = _count_probability_code_calls(monkeypatch)
+    pop = Population([Individual("a", INNOCENT), Individual("b", GUILTY)])  # no criterion labels
+    with pytest.raises(ValueError, match="got 'pairs'"):
+        check_absolute_fairness(DeterministicProcedure(), pop, mode="pairs")
+    assert calls == []
+
+
+@st.composite
+def front_door_cases(draw):
+    """A population of 0-6 members, each with or without a criterion label and
+    with a value of attribute ``g`` that has a rate ("a", "b"), one that has none
+    ("c"), or no value; a deterministic or a per-group procedure over ``g``; and
+    a ``max_n`` of -1, 0, 1, 2, the population's size or 21."""
+    rows = draw(
+        st.lists(
+            st.tuples(st.integers(0, 1), st.sampled_from((0, 1, None)), st.sampled_from(("a", "b", "c", None))),
+            max_size=6,
+        )
+    )
+    pop = Population(
+        Individual(f"m{i}", merit, criterion, {} if value is None else {"g": value})
+        for i, (merit, criterion, value) in enumerate(rows)
+    )
+    rate = st.sampled_from(("0", "1/3", "1/2", "1"))
+    per_group = st.builds(
+        lambda a, b: per_group_procedure("g", {"a": a, "b": b}), st.tuples(rate, rate), st.tuples(rate, rate)
+    )
+    proc = draw(st.one_of(st.just(DeterministicProcedure()), per_group))
+    return pop, proc, draw(st.sampled_from((-1, 0, 1, 2, len(rows), 21)))
+
+
+def _listing_or_error(search):
+    """The splits ``search()`` lists as ``(subset, complement, classes)``, or the
+    type and message of the error it raises."""
+    try:
+        return search()
+    except ProcfairError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(front_door_cases())
+def test_bipartitions_mode_and_exhaustive_search_agree(case):
+    """One front door: the same error, or the same splits at tolerance 0."""
+    pop, proc, max_n = case
+
+    def mode():
+        report = check_absolute_fairness(proc, pop, "bipartitions", max_n=max_n, max_violations=1 << 6)
+        return [(v.group_a.ids, v.group_b.ids, v.merit_classes) for v in report.violations]
+
+    def search():
+        found = exhaustive_search(pop, max_n, proc)
+        return [(frozenset(b.subset), frozenset(b.complement), b.violated_merit_classes) for b in found]
+
+    assert _listing_or_error(mode) == _listing_or_error(search)
