@@ -148,8 +148,11 @@ def _audit_document(pop, proc, attribute, tolerance, simulation=None) -> dict:
 
 
 def _audit_csv(doc, args) -> str:
-    rows = [["section", "group", "merit", "field", "ratio", "approx"]]
     rates = doc["rates"]
+    for value in rates["by_group"]:  # a group row would read as a summary row of that name
+        if value in ("overall", "total"):
+            raise ValueError(f"attribute value {value!r} names a summary row of the CSV; use --format json")
+    rows = [["section", "group", "merit", "field", "ratio", "approx"]]
     for value, r in [("overall", rates["overall"]), *rates["by_group"].items()]:
         rows.append(["rates", value, GUILTY, "h", *_cells(r["h"])])
         rows.append(["rates", value, INNOCENT, "k", *_cells(r["k"])])

@@ -15,6 +15,7 @@ shared by both checks and ``audit --tolerance``.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -154,26 +155,28 @@ def _singleton_violations(
     ``proc`` differ by more than ``tol``, class by class, pairs in member order;
     every member's probability is read on first use. A class's codes
     are its non-empty slices of one stable partition of the rows by ``2 * code
-    + merit``; each member is paired only with the later rows of the codes
-    farther than ``tol`` from its own, merged; distances are compared in integers,
-    on the scale of ``theorem``'s enumerator. Ids are decoded only to name a pair."""
+    + merit``, sorted once by probability into a ladder; each member is paired
+    only with the later rows of the codes farther than ``tol`` from its own, the
+    ladder's two ends beyond ``tol``, found by bisection and merged. Probabilities
+    are compared in integers, on the scale of ``theorem``'s enumerator. Ids are
+    decoded only to name a pair."""
     codes, probs = _probability_codes(proc, pop)
     *units, tol_units = theorem._integer_units(*probs, tol)
     order, offsets = _partition_rows(2 * codes + pop.merit, 2 * len(probs))
     for merit in (GUILTY, INNOCENT):
         slices = zip(offsets[merit + 1 :: 2].tolist(), offsets[merit + 2 :: 2].tolist())
         holders = {code: order[start:stop] for code, (start, stop) in enumerate(slices) if start < stop}
-        class_units = [units[code] for code in holders]
-        if not class_units or max(class_units) - min(class_units) <= tol_units:
+        ladder = sorted(holders, key=units.__getitem__)  # the class's codes, least probable first
+        rungs = [units[code] for code in ladder]
+        if not rungs or rungs[-1] - rungs[0] <= tol_units:
             continue  # whole class within tolerance: no pair can violate
         members = np.flatnonzero(pop.merit == merit)
         far: dict[int, list[np.ndarray]] = {}
         for a, code in zip(members.tolist(), codes[members].tolist()):
-            if code not in far:
-                unit = units[code]
-                far[code] = [held for d, held in holders.items() if abs(units[d] - unit) > tol_units]
-            later = [held[np.searchsorted(held, a, "right"):] for held in far[code]]
-            for b in heapq.merge(*later):
+            if code not in far:  # the rungs more than tol_units below or above the code's own
+                lo, hi = bisect_left(rungs, units[code] - tol_units), bisect_right(rungs, units[code] + tol_units)
+                far[code] = [holders[d] for d in ladder[:lo] + ladder[hi:]]
+            for b in heapq.merge(*(held[np.searchsorted(held, a, "right"):] for held in far[code])):
                 yield GroupPairViolation(Singleton(pop._id(a)), Singleton(pop._id(b)), (merit,))
 
 
@@ -189,7 +192,8 @@ def check_absolute_fairness(
 
     ``singletons`` mode checks all one-member groups: the procedure is fair
     iff individuals sharing a merit label share a conviction probability
-    (within ``tolerance``); it is linear and ignores ``max_n``. ``bipartitions``
+    (within ``tolerance``); it sorts each class's probabilities once, finds each
+    one's far probabilities by bisection and ignores ``max_n``. ``bipartitions``
     mode tests every nontrivial subset against its complement through
     ``theorem._exhaustive_violations``, the front door of ``exhaustive_search``
     and ``witness``: a merit class is violated when the two sides' mean

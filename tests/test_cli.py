@@ -277,6 +277,21 @@ def test_audit_csv_leaves_an_empty_merit_class_blank(capsys, tmp_path):
         assert f"rates,{group},1,k,1/10,0.10000000" in rows
 
 
+@pytest.mark.parametrize("reserved", ["overall", "total"])
+def test_audit_csv_refuses_a_group_named_like_a_summary_row(capsys, tmp_path, reserved):
+    pop_file = tmp_path / "reserved.csv"
+    pop_file.write_text(f"id,J,X,attrs\na,1,,g={reserved}\nb,0,,g=x\n", encoding="utf-8")
+    proc_file = tmp_path / "procedure.json"
+    proc_file.write_text(GLOBAL_PROC, encoding="utf-8")
+    out_file = tmp_path / "report.csv"
+    argv = ["audit", "--population", str(pop_file), "--procedure", str(proc_file), "--attribute", "g"]
+    code, out, err = run(capsys, *argv, "--format", "csv", "--out", str(out_file))
+    assert code == 1 and out == "" and not out_file.exists()
+    assert err == f"error: attribute value {reserved!r} names a summary row of the CSV; use --format json\n"
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and list(json.loads(out)["rates"]["by_group"]) == [reserved, "x"]
+
+
 # --- witness -----------------------------------------------------------------
 
 

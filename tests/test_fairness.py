@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from procfair.errors import MissingRateError, SizeLimitError
@@ -292,6 +292,22 @@ def singleton_cases(draw):
     return members, probs, proc
 
 
+def level_case(pairs, rows):
+    """A case as :func:`singleton_cases` draws one: members ``m0, m1, ...`` of
+    the ``(merit, group)`` ``rows`` under the per-group procedure ``pairs``."""
+    members = [Individual(f"m{i}", merit, attributes={"g": g}) for i, (merit, g) in enumerate(rows)]
+    probs = [pairs[m.attributes["g"]][m.merit] for m in members]
+    return members, probs, per_group_procedure("g", pairs)
+
+
+# innocent levels 0, 1/2 and 1, members of each spread through the class
+LADDER = {"a": (0, 0), "b": (0, Fraction(1, 2)), "c": (0, 1)}
+LADDER_ROWS = [(INNOCENT, g) for g in "cabbcaab"] + [(GUILTY, "a"), (GUILTY, "c")]
+# innocent probability 1/2 under two codes, since the pairs (0, 1/2) and (1/3, 1/2) differ
+TWINS = {"a": (0, Fraction(1, 2)), "b": (Fraction(1, 3), Fraction(1, 2)), "c": (0, 0)}
+TWIN_ROWS = [(INNOCENT, g) for g in "abcba"] + [(GUILTY, g) for g in "ba"]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     singleton_cases(),
@@ -299,6 +315,16 @@ def singleton_cases(draw):
     st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 2), Fraction(1, 7)]),
     st.sampled_from([0, 1, 3, 1000]),
 )
+# levels exactly the tolerance apart, at the foot and at the top of a class: not violations
+@example(level_case(LADDER, LADDER_ROWS), Fraction(1, 2), 1000)
+@example(level_case(LADDER, [(INNOCENT, g) for g in "babba"]), Fraction(1, 2), 1000)
+# the same levels one step past the tolerance on their common scale (0, 6 and 12 twelfths): violations
+@example(level_case(LADDER, LADDER_ROWS), Fraction(5, 12), 1000)
+@example(level_case(LADDER, LADDER_ROWS), Fraction(5, 12), 3)
+# two codes with one probability: never each other's far level, on either side of the tolerance
+@example(level_case(TWINS, TWIN_ROWS), Fraction(0), 1000)
+@example(level_case(TWINS, TWIN_ROWS), Fraction(1, 2), 1000)
+@example(level_case(TWINS, TWIN_ROWS), Fraction(1, 3), 1000)
 def test_singletons_mode_lists_every_differing_pair(case, tolerance, max_violations):
     members, probs, proc = case
     # the exact test on integers: each probability and the tolerance as a numerator
@@ -345,6 +371,26 @@ def test_singleton_search_compares_integers_not_fractions(monkeypatch):
         (f"m{i}", f"m{j}") for i in range(200) for j in range(i + 21, 200)
     ]
     assert len(calls) < 200
+
+
+def test_singleton_search_time_grows_with_its_levels_not_their_square():
+    """n innocents, member i at level i / (10n), tolerance (n - 3) / (10n): the
+    only far levels are the ladder's two ends, so finding them by bisection keeps
+    10,000 levels within 40 times 500 levels, where a scan of every level per
+    level took some 350 times as long."""
+    elapsed = {}
+    for n in (500, 10_000):
+        groups = [f"g{i}" for i in range(n)]
+        pop = Population([Individual(f"m{i}", INNOCENT, attributes={"group": g}) for i, g in enumerate(groups)])
+        proc = per_group_procedure("group", {g: (0, Fraction(i, 10 * n)) for i, g in enumerate(groups)})
+        start = time.perf_counter()
+        report = check_absolute_fairness(proc, pop, tolerance=Fraction(n - 3, 10 * n))
+        elapsed[n] = time.perf_counter() - start
+        pairs = [(v.group_a.id, v.group_b.id) for v in report.violations]
+        assert pairs == [("m0", f"m{n - 2}"), ("m0", f"m{n - 1}"), ("m1", f"m{n - 1}")]
+        assert not report.truncated
+    assert elapsed[10_000] < 40 * elapsed[500] + 0.2
+
 
 def test_singleton_listing_does_not_slow_down_when_the_differing_member_is_last():
     # one F among 4 * 10^5 innocent M: 100 listed pairs, whichever end the F sits at
