@@ -9,10 +9,13 @@ as bytes by :func:`_read` and handed to the library, which reads it as its
 UTF-8 file and checks its format (``roc._load_points`` the points file);
 every CSV report is written by ``population.csv_text``. :func:`_audit_document`
 builds the ``audit`` document, and ``example1`` reads each of its two stages
-off one. ``witness`` lists its violating bipartitions as the enumerator
-behind ``theorem.exhaustive_search`` yields them, each side joined of
-``serialize.listed_id`` pieces, and holds each as a ``serialize.ListingItem``,
-which only its JSON output writes. Every command is deterministic given
+off one. ``witness`` holds its violating bipartitions as the search of the
+enumerator behind ``theorem.exhaustive_search``, in a ``serialize.Listing``
+that its JSON output writes a chunk at a time and its text output counts;
+the listing is the document's last key, and its exit code is known before
+it, so the listing goes to the output in buffers and is never held whole.
+An output file is created at the first write, after every check has passed.
+Every command is deterministic given
 identical inputs (including the seed). Exit codes: 0 success, 1 operational
 failure (a bad argument included), 2 reserved for ``witness`` when a fairness
 violation is found, so shell pipelines can branch on the result.
@@ -21,6 +24,7 @@ violation is found, so shell pipelines can branch on the result.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from fractions import Fraction
@@ -63,11 +67,12 @@ def _read(path: str) -> bytes:
 
 # --- renderers ---------------------------------------------------------------
 # Each reads only the command's document, plus ``args`` for values the
-# document does not hold.
+# document does not hold, and hands its text to ``write``.
 
 
-def _json(doc, args) -> str:
-    return serialize.json_text(doc) + "\n"
+def _json(doc, args, write) -> None:
+    serialize.write_json(doc, write)
+    write("\n")
 
 
 def _cells(r) -> list[str]:
@@ -147,11 +152,16 @@ def _audit_document(pop, proc, attribute, tolerance, simulation=None) -> dict:
     return doc
 
 
-def _audit_csv(doc, args) -> str:
+def _audit_csv(doc, args, write) -> None:
     rates = doc["rates"]
-    for value in rates["by_group"]:  # a group row would read as a summary row of that name
-        if value in ("overall", "total"):
+    for value in rates["by_group"]:
+        if value in ("overall", "total"):  # a group row would read as a summary row of that name
             raise ValueError(f"attribute value {value!r} names a summary row of the CSV; use --format json")
+        if "|" in value:  # two verdict rows' group pairs could read alike
+            raise ValueError(
+                f"attribute value {value!r} holds '|', which separates a verdict row's two groups; "
+                "use --format json"
+            )
     rows = [["section", "group", "merit", "field", "ratio", "approx"]]
     for value, r in [("overall", rates["overall"]), *rates["by_group"].items()]:
         rows.append(["rates", value, GUILTY, "h", *_cells(r["h"])])
@@ -171,7 +181,7 @@ def _audit_csv(doc, args) -> str:
     for v in doc["verdicts"]:
         pair = "|".join(f"{g['name']}={g['value']}" for g in (v["group_a"], v["group_b"]))
         rows.append(["verdict", pair, "", "fair", v["fair"], v["fair"]])
-    return csv_text(rows)
+    write(csv_text(rows))
 
 
 # --- classify ----------------------------------------------------------------
@@ -190,8 +200,8 @@ def _cmd_classify(args):
     }, EXIT_OK
 
 
-def _classify_text(doc, args) -> str:
-    return doc["class"] + "\n"
+def _classify_text(doc, args, write) -> None:
+    write(doc["class"] + "\n")
 
 
 # --- witness -----------------------------------------------------------------
@@ -202,20 +212,20 @@ def _cmd_witness(args):
     pop = load_population(_read(args.population))
     report = construct_witness(pop)
     searched = len(pop) <= args.max_n
-    found = _exhaustive_violations(pop, args.max_n, piece=serialize.listed_id) if searched else ()
+    listing = serialize.Listing(_exhaustive_violations(pop, args.max_n)) if searched else []
 
     doc = {
         "witness": serialize.witness_json(report),
         "exhaustive": {
             "searched": searched,
             "note": None if searched else f"population exceeds --max-n {args.max_n}; skipped",
-            "violations": list(map(serialize.ListingItem, found)),
+            "violations": listing,
         },
     }
     return doc, EXIT_VIOLATION if report.violated_merit_classes else EXIT_OK
 
 
-def _witness_text(doc, args) -> str:
+def _witness_text(doc, args, write) -> None:
     report, search = doc["witness"], doc["exhaustive"]
     if report["violated_merit_classes"]:
         classes = ", ".join(str(j) for j in report["violated_merit_classes"])
@@ -233,10 +243,10 @@ def _witness_text(doc, args) -> str:
     if report["procedure_class"] is not None:
         lines.append(f"empirical classification: {report['procedure_class']}")
     if search["searched"]:
-        lines.append(f"exhaustive search: {len(search['violations'])} violating bipartition(s)")
+        lines.append(f"exhaustive search: {search['violations'].count()} violating bipartition(s)")
     else:
         lines.append(f"exhaustive search skipped (population exceeds --max-n {args.max_n})")
-    return "\n".join(lines) + "\n"
+    write("\n".join(lines) + "\n")
 
 
 # --- simulate ----------------------------------------------------------------
@@ -259,12 +269,12 @@ def _cmd_simulate(args):
     }, EXIT_OK
 
 
-def _simulate_csv(doc, args) -> str:
+def _simulate_csv(doc, args, write) -> None:
     rows = [["quantity", "ratio", "approx"]]
     for source in ("empirical", "expected"):
         for rate in ("h", "k"):
             rows.append([f"{source}_{rate}", *_cells(doc[source][rate])])
-    return csv_text(rows)
+    write(csv_text(rows))
 
 
 # --- example1 ----------------------------------------------------------------
@@ -274,7 +284,7 @@ def _cmd_example1(args):
     return demo_report(), EXIT_OK
 
 
-def _example1_csv(doc, args) -> str:
+def _example1_csv(doc, args, write) -> None:
     rows = [["stage", "group", "merit", "count", "expected_convictions", "guilty_share", "fair"]]
     for stage in doc["stages"]:
         table, justice = stage["contingency"], stage["justice"]
@@ -286,10 +296,10 @@ def _example1_csv(doc, args) -> str:
                      _cells(cell["expected_convictions"])[1], _cells(share)[1],
                      stage["verdict"]["fair"]]
                 )
-    return csv_text(rows)
+    write(csv_text(rows))
 
 
-def _example1_text(doc, args) -> str:
+def _example1_text(doc, args, write) -> None:
     guilty, innocent = str(GUILTY), str(INNOCENT)
     group_bits = "; ".join(
         f"{value} {sizes['guilty'] + sizes['innocent']} ({sizes['guilty']} guilty / "
@@ -333,7 +343,7 @@ def _example1_text(doc, args) -> str:
             f"tolerance {_fmt(verdict['tolerance'])}): {'fair' if verdict['fair'] else 'unfair'}",
             f"  classification: {stage['classification']}",
         ]
-    return "\n".join(lines) + "\n"
+    write("\n".join(lines) + "\n")
 
 
 # --- roc-export --------------------------------------------------------------
@@ -345,8 +355,8 @@ def _cmd_roc_export(args):
     return diagram_rows(points, eps), EXIT_OK
 
 
-def _roc_diagram(doc, args) -> str:
-    return render_diagram(doc, args.format)
+def _roc_diagram(doc, args, write) -> None:
+    write(render_diagram(doc, args.format))
 
 
 # --- parser ------------------------------------------------------------------
@@ -436,15 +446,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The ``write`` of a report: standard output's, or that of the file at
+    ``path``, which is created at the first write, so a report refused before
+    its first byte creates none."""
+    if not path:
+        yield sys.stdout.write
+        return
+    file = None
+
+    def write(text: str) -> None:
+        nonlocal file
+        if file is None:
+            file = open(path, "w", encoding="utf-8")
+        file.write(text)
+
+    try:
+        yield write
+    finally:
+        if file is not None:
+            file.close()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         doc, code = args.func(args)
-        text = args.render[args.format](doc, args)
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
+        with _output(args.out) as write:
+            args.render[args.format](doc, args, write)
     except (ProcfairError, ValueError, OSError) as exc:
         # one line, even where argparse repeats a word as typed
         print("error:", str(exc).replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)

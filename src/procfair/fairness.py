@@ -208,7 +208,7 @@ def check_absolute_fairness(
     if mode == "singletons":
         stream = _singleton_violations(pop, proc, tol)
     elif mode == "bipartitions":
-        violations = theorem._exhaustive_violations(pop, max_n, proc, tol)
+        violations = theorem._exhaustive_violations(pop, max_n, proc, tol).tuples()
         stream = (
             GroupPairViolation(ExplicitIdSet(subset), ExplicitIdSet(complement), violated)
             for subset, complement, violated in violations

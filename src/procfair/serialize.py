@@ -6,19 +6,23 @@ both the ``"a/b"`` ratio string and a float approximation, e.g. ``{"ratio":
 convenience. All dictionaries are built in a deterministic order; serializing
 the same report twice produces identical text. :func:`json_text` owns JSON
 text as ``population.csv_text`` owns CSV text: it writes every report
-document, byte for byte as ``json.dumps(doc, indent=2)`` would. ``witness``'s
-listing of violating bipartitions is written here too, at the one depth it
-sits at: :func:`listed_id` is each member's piece of a side, which the one
-enumerator in ``theorem`` joins, and each violation stays data, a
-:class:`ListingItem` of its two sides and its classes, until :func:`json_text`
-writes it as a list item. ``fairness`` and ``theorem`` types appear only in
-annotations, so ``roc`` can import this module at its top.
+document, byte for byte as ``json.dumps(doc, indent=2)`` would, and
+:func:`write_json` hands that text to a ``write`` function in pieces.
+``witness``'s listing of violating bipartitions is written here too, at the
+one depth it sits at: a :class:`Listing` holds the one enumerator's search
+from ``theorem``, and each violation is written once, as one f-string of two
+half-table entries per side and constant prefixes and tails, with no side
+joined, a chunk at a time, so that the CLI can write the listing out in
+buffers of about ``WRITE_BUFFER`` characters without ever holding it whole.
+``fairness`` and ``theorem`` types appear only in annotations, so ``roc`` can
+import this module at its top.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable
 
 from .population import GUILTY, INNOCENT, AttributeEquals, CriterionEquals
@@ -32,7 +36,7 @@ from .procedure import (
 
 if TYPE_CHECKING:
     from .fairness import ContingencyTable, FairnessVerdict, JusticeMetrics
-    from .theorem import WitnessReport
+    from .theorem import WitnessReport, _Violations
 
 
 def json_text(doc: Any) -> str:
@@ -44,13 +48,40 @@ def json_text(doc: Any) -> str:
     ``TypeError``, and a document that contains itself (or nests past the
     recursion limit) raises ``ValueError``. With an ``indent``, ``json.dumps``
     runs CPython's pure-Python encoder; this writer walks the document once,
-    appends every piece of its text to one list and joins that list once, so
-    no container's text is copied into its parent's. It dispatches on each
-    value's exact type. The one other type it writes is :class:`ListingItem`,
-    by exact type and only as an item of a list at the listing's depth, as the
-    object that ``json.dumps`` writes from the same item as a dict.
+    appends every piece of its text to one list and joins that list once (a
+    listing's a buffer at a time, by :func:`write_json`), so no container's
+    text is copied into its parent's. It dispatches on each
+    value's exact type. The one other type it writes is :class:`Listing`, by
+    exact type and only at the listing's depth, as the list that ``json.dumps``
+    writes from its violations as dicts.
     """
-    return _joined(doc, "\n")
+    texts: list[str] = []
+    write_json(doc, texts.append)
+    return "".join(texts)
+
+
+# Characters of listing text that :func:`write_json` gathers before it writes them.
+WRITE_BUFFER = 1 << 16
+
+
+def write_json(doc: Any, write: Callable[[str], Any]) -> None:
+    """Hand the text of :func:`json_text` to ``write``: once, or, while a
+    :class:`Listing` is written, each time about ``WRITE_BUFFER`` characters of
+    its items are pending, at the end of an item. Nothing is written before the
+    walk reaches the listing, so a document that :func:`json_text` refuses
+    writes nothing unless its fault lies past a listing."""
+    parts: list[str] = []
+
+    def flush() -> None:
+        text = "".join(parts)
+        parts.clear()  # before the write, which may copy the text again
+        write(text)
+
+    try:
+        _append_text(doc, "\n", parts, flush)
+    except RecursionError:
+        raise ValueError("cannot write a document that contains itself or nests too deeply") from None
+    flush()
 
 
 # The writer of each scalar type, by exact type: each is a C call.
@@ -63,21 +94,12 @@ _SCALARS: dict[type, Callable[[Any], str]] = {
 }
 
 
-def _joined(value: Any, indent: str) -> str:
-    """``value`` as JSON text whose lines start with ``indent`` (LF first),
-    written by one :func:`_append_text` walk and joined once."""
-    parts: list[str] = []
-    try:
-        _append_text(value, indent, parts)
-    except RecursionError:
-        raise ValueError("cannot write a document that contains itself or nests too deeply") from None
-    return "".join(parts)
-
-
-def _append_text(value: Any, indent: str, parts: list[str]) -> None:
+def _append_text(value: Any, indent: str, parts: list[str], flush: Callable[[], None]) -> None:
     """Append the pieces of ``value``'s JSON text, whose lines start with
-    ``indent``, to ``parts``. Each item is appended after its separator, the
-    first item's without the comma."""
+    ``indent``, to ``parts``; only a :class:`Listing` calls ``flush``. Each item
+    is appended after its separator, the first item's without the comma, which
+    is known before the item is written, so a flush inside it sends no
+    separator that would still change."""
     kind = type(value)
     if kind is list or kind is dict:
         if not value:
@@ -86,31 +108,32 @@ def _append_text(value: Any, indent: str, parts: list[str]) -> None:
         inner = indent + "  "
         separator = "," + inner
         append, scalar = parts.append, _SCALARS.get
-        first = len(parts)
         # a loop per kind: pairing each item with its prefix cost an audit report a third more
         if kind is list:
             parts.append("[")
+            lead = inner
             for item in value:
-                append(separator)
-                item_kind = type(item)
-                if write := scalar(item_kind):
-                    append(write(item))
-                elif item_kind is ListingItem and inner == _ITEM:
-                    subset, complement, classes = item
-                    append(f"{_SUBSET}{subset[1:]}{_COMPLEMENT}{complement[1:]}{_TAILS[classes]}")
-                else:
-                    _append_text(item, inner, parts)
-            parts.append(indent + "]")
-        else:
-            parts.append("{")
-            for key, item in value.items():
-                append(f"{separator}{encode_basestring_ascii(key)}: ")
+                append(lead)
+                lead = separator
                 if write := scalar(type(item)):
                     append(write(item))
                 else:
-                    _append_text(item, inner, parts)
+                    _append_text(item, inner, parts, flush)
+            parts.append(indent + "]")
+        else:
+            parts.append("{")
+            lead = inner
+            for key, item in value.items():
+                append(f"{lead}{encode_basestring_ascii(key)}: ")
+                lead = separator
+                if write := scalar(type(item)):
+                    append(write(item))
+                else:
+                    _append_text(item, inner, parts, flush)
             parts.append(indent + "}")
-        parts[first + 1] = parts[first + 1][1:]  # the first item's separator has no comma
+        return
+    if kind is Listing and indent == _LISTING:
+        _append_listing(value.search, parts, flush)
         return
     write = _SCALARS.get(kind)
     if write is None:
@@ -231,24 +254,25 @@ def witness_json(report: WitnessReport) -> dict[str, Any]:
 
 
 # --- witness listing ---------------------------------------------------------
-# A listing item sits at depth ``_LISTING_DEPTH`` of the witness document
-# (exhaustive, violations, item). As ``json.dumps(doc, indent=2)`` indents
-# it, its lines start with ``_ITEM``, its keys one level deeper with ``_KEY``
-# and the items of its lists one more level deeper. The constant text of an
-# item is held in two prefixes and one of three tails, so that writing one,
-# once per violation, is a single f-string of five parts.
-_LISTING_DEPTH = 3
-_ITEM = "\n" + "  " * _LISTING_DEPTH
+# The listing is the value at depth 2 of the witness document (exhaustive,
+# violations), and its items sit one level deeper. As ``json.dumps(doc,
+# indent=2)`` indents them, an item's lines start with ``_ITEM``, its keys one
+# level deeper with ``_KEY`` and the items of its lists one more level deeper.
+# The constant text of an item is held in two prefixes and one of three tails,
+# so that writing one, once per violation, is a single f-string of seven parts.
+_LISTING = "\n" + "  " * 2
+_ITEM = _LISTING + "  "
 _KEY = _ITEM + "  "
 _LISTED_ID = "," + _KEY + "  "
-_SUBSET = "{" + _KEY + '"subset": ['
+_SUBSET = "," + _ITEM + "{" + _KEY + '"subset": ['
 _COMPLEMENT = _KEY + "]," + _KEY + '"complement": ['
-# an item's text after its complement's body, by its violated merit classes: the
-# ``violated_merit_classes`` list at its depth, and the item's end
-_TAILS = {
-    classes: f'{_KEY}],{_KEY}"violated_merit_classes": {_joined(list(classes), _KEY)}{_ITEM}}}'
+# an item's text after its complement's body, by the class bits of its violated
+# merit classes (bit ``1 << j`` for class j): the ``violated_merit_classes`` list
+# at its depth, and the item's end
+_TAILS = ("",) + tuple(
+    _KEY + "]," + _KEY + '"violated_merit_classes": ' + json_text(list(classes)).replace("\n", _KEY) + _ITEM + "}"
     for classes in ((GUILTY,), (INNOCENT,), (GUILTY, INNOCENT))
-}
+)
 
 
 def listed_id(ident: str) -> str:
@@ -256,13 +280,61 @@ def listed_id(ident: str) -> str:
     return _LISTED_ID + encode_basestring_ascii(ident)
 
 
-class ListingItem(tuple):
-    """One violating bipartition of ``witness``'s listing, as data:
-    ``(subset, complement, classes)``, each side the body of its JSON list
-    joined of :func:`listed_id` pieces (never empty, the first piece's comma
-    included) and ``classes`` the enumerator's non-empty tuple of violated merit
-    classes. :func:`json_text` writes it, by exact type, only as an item of a
-    list at the listing's depth, as the object ``{"subset": [...],
-    "complement": [...], "violated_merit_classes": [...]}``."""
+class Listing:
+    """``witness``'s listing of violating bipartitions: ``search`` is the
+    ``theorem._Violations`` of its one enumerator. :func:`json_text` writes it,
+    by exact type and only at the listing's depth, as the list ``json.dumps``
+    writes from the violations as objects ``{"subset": [...], "complement":
+    [...], "violated_merit_classes": [...]}``, each side its ids in sorted order.
+    Each write or count runs the search afresh, so a document holding it reads
+    the same every time."""
 
-    __slots__ = ()
+    __slots__ = ("search",)
+
+    def __init__(self, search: _Violations):
+        self.search = search
+
+    def count(self) -> int:
+        """The number of violations, read from each chunk's length, with no side built."""
+        return sum(len(sides) for sides, _ in self.search.chunks())
+
+
+def _append_listing(search: _Violations, parts: list[str], flush: Callable[[], None]) -> None:
+    """Append the listing of ``search`` to ``parts`` a chunk at a time, each
+    item one f-string from four half-table entries, and ``flush`` after every
+    ``WRITE_BUFFER`` characters of items or so."""
+    pieces = [listed_id(ident) for ident in search.ids]
+    low, high = search.tables(pieces)
+    # A side's list body has no comma before its first id: a side's low entry
+    # is written without it, and so is its high entry when the side has no low
+    # bits, at ``span`` past its index.
+    span = len(high)
+    low = [entry[1:] for entry in low]
+    high += [entry[1:] for entry in high]
+    # every item lists every member once, so all items are about this long
+    per_flush = max(1, WRITE_BUFFER // (len(_SUBSET + _COMPLEMENT + _TAILS[3]) + sum(map(len, pieces))))
+    parts.append("[")
+    listed, room = 0, per_flush
+    for sides, bits in search.chunks():
+        subset_low, subset_high, other_low, other_high = search.entries(sides)
+        subset_high += span * (subset_low == 0)
+        other_high += span * (other_low == 0)
+        rows = zip(subset_low.tolist(), subset_high.tolist(), other_low.tolist(), other_high.tolist(), bits.tolist())
+        while True:  # one batch of at most ``room`` items, then a flush when it fills the buffer
+            first = len(parts)
+            parts += [
+                f"{_SUBSET}{low[a]}{high[b]}{_COMPLEMENT}{low[c]}{high[d]}{_TAILS[k]}"
+                for a, b, c, d, k in islice(rows, room)
+            ]
+            if not listed:  # the listing's first item has no comma
+                parts[first] = parts[first][1:]
+            listed += len(parts) - first
+            room -= len(parts) - first
+            if room:
+                break
+            flush()
+            room = per_flush
+    if listed:
+        parts.append(_LISTING + "]")
+    else:
+        parts[-1] = "[]"

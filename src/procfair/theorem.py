@@ -14,22 +14,29 @@ logically possible group" quantifier, enters through
 and ``fairness.check_absolute_fairness(mode="bipartitions")``. It checks the
 size rule of :func:`_check_search_limit`, then reads the members'
 probabilities, then hands them to :func:`_bipartition_violations`, the one
-enumerator, which yields each violating split in increasing order of its
+enumerator, which finds the violating splits in increasing order of their
 bitmask. Every probability becomes an integer numerator over a common
 denominator (:func:`_integer_units`, which ``fairness``' singleton search
 shares), and class means are compared by cross multiplication against an
 integer tolerance bound, in numpy chunks of ``BIPARTITION_CHUNK`` masks: in
-``int64`` when the products fit and on exact Python ints otherwise.
+``int64`` when the products fit and on exact Python ints otherwise. The
+search is a :class:`_Violations`: each chunk's violating sides as masks over
+the members in sorted id order, with their violated classes. Each caller
+builds what it reports from those masks and two half-tables of its own
+per-member pieces, once per violation: ``exhaustive_search`` and
+bipartitions mode their sorted id tuples, ``witness`` its JSON listing text
+(``serialize.Listing``) or, as text, only the count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import starmap
-from typing import Callable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -156,28 +163,30 @@ Piece = TypeVar("Piece", tuple, str)
 _CLASSES_BY_BITS = ((), (GUILTY,), (INNOCENT,), (GUILTY, INNOCENT))
 
 
+@functools.cache
+def _subset_bits(width: int) -> np.ndarray:
+    """The read-only 0/1 table of ``width`` rows whose column ``m`` holds the
+    bits of ``m``: ``2 ** width`` columns, made once per width."""
+    bits = np.arange(1 << width) >> np.arange(width)[:, None] & 1
+    bits.flags.writeable = False
+    return bits
+
+
 def _subset_sums(weights: np.ndarray) -> np.ndarray:
     """Column ``m`` is the sum of the columns ``i`` of ``weights`` whose bit
-    ``i`` is set in ``m``, built by doubling: ``2 ** weights.shape[1]`` columns."""
-    table = np.zeros((len(weights), 1), dtype=weights.dtype)
-    for column in weights.T:
-        table = np.concatenate((table, table + column[:, None]), axis=1)
-    return table
+    ``i`` is set in ``m``: one integer matrix product, exact for ``int64`` and
+    ``object`` weights alike."""
+    return weights @ _subset_bits(weights.shape[1])
 
 
 def _subset_joins(pieces: Sequence[Piece]) -> list[Piece]:
     """Entry ``m`` joins the ``pieces[k]`` whose bit ``k`` is set in ``m``, in
     order, with ``+``, built by doubling: ``2 ** len(pieces)`` entries. Entry 0
-    is the empty slice of the first piece."""
-    table = [pieces[0][:0]]
+    is the empty slice of the first piece; no pieces give no entries."""
+    table = [pieces[0][:0]] if pieces else []
     for piece in pieces:
         table += [entry + piece for entry in table]
     return table
-
-
-def _id_tuple(ident: str) -> tuple[str, ...]:
-    """The default piece of a member: the 1-tuple of its id."""
-    return (ident,)
 
 
 def _integer_units(*values: Fraction) -> list[int]:
@@ -204,30 +213,65 @@ def _violated_classes(sums: np.ndarray, totals: np.ndarray, tol_units: int) -> n
     return violated[0] | violated[1] << 1
 
 
+class _Violations(NamedTuple):
+    """The violating bipartitions of one search, as the enumerator finds them.
+
+    ``ids`` are the members' ids in sorted order, and bit ``k`` of a side's
+    mask is ``ids[k]``. Each call of ``chunks`` runs the enumeration afresh
+    and yields, one numpy pass at a time and only when advanced, ``(sides,
+    classes)``: the ``int64`` masks of the chunk's violating subsets, each the
+    side without the first member in population order, and their violated
+    classes as bits (``_CLASSES_BY_BITS``). A side joins one entry of each
+    half-table that :meth:`tables` builds, at the indices :meth:`entries` gives.
+    """
+
+    ids: tuple[str, ...]
+    chunks: Callable[[], Iterator[tuple[np.ndarray, np.ndarray]]]
+
+    def tables(self, pieces: Sequence[Piece]) -> tuple[list[Piece], list[Piece]]:
+        """The half-tables of ``pieces``, one per member in sorted id order: the
+        joins of the pieces below ``len(ids) // 2`` and of those from it on."""
+        half = len(self.ids) // 2
+        return _subset_joins(pieces[:half]), _subset_joins(pieces[half:])
+
+    def entries(self, sides: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The indices into :meth:`tables` of each of ``sides`` and of its
+        complement: subset low, subset high, complement low, complement high."""
+        half = len(self.ids) // 2
+        below = (1 << half) - 1
+        others = ((1 << len(self.ids)) - 1) ^ sides
+        return sides & below, sides >> half, others & below, others >> half
+
+    def tuples(self) -> Iterator[tuple[tuple[str, ...], tuple[str, ...], tuple[int, ...]]]:
+        """Each violation as ``(subset, complement, violated merit classes)``,
+        each side the tuple of its ids in sorted order, built a chunk at a time."""
+        low, high = self.tables([(ident,) for ident in self.ids])
+        for sides, bits in self.chunks():
+            subset_low, subset_high, other_low, other_high = (array.tolist() for array in self.entries(sides))
+            for a, b, c, d, classes in zip(subset_low, subset_high, other_low, other_high, bits.tolist()):
+                yield low[a] + high[b], low[c] + high[d], _CLASSES_BY_BITS[classes]
+
+
 def _bipartition_violations(
     pop: Population,
     codes: np.ndarray,
     probs: Sequence[Fraction],
     tolerance: Fraction,
-    piece: Callable[[str], Piece],
-) -> Iterator[tuple[Piece, Piece, tuple[int, ...]]]:
-    """Lazily yield ``(subset, complement, violated merit classes)`` per unfair
-    bipartition; member i's conviction probability is ``probs[codes[i]]``, as
-    from :func:`~procfair.procedure._probability_codes`, for a population of
-    two or more members. Each side is the join of ``piece(id)`` over its
-    members in sorted id order; ``piece`` is called once per member.
+) -> _Violations:
+    """The unfair bipartitions of a population of two or more members, whose
+    member i's conviction probability is ``probs[codes[i]]``, as from
+    :func:`~procfair.procedure._probability_codes`.
 
     The first member always stays in the complement, so each unordered
     bipartition is tested once, in increasing order of the subset's bitmask
     over population order. A merit class with members on both sides is
     violated when its mean conviction probabilities differ by more than ``tolerance``.
 
-    numpy tests ``BIPARTITION_CHUNK`` masks per pass, and a chunk's violations
-    are yielded before the next chunk is tested, so a caller that stops early
+    numpy tests ``BIPARTITION_CHUNK`` masks per pass, and a chunk is tested only
+    when the caller advances ``chunks()`` to it, so a caller that stops early
     tests no further chunk. A mask's per-class counts and numerator sums, and
     its subset as a bitmask over sorted id order, are the sum of two table
-    columns, one for its low bits and one for its high bits; each side's
-    pieces are likewise two table entries joined.
+    columns, one for its low bits and one for its high bits.
     """
     n = len(pop)
     # Integer-only setup: member i's probability is numer[i] / denom, and a class
@@ -252,29 +296,23 @@ def _bipartition_violations(
     ).T
     totals = weights.sum(axis=1, keepdims=True)
     # Mask bit i is member i + 1, as the first member always stays in the
-    # complement; bit k of a side is sorted position k. Each table covers the
-    # bits below ``half`` or those from it on.
+    # complement. Each table covers the bits below ``half`` or those from it on.
     half = n // 2
     low = _subset_sums(weights[:, 1 : 1 + half])
     high = _subset_sums(weights[:, 1 + half :])
-    pieces = [piece(ids[i]) for i in order]
-    first, second = _subset_joins(pieces[:half]), _subset_joins(pieces[half:])
-    below, everyone = (1 << half) - 1, (1 << n) - 1
 
-    end = 1 << (n - 1)
-    for start in range(1, end, BIPARTITION_CHUNK):
-        masks = np.arange(start, min(start + BIPARTITION_CHUNK, end))
-        sums = np.take(low, masks & below, axis=1)
-        sums += np.take(high, masks >> half, axis=1)
-        bits = _violated_classes(sums, totals, tol_units)
-        hits = np.flatnonzero(bits)
-        for side, classes in zip(sums[4, hits].tolist(), bits[hits].tolist()):
-            other = everyone ^ side
-            yield (
-                first[side & below] + second[side >> half],
-                first[other & below] + second[other >> half],
-                _CLASSES_BY_BITS[classes],
-            )
+    def chunks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        below, end = (1 << half) - 1, 1 << (n - 1)
+        for start in range(1, end, BIPARTITION_CHUNK):
+            masks = np.arange(start, min(start + BIPARTITION_CHUNK, end))
+            sums = np.take(low, masks & below, axis=1)
+            sums += np.take(high, masks >> half, axis=1)
+            bits = _violated_classes(sums, totals, tol_units)
+            hits = np.flatnonzero(bits)
+            if len(hits):
+                yield np.asarray(sums[4, hits], dtype=np.int64), bits[hits]
+
+    return _Violations(tuple(ids[i] for i in order), chunks)
 
 
 def _exhaustive_violations(
@@ -282,20 +320,18 @@ def _exhaustive_violations(
     max_n: int,
     proc: Procedure | None = None,
     tolerance: Fraction = Fraction(0),
-    piece: Callable[[str], Piece] = _id_tuple,
-) -> Iterator[tuple[Piece, Piece, tuple[int, ...]]]:
-    """The front door of every bipartition search: the ``(subset, complement,
-    violated merit classes)`` tuples of :func:`_bipartition_violations` at
-    ``tolerance``, each side joined from ``piece``. At the call, not on first
-    use, it checks the size rule, then returns no split for a population of
-    fewer than two members, reading no probability, and only then reads every
-    member's probability under ``proc`` (the deterministic procedure by
-    default)."""
+) -> _Violations:
+    """The front door of every bipartition search: the :class:`_Violations` of
+    :func:`_bipartition_violations` at ``tolerance``. At the call, not on first
+    use, it checks the size rule, then returns an empty search for a population
+    of fewer than two members, reading no probability, and only then reads
+    every member's probability under ``proc`` (the deterministic procedure by
+    default); nothing raises once it has returned."""
     _check_search_limit(max_n, len(pop))
     if len(pop) < 2:
-        return iter(())
+        return _Violations((), lambda: iter(()))
     codes, probs = _probability_codes(proc or DeterministicProcedure(), pop)
-    return _bipartition_violations(pop, codes, probs, tolerance, piece)
+    return _bipartition_violations(pop, codes, probs, tolerance)
 
 
 def exhaustive_search(
@@ -311,7 +347,7 @@ def exhaustive_search(
     criterion labels on every member of a population of two or more.
     ``max_n`` and ``len(pop)`` must pass :func:`_check_search_limit`.
     """
-    return tuple(starmap(Bipartition, _exhaustive_violations(pop, max_n, proc)))
+    return tuple(starmap(Bipartition, _exhaustive_violations(pop, max_n, proc).tuples()))
 
 
 @dataclass(frozen=True)

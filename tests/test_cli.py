@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -292,6 +293,27 @@ def test_audit_csv_refuses_a_group_named_like_a_summary_row(capsys, tmp_path, re
     assert code == 0 and list(json.loads(out)["rates"]["by_group"]) == [reserved, "x"]
 
 
+def test_audit_csv_refuses_a_group_value_holding_the_pair_separator(capsys, tmp_path):
+    """A verdict row joins its two groups with ``|``: the pairs (``x|g=y``, ``z``)
+    and (``x``, ``y|g=z``) would both read ``g=x|g=y|g=z``, so such a value is
+    refused; JSON names each group on its own."""
+    pop_file = tmp_path / "bars.csv"
+    pop_file.write_text("id,J,X,attrs\na,1,,g=x|g=y\nb,0,,g=z\nc,1,,g=x\nd,0,,g=y|g=z\n", encoding="utf-8")
+    proc_file = tmp_path / "procedure.json"
+    proc_file.write_text(GLOBAL_PROC, encoding="utf-8")
+    out_file = tmp_path / "report.csv"
+    argv = ["audit", "--population", str(pop_file), "--procedure", str(proc_file), "--attribute", "g"]
+    code, out, err = run(capsys, *argv, "--format", "csv", "--out", str(out_file))
+    assert code == 1 and out == "" and not out_file.exists()
+    assert err == (
+        "error: attribute value 'x|g=y' holds '|', which separates a verdict row's two groups; "
+        "use --format json\n"
+    )
+    code, out, _ = run(capsys, *argv)
+    pairs = [(v["group_a"]["value"], v["group_b"]["value"]) for v in json.loads(out)["verdicts"]]
+    assert code == 0 and ("x|g=y", "z") in pairs and ("x", "y|g=z") in pairs
+
+
 # --- witness -----------------------------------------------------------------
 
 
@@ -378,8 +400,13 @@ def test_witness_json_is_json_dumps_of_the_listing_of_exhaustive_search(tmp_path
     work = tmp_path_factory.mktemp("witness")
     pop_file, out_file = work / "pop.csv", work / "out.json"
     pop_file.write_text(text, encoding="utf-8")
+    argv = ["witness", "--population", str(pop_file), "--format", "json"]
+    stdout = mock.Mock(spec=["write"])
     with mock.patch.object(theorem, "BIPARTITION_CHUNK", chunk):
-        code = main(["witness", "--population", str(pop_file), "--format", "json", "--out", str(out_file)])
+        code = main([*argv, "--out", str(out_file)])
+        # a buffer of about one item: the listing goes out one or two items at a time
+        with mock.patch.object(serialize, "WRITE_BUFFER", 200), mock.patch.object(sys, "stdout", stdout):
+            assert main(argv) == code
         pop = load_population(text)
         found = exhaustive_search(pop)
     doc = {
@@ -403,6 +430,31 @@ def test_witness_json_is_json_dumps_of_the_listing_of_exhaustive_search(tmp_path
     lines = zip(written.split("\n"), expected.split("\n"))
     assert next(((got, want) for got, want in lines if got != want), None) is None
     assert written == expected
+    pieces = [call.args[0] for call in stdout.write.call_args_list]
+    assert "".join(pieces) == expected
+    # the listing is cut at item ends only, into one piece per buffer, then the end of the document and its newline
+    assert len(pieces) >= max(len(found), 1) // 2 + 2
+    assert all(piece.endswith("}") for piece in pieces[:-2])
+
+
+def test_the_listing_writer_holds_a_buffer_not_the_listing():
+    """An n = 16 listing of 30,318 violations, 12.7 MB of JSON, is written
+    while the writer's allocations peak at a small part of that (about 1 MB)."""
+    pop = Population([Individual(f"m{k:02d}", merit=k % 2, criterion=k // 2 % 2) for k in range(16)])
+    doc = {"exhaustive": {"violations": serialize.Listing(theorem._exhaustive_violations(pop, 16))}}
+    written = []
+
+    def write(text):
+        written.append(len(text))
+
+    tracemalloc.start()
+    try:
+        serialize.write_json(doc, write)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(written) > 10 * 2**20
+    assert peak < 2**21
 
 
 def test_witness_skips_search_beyond_max_n(capsys, tmp_path):
@@ -432,23 +484,47 @@ def test_witness_text_names_an_unwitnessable_population(capsys, tmp_path):
 
 
 def test_witness_text_formats_no_listing_item(capsys, tmp_path, monkeypatch):
-    """The witness document holds each violation as the enumerator's data; only
-    JSON output writes it, so the text format counts the items and writes none."""
+    """The witness document holds the enumerator's search; only JSON output
+    writes it, so the text format counts each chunk's violations and joins no
+    side and writes no JSON."""
     pop_file = tmp_path / "imperfect.csv"
     pop_file.write_text(IMPERFECT_CSV, encoding="utf-8")
     args = build_parser().parse_args(["witness", "--population", str(pop_file), "--format", "text"])
     doc, code = args.func(args)
-    pop = load_population(IMPERFECT_CSV)
-    found = list(theorem._exhaustive_violations(pop, theorem.DEFAULT_MAX_N, piece=serialize.listed_id))
-    assert doc["exhaustive"]["violations"] == found  # tuples, not text
+    assert type(doc["exhaustive"]["violations"]) is serialize.Listing
+    found = exhaustive_search(load_population(IMPERFECT_CSV))
 
-    def refuse(doc):
-        raise AssertionError("the text format wrote JSON")
+    def refuse(*args):
+        raise AssertionError("the text format built a listing")
 
-    monkeypatch.setattr(serialize, "json_text", refuse)
+    monkeypatch.setattr(serialize, "write_json", refuse)
+    monkeypatch.setattr(theorem, "_subset_joins", refuse)
     code, out, _ = run(capsys, "witness", "--population", str(pop_file), "--format", "text")
     assert code == 2
     assert out.splitlines()[-1] == f"exhaustive search: {len(found)} violating bipartition(s)"
+
+
+def test_the_listing_reads_nothing_once_the_search_has_returned(monkeypatch):
+    """Every check and every read of the population and the procedure comes
+    before ``_exhaustive_violations`` returns; what is left is arithmetic, so
+    the streamed listing cannot fail after its first byte is written."""
+    pop = load_population(IMPERFECT_CSV)
+    expected = [
+        {"subset": list(b.subset), "complement": list(b.complement), "violated_merit_classes": list(b.violated_merit_classes)}
+        for b in exhaustive_search(pop)
+    ]
+    search = theorem._exhaustive_violations(pop, theorem.DEFAULT_MAX_N)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("read after the search returned")
+
+    for name in ("ids", "_id", "__len__"):
+        monkeypatch.setattr(Population, name, refuse)
+    monkeypatch.setattr(theorem, "_probability_codes", refuse)
+    monkeypatch.setattr(theorem, "_check_search_limit", refuse)
+    text = serialize.json_text({"exhaustive": {"violations": serialize.Listing(search)}})
+    assert json.loads(text)["exhaustive"]["violations"] == expected != []
+
 
 # --- simulate ----------------------------------------------------------------
 
@@ -724,6 +800,39 @@ def test_audit_procedure_attribute_that_is_not_a_string_is_an_error(capsys, tmp_
     )
     assert code == 1 and out == ""
     assert err == "error: 'attribute' must be a non-empty string, got 5\n"
+
+
+# a command refused after its arguments parse: population CSV, procedure JSON, argv
+REFUSED = {
+    "witness-over-the-size-rule": (IMPERFECT_CSV, None, ["witness", "--max-n", "21"]),
+    "witness-without-x": ("id,J,X,attrs\na,1,,\nb,0,1,\n", None, ["witness"]),
+    "audit-bad-tolerance": (IMPERFECT_CSV, GLOBAL_PROC, ["audit", "--attribute", "sex", "--tolerance", "1/0"]),
+    "audit-attribute-no-member-has": (
+        "id,J,X,attrs\na,1,1,sex=M\nb,0,0,sex=F\n", GLOBAL_PROC, ["audit", "--attribute", "age"]
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text-or-csv"])
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_a_refused_report_writes_nothing(capsys, tmp_path, case, fmt):
+    """The error contract of the streamed writer: every check comes before the
+    first write, so a refused command prints one ``error:`` line and nothing on
+    standard output, and creates no ``--out`` file."""
+    population, procedure, argv = REFUSED[case]
+    pop_file, proc_file, out_file = tmp_path / "pop.csv", tmp_path / "proc.json", tmp_path / "out"
+    pop_file.write_text(population, encoding="utf-8")
+    argv = [*argv, "--population", str(pop_file)]
+    if procedure is not None:
+        proc_file.write_text(procedure, encoding="utf-8")
+        argv += ["--procedure", str(proc_file)]
+    if fmt != "json":
+        argv += ["--format", "text" if argv[0] == "witness" else "csv"]
+    for out in ([], ["--out", str(out_file)]):
+        code, stdout, err = run(capsys, *argv, *out)
+        assert code == 1 and stdout == ""
+        assert single_error_line(err)
+        assert not out_file.exists()
 
 
 def test_witness_max_n_above_ceiling_is_refused(capsys, tmp_path, monkeypatch):

@@ -4,14 +4,17 @@ import json
 from collections import OrderedDict
 from enum import IntEnum
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from procfair.population import GUILTY, INNOCENT
-from procfair.serialize import ListingItem, json_text, listed_id
-from procfair.theorem import _CLASSES_BY_BITS
+from procfair import serialize
+from procfair.population import INNOCENT
+from procfair.serialize import Listing, json_text, write_json
+from procfair.theorem import _CLASSES_BY_BITS, _Violations
 
 # every code point, lone surrogates and control characters included
 texts = st.text(st.characters(codec=None, exclude_categories=()), max_size=8)
@@ -123,56 +126,94 @@ def test_json_text_refuses_a_document_that_contains_itself(container):
         json_text(doc)
 
 
-# the enumerator's non-empty tuples of violated merit classes
-CLASSES = _CLASSES_BY_BITS[1:]
-sides = st.lists(texts, min_size=1, max_size=4)
+# a listing: 2 to 6 distinct ids, and violations as (subset mask over them, class bits)
+ids = st.lists(texts, min_size=2, max_size=6, unique=True).map(sorted)
+
+
+@st.composite
+def listings(draw) -> tuple[list[str], list[tuple[int, int]], int]:
+    """Sorted ids, violations as (mask, class bits) with both sides non-empty,
+    and a chunk size: what the enumerator's search yields, by hand."""
+    members = draw(ids)
+    masks = st.integers(1, (1 << len(members)) - 2)
+    violations = draw(st.lists(st.tuples(masks, st.integers(1, 3)), max_size=6))
+    return members, violations, draw(st.integers(1, 4))
+
+
+def _listing(members, violations, chunk) -> Listing:
+    """The listing of a search that yields ``violations`` in chunks of ``chunk``."""
+    def chunks():
+        for at in range(0, len(violations), chunk):
+            part = violations[at : at + chunk]
+            yield np.array([mask for mask, _ in part], dtype=np.int64), np.array([bits for _, bits in part])
+
+    return Listing(_Violations(tuple(members), chunks))
+
+
+def _as_dicts(members, violations) -> list[dict]:
+    """The listing as ``json.dumps`` writes it from dicts: each side its ids in order."""
+    def side(mask, bit):
+        return [ident for k, ident in enumerate(members) if mask >> k & 1 == bit]
+
+    return [
+        {"subset": side(mask, 1), "complement": side(mask, 0), "violated_merit_classes": list(_CLASSES_BY_BITS[bits])}
+        for mask, bits in violations
+    ]
 
 
 def _witness_document(witness, violations) -> dict:
     return {"witness": witness, "exhaustive": {"searched": True, "note": None, "violations": violations}}
 
 
-def _listing_item(subset, complement, classes) -> ListingItem:
-    """A violation as ``witness`` holds it: each side joined of ``listed_id`` pieces."""
-    return ListingItem(("".join(map(listed_id, subset)), "".join(map(listed_id, complement)), classes))
-
-
 @settings(max_examples=300, deadline=None)
-@given(documents, st.lists(st.tuples(sides, sides, st.sampled_from(CLASSES)), max_size=4))
-@example({}, [(['"\\\x00', "\ud800\u540d\U0001f600"], ["\t"], (GUILTY, INNOCENT))])
-def test_a_listing_item_is_written_as_json_dumps_writes_its_dict(witness, violations):
-    listing = [_listing_item(*violation) for violation in violations]
-    as_dicts = [
-        {"subset": subset, "complement": complement, "violated_merit_classes": list(classes)}
-        for subset, complement, classes in violations
-    ]
-    assert json_text(_witness_document(witness, listing)) == json.dumps(
-        _witness_document(witness, as_dicts), indent=2
-    )
+@given(documents, listings(), st.integers(1, 400))
+@example({}, (["\t", '"\\\x00', "\ud800\u540d\U0001f600"], [(1, 3), (6, 1)], 1), 1)
+def test_a_listing_item_is_written_as_json_dumps_writes_its_dict(witness, listing, buffer):
+    """The listing is written as ``json.dumps`` writes its violations as dicts,
+    however its chunks fall and wherever a buffer of ``buffer`` characters cuts it."""
+    members, violations, chunk = listing
+    expected = json.dumps(_witness_document(witness, _as_dicts(members, violations)), indent=2)
+    doc = _witness_document(witness, _listing(*listing))
+    assert json_text(doc) == expected
+    texts = []
+    with mock.patch.object(serialize, "WRITE_BUFFER", buffer):
+        write_json(doc, texts.append)
+    assert "".join(texts) == expected
+    # every text but the last ends with a listing item
+    assert all(text.endswith("}") for text in texts[:-1])
 
 
-class SubItem(ListingItem):
-    pass
+def test_a_listing_counts_its_violations_and_reads_the_same_every_time():
+    listing = _listing(["a", "b", "c"], [(1, 1), (2, 3), (6, 2)], 2)
+    doc = _witness_document({}, listing)
+    assert listing.count() == 3 and json_text(doc) == json_text(doc) and listing.count() == 3
+    assert _listing(["a", "b"], [], 1).count() == 0
 
 
-ITEM = _listing_item(["a"], ["b"], (INNOCENT,))
+class SubListing(Listing):
+    __slots__ = ()
+
+
+def _item():
+    return _listing(["a", "b"], [(1, INNOCENT + 1)], 1)
 
 
 @pytest.mark.parametrize(
     "doc",
     [
-        ITEM,
-        {"violations": ITEM},
-        _witness_document({}, [SubItem(ITEM)]),
-        _witness_document({}, [tuple(ITEM)]),
-        [ITEM],
-        {"exhaustive": [ITEM]},
-        _witness_document({}, [[ITEM]]),
+        _item,
+        lambda: {"violations": _item()},
+        lambda: _witness_document({}, SubListing(_item().search)),
+        lambda: _witness_document({}, (_item(),)),
+        lambda: [_item()],
+        lambda: {"exhaustive": {"violations": [_item()]}},
+        lambda: _witness_document({}, [_item()]),
     ],
     ids=["top-level", "dict-value", "subclass", "plain-tuple", "shallow-list", "list-in-dict", "deep-list"],
 )
 def test_a_listing_item_is_written_only_as_an_item_of_the_listing(doc):
-    """At the top level, as a dict value or in a list of another depth it is
-    refused, as is a subclass of it or a plain tuple in its place."""
+    """A listing at the top level, as a dict value or in a list of another depth
+    is refused, as is a subclass of it or a plain tuple in its place: its items
+    are indented for the listing's depth only."""
     with pytest.raises(TypeError, match="is not JSON serializable"):
-        json_text(doc)
+        json_text(doc())

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -352,6 +353,22 @@ def test_bipartition_oracle_holds_across_chunk_seams(monkeypatch, chunk):
     """Chunks of 1 and 3 masks put seams between every few masks tested."""
     monkeypatch.setattr(theorem, "BIPARTITION_CHUNK", chunk)
     test_bipartition_mode_matches_brute_force_oracle()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("width", [0, 1, 3, 6])
+def test_subset_sums_add_the_columns_each_mask_selects(dtype, width):
+    """The matrix product against the cached bit table, checked by a loop over
+    masks; object weights past 2^62 stay exact Python ints."""
+    rng = random.Random(width)
+    big = 1 << 70 if dtype is object else 1
+    weights = np.array([[rng.randrange(100) * big for _ in range(width)] for _ in range(5)], dtype=dtype)
+    table = theorem._subset_sums(weights)
+    assert table.shape == (5, 1 << width) and table.dtype == weights.dtype
+    for mask in range(1 << width):
+        assert table[:, mask].tolist() == [
+            sum(int(row[i]) for i in range(width) if mask >> i & 1) for row in weights
+        ]
 
 
 def test_truncated_verdict_tests_only_the_chunks_it_lists_from(monkeypatch):
